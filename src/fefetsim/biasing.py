@@ -154,6 +154,18 @@ def cell_write_voltage(plan: BiasPlan, row: int, col: int) -> float:
     return wl - 0.5 * (plan.driven(f"BL{col}") + plan.driven(f"SL{col}"))
 
 
+def write_voltages(plan: BiasPlan) -> list[list[float]]:
+    """`cell_write_voltage` of every cell as a rows x cols matrix, built
+    from each line once with the same float operations."""
+    wl = [plan.driven(f"WL{r}") for r in range(plan.rows)]
+    if plan.topology is Topology.CAND:
+        body = [plan.driven(f"BuL{c}") for c in range(plan.cols)]
+    else:
+        body = [0.5 * (plan.driven(f"BL{c}") + plan.driven(f"SL{c}"))
+                for c in range(plan.cols)]
+    return [[w - b for b in body] for w in wl]
+
+
 def classify_cell(plan: BiasPlan, row: int, col: int) -> CellGroup:
     row_sel = row == plan.sel_row
     col_sel = col in plan.sel_cols

@@ -142,7 +142,19 @@ def cmd_verify_scheme(args, cfg, prov) -> int:
     return EXIT_CHECK_FAILED if report.any_disturb else EXIT_OK
 
 
+def _cand_only(command: str, cfg) -> bool:
+    """True when `command` can run; else report the unsupported topology."""
+    if cfg.topology == Topology.CAND.value:
+        return True
+    print(f"error: {command} simulates only the cand topology, "
+          f"not {cfg.topology}", file=sys.stderr)
+    return False
+
+
 def cmd_run(args, cfg, prov) -> int:
+    if args.experiment in ("disturb", "word-write") \
+            and not _cand_only(args.experiment, cfg):
+        return EXIT_BAD_VALUE
     if args.experiment == "bitline":
         res = experiments.long_bitline_sweep(cfg)
         by_topo = {t: [(r.rows, r.window_ratio) for r in res.rows
@@ -182,6 +194,8 @@ def cmd_run(args, cfg, prov) -> int:
 
 
 def cmd_mc(args, cfg, prov) -> int:
+    if not _cand_only("mc", cfg):
+        return EXIT_BAD_VALUE
     res = experiments.monte_carlo(cfg)
     _emit(args, "mc", cfg, prov, {"mc": (res.header, res.rows)},
           _summary_jsonable(res.summary))

@@ -21,6 +21,9 @@ GATE_DIVIDER = "divider"
 
 _LN10 = math.log(10.0)
 
+#: largest argument for which math.expm1 stays finite
+_EXPM1_MAX = 709.0
+
 
 @dataclass(frozen=True)
 class FeFetParams:
@@ -116,7 +119,15 @@ def drain_current(dev: FeFetParams, vgs: float, vds: float, vt: float) -> float:
     vtl = dev.v_tilde
     x1 = (vgs - vt) / vtl
     x2 = (vgs - vt - vds) / vtl
-    chan = dev.i_spec * (dev.w / dev.l) * (_softplus(x1) ** 2 - _softplus(x2) ** 2)
+    s1, s2 = _softplus(x1), _softplus(x2)
+    # s1^2 - s2^2 = (s1 - s2)(s1 + s2), with the difference taken without
+    # cancellation: s1 - s2 = log1p(sigmoid(x2) * expm1(x1 - x2)), and
+    # x1 - x2 taken as vds / vtl rather than from the rounded x1 and x2.
+    # Past expm1's range the plain difference has no cancellation to lose.
+    d = vds / vtl
+    diff = (math.log1p(_sigmoid(x2) * math.expm1(d)) if d < _EXPM1_MAX
+            else s1 - s2)
+    chan = dev.i_spec * (dev.w / dev.l) * diff * (s1 + s2)
     return chan + dev.g_min * vds
 
 

@@ -63,9 +63,25 @@ class Parasitics:
         return length_um * (self.c_poly if poly else self.c_metal)
 
 
+def _intern(table: dict[tuple, BranchState], state: BranchState) -> BranchState:
+    """The state in `table` equal to `state` in every field, adding `state`
+    if there is none."""
+    key = (state.direction, state.k, state.p_off, state.e_eff, state.p,
+           tuple(state.history))
+    return table.setdefault(key, state)
+
+
 @dataclass
 class ArrayState:
-    """A rows x cols memory array with per-cell hysteresis state."""
+    """A rows x cols memory array with per-cell hysteresis state.
+
+    Cells with equal state share one interned `BranchState` from a
+    per-array table keyed by all of the state's fields, so ``cells[r][c]``
+    is a reference that is never mutated in place: a write replaces it.
+    By return-point memory and wipe-out, two cells with equal state evolve
+    identically under the same pulse, which lets `apply_write` pulse each
+    distinct (state, gate voltage) pair once.
+    """
 
     topology: Topology
     rows: int
@@ -74,37 +90,71 @@ class ArrayState:
     dev: FeFetParams
     parasitics: Parasitics = field(default_factory=Parasitics)
     cells: list[list[BranchState]] = field(default_factory=list)
+    _states: dict[tuple, BranchState] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.cells:
-            self.cells = [[ferro.negative_saturation(self.fe)
-                           for _ in range(self.cols)] for _ in range(self.rows)]
+        if self.cells:
+            self.cells = [[_intern(self._states, st.copy()) for st in row]
+                          for row in self.cells]
+        else:
+            rest = _intern(self._states, ferro.negative_saturation(self.fe))
+            self.cells = [[rest] * self.cols for _ in range(self.rows)]
+
+    def copy(self) -> "ArrayState":
+        """An independent array in the same state; the interned states are
+        shared, the grid and the table are not."""
+        twin = ArrayState(self.topology, self.rows, self.cols, self.fe,
+                          self.dev, self.parasitics)
+        twin.cells = [row[:] for row in self.cells]
+        twin._states = dict(self._states)
+        return twin
 
     def set_pattern(self, bits) -> None:
         """Force saturated rest states from a 0/1 matrix (no transient)."""
-        for r in range(self.rows):
-            for c in range(self.cols):
-                self.cells[r][c] = ferro.make_state(self.fe, bool(bits[r][c]))
+        self._states = {}
+        zero = _intern(self._states, ferro.make_state(self.fe, False))
+        one = _intern(self._states, ferro.make_state(self.fe, True))
+        self.cells = [[one if row[c] else zero for c in range(self.cols)]
+                      for row in (bits[r] for r in range(self.rows))]
 
     def vt(self, r: int, c: int) -> float:
         return device.cell_vt(self.dev, self.fe, self.cells[r][c])
 
     def vts(self) -> np.ndarray:
-        return np.array([[self.vt(r, c) for c in range(self.cols)]
-                         for r in range(self.rows)])
+        vt_of = {id(st): device.cell_vt(self.dev, self.fe, st)
+                 for st in self._states.values()}
+        return np.array([[vt_of[id(st)] for st in row] for row in self.cells])
 
 
 def apply_write(array: ArrayState, plan: BiasPlan, duration: float) -> None:
-    """Run one write phase: every cell sees its plan-derived gate voltage."""
+    """Run one write phase: every cell sees its plan-derived gate voltage.
+
+    Cells sharing an interned state and a gate voltage form one group; the
+    scalar write runs once per group on a copy, and every cell of the
+    group then refers to the interned result.
+    """
     if plan.topology is not array.topology:
         raise ValueError("bias plan topology does not match array")
     if (plan.rows, plan.cols) != (array.rows, array.cols):
         raise ValueError("bias plan shape does not match array")
-    for r in range(array.rows):
-        for c in range(array.cols):
-            v_gb = biasing.cell_write_voltage(plan, r, c)
-            device.write_cell(array.dev, array.fe, array.cells[r][c],
-                              v_gb, duration)
+    # The new grid and table are built aside, so a write that raises leaves
+    # the array as it was; the old grid keeps every pre-state alive until
+    # then, so their ids stay unique.
+    table: dict[tuple, BranchState] = {}
+    written: dict[tuple[int, float], BranchState] = {}
+    cells = []
+    for row, v_row in zip(array.cells, biasing.write_voltages(plan)):
+        new_row = []
+        for st, v_gb in zip(row, v_row):
+            key = (id(st), v_gb)
+            new = written.get(key)
+            if new is None:
+                new = written[key] = _intern(table, device.write_cell(
+                    array.dev, array.fe, st.copy(), v_gb, duration))
+            new_row.append(new)
+        cells.append(new_row)
+    array.cells, array._states = cells, table
 
 
 @dataclass

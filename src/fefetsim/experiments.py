@@ -172,9 +172,9 @@ def disturb_matrix(cfg: RunConfig, rows: int | None = None,
                    cols: int | None = None) -> DisturbMatrixResult:
     """All (cell group) x (initial state) x (write op) single-shot cases.
 
-    For each case a freshly initialized array gets one write at the center
-    cell and the observed cell (at the group position relative to it) is
-    read before and after.
+    For each case a copy of the uniformly initialized array gets one write
+    at the center cell and the observed cell (at the group position
+    relative to it) is read before and after.
     """
     m = rows if rows is not None else cfg.rows
     n = cols if cols is not None else cfg.cols
@@ -187,12 +187,15 @@ def disturb_matrix(cfg: RunConfig, rows: int | None = None,
         biasing.CellGroup.SAME_COL: (sel_r + 1, sel_c),
         biasing.CellGroup.DIAG: (sel_r + 1, sel_c + 1),
     }
+    uniform = {}
+    for state in (0, 1):
+        uniform[state] = _make_array(cfg, Topology.CAND, m, n)
+        _init_uniform(cfg, uniform[state], state)
     entries = []
     for group, (obs_r, obs_c) in observers.items():
         for state in (0, 1):
             for op in ("write0", "write1"):
-                array = _make_array(cfg, Topology.CAND, m, n)
-                _init_uniform(cfg, array, state)
+                array = uniform[state].copy()
                 i_before = _read_cell(cfg, array, obs_r, obs_c)
                 if op == "write0":
                     plan = biasing.cand_write0_bias(m, n, sel_r, [sel_c], cfg.v_w0)

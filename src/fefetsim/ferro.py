@@ -215,21 +215,16 @@ def advance_field(params: FerroParams, e_eff: float, e_ext: float, dt: float) ->
 
 
 def apply_pulse(params: FerroParams, state: BranchState, v_fe: float,
-                duration: float, nsteps: int = 1) -> BranchState:
+                duration: float) -> BranchState:
     """Drive the layer with a constant voltage pulse across it.
 
     Under constant drive the lagged field moves monotonically, so a single
-    step is exact; `nsteps` only refines where along the way the turning
-    point is logged.  Mutates and returns `state`.
+    step is exact.  Mutates and returns `state`.
     """
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
-    if nsteps < 1:
-        raise ValueError("nsteps must be >= 1")
     e_ext = v_fe / params.t_fe
-    dt = duration / nsteps
-    for _ in range(nsteps):
-        _move_to(params, state, advance_field(params, state.e_eff, e_ext, dt))
+    _move_to(params, state, advance_field(params, state.e_eff, e_ext, duration))
     return state
 
 

@@ -126,6 +126,19 @@ def test_every_cell_classified_and_exposed(rows, cols, v_w):
     assert CellGroup.SEL in seen
 
 
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6),
+       v_w=st.floats(0.2, 5.0))
+def test_write_voltage_matrix_equals_per_cell_voltages(rows, cols, v_w):
+    sel = range(0, cols, 2)
+    for plan in (cand_write1_bias(rows, cols, rows - 1, sel, v_w),
+                 cand_write0_bias(rows, cols, 0, sel, -v_w),
+                 and_write_bias(rows, cols, 0, sel, v_w),
+                 and_write_bias(rows, cols, rows - 1, sel, -v_w)):
+        assert biasing.write_voltages(plan) == [
+            [cell_write_voltage(plan, r, c) for c in range(cols)]
+            for r in range(rows)]
+
+
 # --------------------------------------------------------------------------
 # scheme audit
 

@@ -117,3 +117,18 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("FEFETSIM_OUT", str(tmp_path / "envout"))
     assert cli.main(["area"]) == cli.EXIT_OK
     assert (tmp_path / "envout" / "area" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, command", [
+    (("run", "disturb", "--rows", "4", "--cols", "4"), "disturb"),
+    (("run", "word-write", "--word", "0x0F", "--rows", "4", "--cols", "4"),
+     "word-write"),
+    (("mc", "--samples", "5"), "mc"),
+])
+def test_cand_only_commands_reject_and_topology(tmp_path, capsys, argv,
+                                                command):
+    status = _run(tmp_path, *argv, "--topology", "and")
+    assert status == cli.EXIT_BAD_VALUE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "topology" in err and "and" in err
+    assert not (tmp_path / command).exists()

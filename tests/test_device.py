@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fefetsim import device, ferro
 from fefetsim.device import FeFetParams
@@ -53,6 +53,7 @@ def test_source_drain_symmetry():
        st.floats(min_value=0.0, max_value=2.0),
        st.floats(min_value=0.4, max_value=1.8))
 @settings(max_examples=300, deadline=None)
+@example(vgs=3.0, vds=1e-15, vt=0.40625)
 def test_monotone_in_gate_and_drain(vgs, vds, vt):
     i0 = device.drain_current(DEV, vgs, vds, vt)
     assert device.drain_current(DEV, vgs + 0.05, vds, vt) >= i0

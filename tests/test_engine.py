@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fefetsim import biasing, device, engine, ferro
 from fefetsim.biasing import Topology
-from fefetsim.device import FeFetParams
+from fefetsim.device import GATE_DIRECT, GATE_DIVIDER, FeFetParams
 from fefetsim.engine import ArrayState, Parasitics
 from fefetsim.ferro import FerroParams
 
@@ -161,3 +162,98 @@ def test_set_pattern_hits_saturated_rest_states():
     vt0 = device.vt_of_polarization(DEV, FE, -FE.pr)
     assert arr.vt(0, 1) == pytest.approx(vt1)
     assert arr.vt(0, 0) == pytest.approx(vt0)
+
+
+# --------------------------------------------------------------------------
+# Interned write path against a per-cell oracle
+
+
+def _key(state):
+    return (state.direction, state.k, state.p_off, state.e_eff, state.p,
+            tuple(state.history))
+
+
+def _oracle_write(dev, cells, plan, duration):
+    """Every cell pulsed on its own: the scalar write at its plan voltage."""
+    for r, row in enumerate(cells):
+        for c, state in enumerate(row):
+            device.write_cell(dev, FE, state,
+                              biasing.cell_write_voltage(plan, r, c), duration)
+
+
+@st.composite
+def _write_runs(draw):
+    topology = draw(st.sampled_from(Topology))
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=cols,
+                                  max_size=cols), min_size=rows, max_size=rows))
+    plans = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = draw(st.integers(0, rows - 1))
+        sel = draw(st.sets(st.integers(0, cols - 1), min_size=1))
+        # repeated levels revisit turning points; free levels make new ones
+        v = draw(st.sampled_from((1.5, 3.2)) | st.floats(0.2, 4.5))
+        if draw(st.booleans()):
+            v = -v
+        if topology is Topology.AND:
+            plan = biasing.and_write_bias(rows, cols, row, sel, v)
+        elif v < 0.0:
+            plan = biasing.cand_write0_bias(rows, cols, row, sel, v)
+        else:
+            plan = biasing.cand_write1_bias(rows, cols, row, sel, v)
+        plans.append((plan, draw(st.sampled_from((1e-7, 1e-6, T_PULSE)))))
+    return topology, rows, cols, bits, plans
+
+
+@given(_write_runs(), st.sampled_from((GATE_DIRECT, GATE_DIVIDER)))
+@settings(max_examples=150, deadline=None)
+def test_interned_writes_match_per_cell_oracle(run, gate_mode):
+    topology, rows, cols, bits, plans = run
+    dev = FeFetParams(gate_mode=gate_mode)
+    arr = ArrayState(topology, rows, cols, FE, dev)
+    arr.set_pattern(bits)
+    ref = [[ferro.make_state(FE, bool(b)) for b in row] for row in bits]
+    for plan, duration in plans:
+        engine.apply_write(arr, plan, duration)
+        _oracle_write(dev, ref, plan, duration)
+        assert [[_key(s) for s in row] for row in arr.cells] == \
+            [[_key(s) for s in row] for row in ref]
+        ref_vts = np.array([[device.cell_vt(dev, FE, s) for s in row]
+                            for row in ref])
+        assert np.array_equal(arr.vts(), ref_vts)
+
+
+def test_writes_never_reach_a_copy_or_another_array():
+    arr = _array(Topology.CAND, 4, 4, np.eye(4))
+    twin = arr.copy()
+    other = _array(Topology.CAND, 4, 4, np.eye(4))
+    seen = [row[:] for a in (arr, twin, other) for row in a.cells]
+    before = [[_key(cell) for cell in row] for row in seen]
+    for plan in (biasing.cand_write1_bias(4, 4, 1, (0, 2), 3.2),
+                 biasing.cand_write0_bias(4, 4, 0, range(4), -1.5)):
+        engine.apply_write(arr, plan, T_PULSE)
+    assert [[_key(cell) for cell in row] for row in seen] == before
+    assert [[_key(cell) for cell in row] for row in twin.cells] == before[4:8]
+    assert [[_key(cell) for cell in row] for row in other.cells] == before[8:]
+    assert not np.array_equal(arr.vts(), twin.vts())
+
+
+def test_write_that_raises_leaves_the_array_unchanged(monkeypatch):
+    arr = _array(Topology.CAND, 3, 3, np.eye(3))
+    cells, vts = [row[:] for row in arr.cells], arr.vts()
+    real, calls = device.write_cell, []
+
+    def fail_on_second_group(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("gate divider did not converge")
+        return real(*args)
+
+    monkeypatch.setattr(device, "write_cell", fail_on_second_group)
+    with pytest.raises(RuntimeError):
+        engine.apply_write(arr, biasing.cand_write1_bias(3, 3, 0, (0,), 3.2),
+                           T_PULSE)
+    assert all(a is b for ra, rb in zip(arr.cells, cells)
+               for a, b in zip(ra, rb))
+    assert np.array_equal(arr.vts(), vts)
