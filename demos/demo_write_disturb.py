@@ -2,10 +2,12 @@
 
 First the closed-form exposure audit (what every unselected cell group
 sees during a write), then the full disturb matrix simulated on a 16x16
-array, then a word write with readback.
+array of each topology, then a word write with readback.
 
 Run:  python3 demos/demo_write_disturb.py
 """
+
+import dataclasses
 
 from fefetsim import biasing, experiments
 from fefetsim.biasing import SchemeKind, Topology
@@ -23,13 +25,21 @@ def main():
               f"(margin {f.margin:+.2f} V) -> {f.flag}")
     print(f"  any disturb: {report.any_disturb}")
 
-    print("\n== single-write disturb matrix, 16x16 ==")
-    res = experiments.disturb_matrix(cfg, rows=16, cols=16)
-    flips = [e for e in res.entries if e.read_logic != e.expected_logic]
-    print(f"  16 cases (4 groups x 2 states x 2 ops): "
-          f"{len(flips)} logic flips")
-    print(f"  band separation (min '1' / max '0'): "
-          f"{res.summary['band_separation']:.0f}")
+    print("\n== single-write disturb matrix, 16x16, AND next to C-AND ==")
+    res = {t: experiments.disturb_matrix(
+        dataclasses.replace(cfg, topology=t), rows=16, cols=16)
+        for t in ("and", "cand")}
+    print(f"  {'group':12} {'init':>4} {'op':7} {'AND read':>8} "
+          f"{'C-AND read':>10}")
+    for a, c in zip(res["and"].entries, res["cand"].entries):
+        marks = ["" if e.read_logic == e.expected_logic else " FLIP"
+                 for e in (a, c)]
+        print(f"  {a.group:12} {a.initial_state:4} {a.op:7} "
+              f"{a.read_logic:8}{marks[0]:5} {c.read_logic:5}{marks[1]}")
+    for t, label in (("and", "AND"), ("cand", "C-AND")):
+        flips = sum(e.read_logic != e.expected_logic for e in res[t].entries)
+        print(f"  {label:5}: {flips} logic flips in 16 cases, band separation "
+              f"(min '1' / max '0') {res[t].summary['band_separation']:.3g}")
 
     print("\n== two-cycle word write, 8x8 ==")
     array = ArrayState(Topology.CAND, 8, 8, make_ferro(cfg), make_device(cfg))

@@ -34,7 +34,9 @@ from .biasing import (
     cand_write1_bias,
     cell_write_voltage,
     classify_cell,
+    read_bias,
     verify_scheme,
+    write_bias,
 )
 from .config import ConfigError, RunConfig, load_config
 from .device import (
@@ -85,9 +87,10 @@ __all__ = [
     "cand_write1_bias", "cell_area", "cell_vt", "cell_write_voltage",
     "classify_cell", "column_readout_with_leak", "delta_of", "drain_current",
     "gate_drive", "load_config", "major_loop_envelope", "make_state",
-    "negative_saturation", "positive_saturation", "read_cells",
+    "negative_saturation", "positive_saturation", "read_bias", "read_cells",
     "read_current", "read_power", "select_line_current", "select_line_power",
     "select_line_power_max", "settle", "sneak_resistance_bound",
     "sneak_resistance_formula", "sneak_resistance_network", "solve_read",
-    "trace_loop", "verify_scheme", "vt_of_polarization", "write_cell",
+    "trace_loop", "verify_scheme", "vt_of_polarization", "write_bias",
+    "write_cell",
 ]

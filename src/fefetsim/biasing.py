@@ -69,32 +69,39 @@ def _check_selection(rows: int, cols: int, sel_row: int, sel_cols) -> tuple[int,
     return sel
 
 
+def _inhibit_levels(style: str, v_w: float) -> tuple[float, float, float, float]:
+    """(WL selected, WL unselected, column selected, column unselected)."""
+    if style == "vdd3":
+        return v_w, v_w / 3.0, 0.0, 2.0 * v_w / 3.0
+    if style == "vdd2":
+        return v_w / 2.0, 0.0, -v_w / 2.0, 0.0
+    raise ValueError(style)
+
+
+def _cand_write(rows: int, cols: int, sel_row: int, sel_cols, op: str,
+                style: str, v_w: float) -> BiasPlan:
+    sel = _check_selection(rows, cols, sel_row, sel_cols)
+    wl_s, wl_u, col_s, col_u = _inhibit_levels(style, v_w)
+    lines: dict[str, float | None] = {}
+    for r in range(rows):
+        lines[f"WL{r}"] = wl_s if r == sel_row else wl_u
+        lines[f"SL{r}"] = 0.0
+    for c in range(cols):
+        lines[f"BuL{c}"] = col_s if c in sel else col_u
+        lines[f"BL{c}"] = 0.0
+    return BiasPlan(Topology.CAND, rows, cols, op, sel_row, sel, lines)
+
+
 def cand_write0_bias(rows: int, cols: int, sel_row: int, sel_cols,
                      v_w0: float) -> BiasPlan:
     """Thirds-scheme erase of selected cells (v_w0 < 0 on the gate)."""
-    sel = _check_selection(rows, cols, sel_row, sel_cols)
-    lines: dict[str, float | None] = {}
-    for r in range(rows):
-        lines[f"WL{r}"] = v_w0 if r == sel_row else v_w0 / 3.0
-        lines[f"SL{r}"] = 0.0
-    for c in range(cols):
-        lines[f"BuL{c}"] = 0.0 if c in sel else 2.0 * v_w0 / 3.0
-        lines[f"BL{c}"] = 0.0
-    return BiasPlan(Topology.CAND, rows, cols, "write0", sel_row, sel, lines)
+    return _cand_write(rows, cols, sel_row, sel_cols, "write0", "vdd3", v_w0)
 
 
 def cand_write1_bias(rows: int, cols: int, sel_row: int, sel_cols,
                      v_w1: float) -> BiasPlan:
     """Halves-scheme program of selected cells (v_w1 > 0 on the gate)."""
-    sel = _check_selection(rows, cols, sel_row, sel_cols)
-    lines: dict[str, float | None] = {}
-    for r in range(rows):
-        lines[f"WL{r}"] = v_w1 / 2.0 if r == sel_row else 0.0
-        lines[f"SL{r}"] = 0.0
-    for c in range(cols):
-        lines[f"BuL{c}"] = -v_w1 / 2.0 if c in sel else 0.0
-        lines[f"BL{c}"] = 0.0
-    return BiasPlan(Topology.CAND, rows, cols, "write1", sel_row, sel, lines)
+    return _cand_write(rows, cols, sel_row, sel_cols, "write1", "vdd2", v_w1)
 
 
 def cand_read_bias(rows: int, cols: int, sel_row: int, sel_cols,
@@ -117,11 +124,12 @@ def and_write_bias(rows: int, cols: int, sel_row: int, sel_cols,
     """Thirds-scheme write for either polarity (sign of v_w picks it)."""
     sel = _check_selection(rows, cols, sel_row, sel_cols)
     op = "write1" if v_w >= 0.0 else "write0"
+    wl_s, wl_u, col_s, col_u = _inhibit_levels("vdd3", v_w)
     lines: dict[str, float | None] = {}
     for r in range(rows):
-        lines[f"WL{r}"] = v_w if r == sel_row else v_w / 3.0
+        lines[f"WL{r}"] = wl_s if r == sel_row else wl_u
     for c in range(cols):
-        col_v = 0.0 if c in sel else 2.0 * v_w / 3.0
+        col_v = col_s if c in sel else col_u
         lines[f"BL{c}"] = col_v
         lines[f"SL{c}"] = col_v
     return BiasPlan(Topology.AND, rows, cols, op, sel_row, sel, lines)
@@ -138,6 +146,23 @@ def and_read_bias(rows: int, cols: int, sel_row: int, sel_cols,
         lines[f"BL{c}"] = v_sl if c in sel else HIGH_Z
         lines[f"SL{c}"] = 0.0
     return BiasPlan(Topology.AND, rows, cols, "read", sel_row, sel, lines)
+
+
+def write_bias(topology: Topology, rows: int, cols: int, sel_row: int,
+               sel_cols, v_w: float) -> BiasPlan:
+    """The write plan of `topology`: erase for v_w < 0, program otherwise."""
+    if topology is Topology.AND:
+        return and_write_bias(rows, cols, sel_row, sel_cols, v_w)
+    if v_w < 0.0:
+        return cand_write0_bias(rows, cols, sel_row, sel_cols, v_w)
+    return cand_write1_bias(rows, cols, sel_row, sel_cols, v_w)
+
+
+def read_bias(topology: Topology, rows: int, cols: int, sel_row: int,
+              sel_cols, v_wl: float, v_sl: float) -> BiasPlan:
+    """The read plan of `topology`."""
+    build = and_read_bias if topology is Topology.AND else cand_read_bias
+    return build(rows, cols, sel_row, sel_cols, v_wl, v_sl)
 
 
 def cell_write_voltage(plan: BiasPlan, row: int, col: int) -> float:
@@ -223,15 +248,6 @@ class SchemeReport:
     def worst(self) -> SchemeFinding:
         order = {FLAG_PASS: 0, FLAG_PARTIAL: 1, FLAG_DISTURB: 2}
         return max(self.findings, key=lambda f: (order[f.flag], abs(f.v_gb)))
-
-
-def _inhibit_levels(style: str, v_w: float) -> tuple[float, float, float, float]:
-    """(WL selected, WL unselected, column selected, column unselected)."""
-    if style == "vdd3":
-        return v_w, v_w / 3.0, 0.0, 2.0 * v_w / 3.0
-    if style == "vdd2":
-        return v_w / 2.0, 0.0, -v_w / 2.0, 0.0
-    raise ValueError(style)
 
 
 def _group_exposures(style: str, v_w: float) -> dict[CellGroup, float]:

@@ -69,6 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> tuple[config.RunConfig, dict]:
     overrides = {k: getattr(args, k, None)
                  for k in ("seed", "samples", "rows", "cols", "topology")}
+    overrides.update(v_w0=getattr(args, "vw0", None),
+                     v_w1=getattr(args, "vw1", None))
     return config.load_config(args.config, overrides)
 
 
@@ -125,16 +127,15 @@ def cmd_device_sweep(args, cfg, prov) -> int:
 
 
 def cmd_verify_scheme(args, cfg, prov) -> int:
-    v_w0 = args.vw0 if args.vw0 is not None else cfg.v_w0
-    v_w1 = args.vw1 if args.vw1 is not None else cfg.v_w1
-    report = biasing.verify_scheme(v_w0, v_w1, biasing.SchemeKind(args.scheme))
+    report = biasing.verify_scheme(cfg.v_w0, cfg.v_w1,
+                                   biasing.SchemeKind(args.scheme))
     header = ["op", "group", "exposure_volts", "margin_volts", "flag"]
     rows = [(f.op, f.group.value, f.v_gb, f.margin, f.flag)
             for f in report.findings]
     print(f"{'op':8} {'group':10} {'exposure':>10} {'margin':>10} flag")
     for op, group, exposure, margin, flag in rows:
         print(f"{op:8} {group:10} {exposure:10.3f} {margin:10.3f} {flag}")
-    summary = {"v_w0": v_w0, "v_w1": v_w1, "scheme": args.scheme,
+    summary = {"v_w0": cfg.v_w0, "v_w1": cfg.v_w1, "scheme": args.scheme,
                "any_disturb": report.any_disturb,
                "any_partial": report.any_partial}
     _emit(args, "verify-scheme", cfg, prov, {"findings": (header, rows)},
@@ -142,19 +143,7 @@ def cmd_verify_scheme(args, cfg, prov) -> int:
     return EXIT_CHECK_FAILED if report.any_disturb else EXIT_OK
 
 
-def _cand_only(command: str, cfg) -> bool:
-    """True when `command` can run; else report the unsupported topology."""
-    if cfg.topology == Topology.CAND.value:
-        return True
-    print(f"error: {command} simulates only the cand topology, "
-          f"not {cfg.topology}", file=sys.stderr)
-    return False
-
-
 def cmd_run(args, cfg, prov) -> int:
-    if args.experiment in ("disturb", "word-write") \
-            and not _cand_only(args.experiment, cfg):
-        return EXIT_BAD_VALUE
     if args.experiment == "bitline":
         res = experiments.long_bitline_sweep(cfg)
         by_topo = {t: [(r.rows, r.window_ratio) for r in res.rows
@@ -194,8 +183,6 @@ def cmd_run(args, cfg, prov) -> int:
 
 
 def cmd_mc(args, cfg, prov) -> int:
-    if not _cand_only("mc", cfg):
-        return EXIT_BAD_VALUE
     res = experiments.monte_carlo(cfg)
     _emit(args, "mc", cfg, prov, {"mc": (res.header, res.rows)},
           _summary_jsonable(res.summary))
@@ -234,7 +221,7 @@ def cmd_area(args, cfg, prov) -> int:
 def cmd_all(args, cfg, prov) -> int:
     status = EXIT_OK
     status = max(status, cmd_device_sweep(args, cfg, prov))
-    args.vw0, args.vw1, args.scheme = None, None, "mixed"
+    args.scheme = "mixed"
     status = max(status, cmd_verify_scheme(args, cfg, prov))
     for exp in RUN_EXPERIMENTS:
         args.experiment, args.word = exp, None

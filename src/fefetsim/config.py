@@ -146,6 +146,9 @@ def load_config(path: str | None = None,
         raise ValueRangeError("rows, cols, samples must be positive")
     if not 0.0 < cfg.pr < cfg.ps:
         raise ValueRangeError("pr must be positive and smaller than ps")
+    if not cfg.v_w0 < 0.0 < cfg.v_w1:
+        raise ValueRangeError("write voltages must satisfy v_w0 < 0 < v_w1, "
+                              f"got v_w0={cfg.v_w0}, v_w1={cfg.v_w1}")
     if min(cfg.vc, cfg.t_fe, cfg.tau_eff, cfg.t_pulse,
            cfg.width, cfg.length) <= 0.0:
         raise ValueRangeError("vc, t_fe, tau_eff, t_pulse, width, length "

@@ -291,13 +291,8 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
 
 def read_cells(array: ArrayState, sel_row: int, sel_cols,
                v_wl: float, v_sl: float) -> ReadResult:
-    if array.topology is Topology.CAND:
-        plan = biasing.cand_read_bias(array.rows, array.cols, sel_row, sel_cols,
-                                      v_wl, v_sl)
-    else:
-        plan = biasing.and_read_bias(array.rows, array.cols, sel_row, sel_cols,
-                                     v_wl, v_sl)
-    res = solve_read(array, plan)
+    res = solve_read(array, biasing.read_bias(
+        array.topology, array.rows, array.cols, sel_row, sel_cols, v_wl, v_sl))
     if array.topology is Topology.AND:
         # sensing happens at the driven bit line; current flows into the array
         res.col_currents = {c: -i for c, i in res.col_currents.items()}

@@ -57,10 +57,10 @@ def nominal_cell(cfg: RunConfig) -> NominalCell:
     )
 
 
-def _make_array(cfg: RunConfig, topology: Topology, rows: int, cols: int,
+def _make_array(cfg: RunConfig, rows: int, cols: int,
                 dev=None, fe=None) -> engine.ArrayState:
     return engine.ArrayState(
-        topology=topology, rows=rows, cols=cols,
+        topology=config.topology_of(cfg), rows=rows, cols=cols,
         fe=fe if fe is not None else config.make_ferro(cfg),
         dev=dev if dev is not None else config.make_device(cfg),
         parasitics=config.make_parasitics(cfg),
@@ -149,19 +149,21 @@ class DisturbMatrixResult:
                  e.expected_logic, e.read_logic) for e in self.entries]
 
 
-def _init_uniform(cfg: RunConfig, array: engine.ArrayState, state: int) -> None:
-    """Write every cell to `state` through real row-by-row operations."""
-    all_cols = range(array.cols)
-    for r in range(array.rows):
-        engine.apply_write(array, biasing.cand_write1_bias(
-            array.rows, array.cols, r, all_cols, cfg.v_w1), cfg.t_pulse)
-    for r in range(array.rows):
-        engine.apply_write(array, biasing.cand_write0_bias(
-            array.rows, array.cols, r, all_cols, cfg.v_w0), cfg.t_pulse)
-    if state == 1:
-        for r in range(array.rows):
-            engine.apply_write(array, biasing.cand_write1_bias(
-                array.rows, array.cols, r, all_cols, cfg.v_w1), cfg.t_pulse)
+def _write_rows(cfg: RunConfig, array: engine.ArrayState, rows, cols,
+                v_w: float) -> None:
+    """One write phase per row in `rows` on the columns `cols`, with the
+    array topology's plan for v_w (erase if negative, else program)."""
+    for r in rows:
+        engine.apply_write(array, biasing.write_bias(
+            array.topology, array.rows, array.cols, r, cols, v_w), cfg.t_pulse)
+
+
+def _init_uniform(cfg: RunConfig, array: engine.ArrayState,
+                  v_w0: float, v_w1: float) -> None:
+    """Write every cell to '0' through real row-by-row operations: a
+    program sweep, then an erase sweep."""
+    for v_w in (v_w1, v_w0):
+        _write_rows(cfg, array, range(array.rows), range(array.cols), v_w)
 
 
 def _read_cell(cfg: RunConfig, array: engine.ArrayState, r: int, c: int) -> float:
@@ -187,21 +189,18 @@ def disturb_matrix(cfg: RunConfig, rows: int | None = None,
         biasing.CellGroup.SAME_COL: (sel_r + 1, sel_c),
         biasing.CellGroup.DIAG: (sel_r + 1, sel_c + 1),
     }
-    uniform = {}
-    for state in (0, 1):
-        uniform[state] = _make_array(cfg, Topology.CAND, m, n)
-        _init_uniform(cfg, uniform[state], state)
+    uniform = {0: _make_array(cfg, m, n)}
+    _init_uniform(cfg, uniform[0], cfg.v_w0, cfg.v_w1)
+    uniform[1] = uniform[0].copy()
+    _write_rows(cfg, uniform[1], range(m), range(n), cfg.v_w1)
     entries = []
     for group, (obs_r, obs_c) in observers.items():
         for state in (0, 1):
             for op in ("write0", "write1"):
                 array = uniform[state].copy()
                 i_before = _read_cell(cfg, array, obs_r, obs_c)
-                if op == "write0":
-                    plan = biasing.cand_write0_bias(m, n, sel_r, [sel_c], cfg.v_w0)
-                else:
-                    plan = biasing.cand_write1_bias(m, n, sel_r, [sel_c], cfg.v_w1)
-                engine.apply_write(array, plan, cfg.t_pulse)
+                _write_rows(cfg, array, [sel_r], [sel_c],
+                            cfg.v_w0 if op == "write0" else cfg.v_w1)
                 i_after = _read_cell(cfg, array, obs_r, obs_c)
                 if group is biasing.CellGroup.SEL:
                     expected = 0 if op == "write0" else 1
@@ -257,15 +256,11 @@ def write_word(cfg: RunConfig, array: engine.ArrayState, row: int,
     columns is a timed hold (the bias ops require a nonempty selection, so
     nothing is driven during it).  Returns the cycle count.
     """
-    cols = array.cols
-    zeros = [c for c in range(cols) if not (word >> c) & 1]
-    ones = [c for c in range(cols) if (word >> c) & 1]
-    if zeros:
-        engine.apply_write(array, biasing.cand_write0_bias(
-            array.rows, cols, row, zeros, cfg.v_w0), cfg.t_pulse)
-    if ones:
-        engine.apply_write(array, biasing.cand_write1_bias(
-            array.rows, cols, row, ones, cfg.v_w1), cfg.t_pulse)
+    zeros = [c for c in range(array.cols) if not (word >> c) & 1]
+    ones = [c for c in range(array.cols) if (word >> c) & 1]
+    for cols, v_w in ((zeros, cfg.v_w0), (ones, cfg.v_w1)):
+        if cols:
+            _write_rows(cfg, array, [row], cols, v_w)
     return 2
 
 
@@ -287,8 +282,8 @@ def word_write_demo(cfg: RunConfig, rows: int = 8, cols: int = 8,
     """
     if words is None:
         words = range(1 << cols)
-    array = _make_array(cfg, Topology.CAND, rows, cols)
-    _init_uniform(cfg, array, 0)
+    array = _make_array(cfg, rows, cols)
+    _init_uniform(cfg, array, cfg.v_w0, cfg.v_w1)
     entries = []
     for idx, word in enumerate(words):
         row = idx % rows
@@ -342,7 +337,7 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
 
     dev_nom = config.make_device(cfg)
     _, i_leak_large = engine.column_readout_with_leak(
-        dev_nom, Topology.CAND, leak_rows, leak_cols,
+        dev_nom, config.topology_of(cfg), leak_rows, leak_cols,
         dev_nom.vt_high, dev_nom.vt_low, cfg.v_wl, cfg.v_sl)
 
     fe = config.make_ferro(cfg)
@@ -354,16 +349,9 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
         v_w1 = cfg.v_w1 + dv1[t]
         dev = config.make_device(cfg, width=cfg.width + dwl[t],
                                  length=cfg.length + dwl[t])
-        trial_cfg = (v_w0, v_w1)
-        array = _make_array(cfg, Topology.CAND, 2, 2, dev=dev, fe=fe)
-        for r in range(2):
-            engine.apply_write(array, biasing.cand_write1_bias(
-                2, 2, r, (0, 1), v_w1), cfg.t_pulse)
-        for r in range(2):
-            engine.apply_write(array, biasing.cand_write0_bias(
-                2, 2, r, (0, 1), v_w0), cfg.t_pulse)
-        engine.apply_write(array, biasing.cand_write1_bias(
-            2, 2, 0, (0,), v_w1), cfg.t_pulse)
+        array = _make_array(cfg, 2, 2, dev=dev, fe=fe)
+        _init_uniform(cfg, array, v_w0, v_w1)
+        _write_rows(cfg, array, [0], [0], v_w1)
 
         currents = {}
         for r in range(2):
@@ -427,7 +415,7 @@ def power_sweep(cfg: RunConfig,
     for n in sizes:
         c_wl = n * (par.seg_capacitance(par.pitch_x, poly=True) + gate_cap)
         _, i_leak = engine.column_readout_with_leak(
-            dev, Topology.CAND, n, n, dev.vt_high, dev.vt_low,
+            dev, config.topology_of(cfg), n, n, dev.vt_high, dev.vt_low,
             cfg.v_wl, cfg.v_sl)
         bd = analytics.read_power(
             n_zeros=0, n_ones=1, i_low=0.0, i_high=i_high,

@@ -8,6 +8,7 @@ from fefetsim.biasing import (
     FLAG_PASS,
     CellGroup,
     SchemeKind,
+    Topology,
     and_read_bias,
     and_write_bias,
     cand_read_bias,
@@ -137,6 +138,30 @@ def test_write_voltage_matrix_equals_per_cell_voltages(rows, cols, v_w):
         assert biasing.write_voltages(plan) == [
             [cell_write_voltage(plan, r, c) for c in range(cols)]
             for r in range(rows)]
+
+
+@pytest.mark.parametrize("topology, v_w, named, op", [
+    (Topology.CAND, -1.5, cand_write0_bias, "write0"),
+    (Topology.CAND, 3.2, cand_write1_bias, "write1"),
+    (Topology.AND, -1.5, and_write_bias, "write0"),
+    (Topology.AND, 3.2, and_write_bias, "write1"),
+])
+def test_write_bias_is_the_named_plan(topology, v_w, named, op):
+    plan = biasing.write_bias(topology, 4, 5, 1, (3, 0), v_w)
+    want = named(4, 5, 1, (3, 0), v_w)
+    assert (plan.topology, plan.op, plan.lines) == (topology, op, want.lines)
+    assert plan == want
+
+
+@pytest.mark.parametrize("topology, named", [
+    (Topology.CAND, cand_read_bias),
+    (Topology.AND, and_read_bias),
+])
+def test_read_bias_is_the_named_plan(topology, named):
+    plan = biasing.read_bias(topology, 4, 5, 2, (1, 4), 1.0, 0.8)
+    want = named(4, 5, 2, (1, 4), 1.0, 0.8)
+    assert (plan.topology, plan.op, plan.lines) == (topology, "read", want.lines)
+    assert plan == want
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,10 @@
+import csv
 import json
 import os
 
 import pytest
 
-from fefetsim import cli
+from fefetsim import cli, engine
 
 
 def _run(tmp_path, *argv):
@@ -119,16 +120,51 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "area" / "summary.json").exists()
 
 
-@pytest.mark.parametrize("argv, command", [
-    (("run", "disturb", "--rows", "4", "--cols", "4"), "disturb"),
+@pytest.mark.parametrize("argv, command, status", [
+    (("run", "disturb", "--rows", "4", "--cols", "4"), "disturb",
+     cli.EXIT_CHECK_FAILED),
     (("run", "word-write", "--word", "0x0F", "--rows", "4", "--cols", "4"),
-     "word-write"),
-    (("mc", "--samples", "5"), "mc"),
+     "word-write", cli.EXIT_OK),
+    (("mc", "--samples", "5"), "mc", cli.EXIT_CHECK_FAILED),
 ])
-def test_cand_only_commands_reject_and_topology(tmp_path, capsys, argv,
-                                                command):
-    status = _run(tmp_path, *argv, "--topology", "and")
-    assert status == cli.EXIT_BAD_VALUE
+def test_commands_simulate_and_record_the_and_topology(tmp_path, argv,
+                                                       command, status):
+    assert _run(tmp_path, *argv, "--topology", "and") == status
+    manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+    assert manifest["config"]["topology"] == "and"
+    assert manifest["config_provenance"]["topology"] == "flag"
+
+
+def test_and_disturb_flips_only_the_programmed_diagonal_cell(tmp_path):
+    status = _run(tmp_path, "run", "disturb", "--rows", "4", "--cols", "4",
+                  "--topology", "and")
+    assert status == cli.EXIT_CHECK_FAILED
+    with open(tmp_path / "disturb" / "disturb.csv", newline="") as fh:
+        flips = [(e["group"], e["initial_state"], e["op"])
+                 for e in csv.DictReader(fh)
+                 if e["read_logic"] != e["expected_logic"]]
+    assert flips == [("diagonal", "1", "write1")]
+
+
+def test_and_mc_leak_closes_the_read_window(tmp_path):
+    assert _run(tmp_path, "mc", "--samples", "5", "--topology", "and") == \
+        cli.EXIT_CHECK_FAILED
+    summary = json.loads((tmp_path / "mc" / "summary.json").read_text())
+    # 511 unselected AND cells leak more than the read reference current
+    assert summary["added_leak_amps"] > 2e-9
+    assert summary["min_on_off_ratio"] < 10.0
+
+
+def test_read_that_does_not_converge_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "MAX_NEWTON_ITER", 0)
+    status = _run(tmp_path, "run", "disturb", "--rows", "2", "--cols", "2")
+    assert status == cli.EXIT_CHECK_FAILED
+    assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--vw0", "0.5"), ("--vw1", "-1")])
+def test_verify_scheme_wrong_sign_write_voltage_exit_code(tmp_path, capsys,
+                                                          flag, value):
+    assert _run(tmp_path, "verify-scheme", flag, value) == cli.EXIT_BAD_VALUE
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "topology" in err and "and" in err
-    assert not (tmp_path / command).exists()
+    assert err.count("\n") == 1 and "v_w0 < 0 < v_w1" in err

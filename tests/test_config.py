@@ -88,6 +88,9 @@ def test_missing_file_raises_file_not_found(tmp_path):
     {"pr": -0.1},
     {"t_pulse": 0.0},
     {"vc": -1.0},
+    {"v_w0": 0.0},        # erase must be negative
+    {"v_w0": 0.5},
+    {"v_w1": -1.0},       # program must be positive
 ])
 def test_value_range_validation(overrides):
     with pytest.raises(ValueRangeError):

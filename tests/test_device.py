@@ -160,6 +160,13 @@ def test_divider_passes_less_than_direct():
     assert 0.0 < v_fe < 2.0
 
 
+def test_divider_that_does_not_converge_raises():
+    dev = FeFetParams(gate_mode=device.GATE_DIVIDER)
+    state = ferro.negative_saturation(FE)
+    with pytest.raises(RuntimeError):
+        device.gate_drive(dev, FE, state, 2.0, max_iter=0)
+
+
 def test_gate_mode_validation():
     with pytest.raises(ValueError):
         FeFetParams(gate_mode="nonsense")

@@ -77,6 +77,13 @@ def test_read_determinism():
     assert res_a.col_currents == res_b.col_currents
 
 
+def test_read_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(engine, "MAX_NEWTON_ITER", 0)
+    arr = _array(Topology.CAND, 2, 2, [[1, 0], [0, 1]])
+    with pytest.raises(engine.ConvergenceError, match="after 0 iterations"):
+        engine.read_cells(arr, 0, (0, 1), V_READ, V_READ)
+
+
 def test_plan_array_mismatch_rejected():
     arr = _array(Topology.CAND, 4, 4)
     wrong_shape = biasing.cand_write1_bias(4, 5, 0, (0,), 3.2)
@@ -196,12 +203,7 @@ def _write_runs(draw):
         v = draw(st.sampled_from((1.5, 3.2)) | st.floats(0.2, 4.5))
         if draw(st.booleans()):
             v = -v
-        if topology is Topology.AND:
-            plan = biasing.and_write_bias(rows, cols, row, sel, v)
-        elif v < 0.0:
-            plan = biasing.cand_write0_bias(rows, cols, row, sel, v)
-        else:
-            plan = biasing.cand_write1_bias(rows, cols, row, sel, v)
+        plan = biasing.write_bias(topology, rows, cols, row, sel, v)
         plans.append((plan, draw(st.sampled_from((1e-7, 1e-6, T_PULSE)))))
     return topology, rows, cols, bits, plans
 

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fefetsim import experiments
+from fefetsim import biasing, device, experiments, ferro
 from fefetsim.biasing import Topology
 from fefetsim.config import load_config
 from fefetsim.engine import ArrayState
@@ -42,6 +44,42 @@ def test_disturb_matrix_preserves_logic():
     assert res.summary["band_separation"] > 1e2
 
 
+def _key(state):
+    return (state.direction, state.k, state.p_off, state.e_eff, state.p,
+            tuple(state.history))
+
+
+@pytest.mark.parametrize("topology", ["cand", "and"])
+def test_state_one_array_copied_from_state_zero_matches_a_fresh_one(topology):
+    # disturb_matrix builds its state-0 array with a program and an erase
+    # sweep, and its state-1 array as a copy of it plus one program sweep;
+    # every cell must hold the state the same sweeps give it when it is
+    # pulsed on its own
+    cfg = dataclasses.replace(CFG, topology=topology)
+    rows, cols = 3, 4
+    zero = experiments._make_array(cfg, rows, cols)
+    experiments._init_uniform(cfg, zero, cfg.v_w0, cfg.v_w1)
+    one = zero.copy()
+    experiments._write_rows(cfg, one, range(rows), range(cols), cfg.v_w1)
+
+    fe, dev = cfgmod.make_ferro(cfg), cfgmod.make_device(cfg)
+    ref = [[ferro.negative_saturation(fe) for _ in range(cols)]
+           for _ in range(rows)]
+    swept = []
+    for v_w in (cfg.v_w1, cfg.v_w0, cfg.v_w1):
+        for r in range(rows):
+            plan = biasing.write_bias(cfgmod.topology_of(cfg), rows, cols, r,
+                                      range(cols), v_w)
+            for rr in range(rows):
+                for c in range(cols):
+                    device.write_cell(dev, fe, ref[rr][c],
+                                      biasing.cell_write_voltage(plan, rr, c),
+                                      cfg.t_pulse)
+        swept.append([[_key(s) for s in row] for row in ref])
+    assert [[_key(s) for s in row] for row in zero.cells] == swept[1]
+    assert [[_key(s) for s in row] for row in one.cells] == swept[2]
+
+
 def test_write_word_always_two_cycles():
     for word in (0x00, 0xFF, 0x5A):
         array = ArrayState(Topology.CAND, 4, 8, cfgmod.make_ferro(CFG),
@@ -80,6 +118,13 @@ def test_power_sweep_flat_and_leak_dominated_by_cells():
     assert res.summary["flatness"] <= 1.2
     assert res.summary["max_leak_share"] < 0.1
     assert res.summary["word_power_max_8x"] == pytest.approx(3.2e-6)
+
+
+def test_power_sweep_leak_share_follows_topology():
+    shares = {t: experiments.power_sweep(dataclasses.replace(CFG, topology=t),
+                                         sizes=(4, 32)).summary["max_leak_share"]
+              for t in ("and", "cand")}
+    assert shares["and"] > 100 * shares["cand"]
 
 
 def test_accumulative_disturb_monotone():
