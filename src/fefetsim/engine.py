@@ -168,34 +168,54 @@ class ReadResult:
         return self.col_currents[col]
 
 
-def _line_nodes(array: ArrayState):
-    """Node indexing and wiring for the channel-terminal network.
+def _compressed(rows: np.ndarray, cols: np.ndarray, n: int):
+    """Sorted compressed-column layout of an n x n matrix with entries at
+    (rows, cols): each pair's slot among the distinct pairs, the row index
+    of every slot, and the column pointers."""
+    keys, slot = np.unique(cols * n + rows, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return slot, (keys % n).astype(np.intc), indptr.astype(np.intc)
 
-    Returns (n_nodes, sl_idx, bl_idx, chains) where chains is a list of
-    (line_name, [node indices in driver-to-end order], seg_resistance).
+
+def _wires(chains, plan: BiasPlan, n: int):
+    """Linear part of the read network over n nodes: the symmetric wire,
+    driver and floating-tie conductance matrix (CSR), the current the
+    drivers inject, and the initial guess with every node at its line's
+    drive (0 V when floating).
+
+    `chains` holds (line name prefix, node matrix, segment resistance); row
+    k of the node matrix is line k's nodes from its driven end on.
     """
-    rows, cols = array.rows, array.cols
-    par = array.parasitics
-    sl_idx = np.arange(rows * cols).reshape(rows, cols)
-    bl_idx = rows * cols + np.arange(rows * cols).reshape(rows, cols)
-    chains = []
-    if array.topology is Topology.CAND:
-        r_sl = par.seg_resistance(par.pitch_x)
-        r_bl = par.seg_resistance(par.pitch_y)
-        for r in range(rows):
-            chains.append((f"SL{r}", [sl_idx[r][c] for c in range(cols)], r_sl))
-        for c in range(cols):
-            chains.append((f"BL{c}", [bl_idx[r][c] for r in range(rows)], r_bl))
-    else:
-        r_seg = par.seg_resistance(par.pitch_y)
-        for c in range(cols):
-            chains.append((f"SL{c}", [sl_idx[r][c] for r in range(rows)], r_seg))
-            chains.append((f"BL{c}", [bl_idx[r][c] for r in range(rows)], r_seg))
-    return 2 * rows * cols, sl_idx, bl_idx, chains
+    inj, v = np.zeros(n), np.zeros(n)
+    stamps = []   # (rows, cols, conductances)
+    for prefix, nodes, r_seg in chains:
+        g_seg = 1.0 / r_seg
+        drive = np.array([plan.lines[f"{prefix}{k}"] for k in range(len(nodes))],
+                         dtype=float)
+        floating = np.isnan(drive)
+        drive[floating] = 0.0
+        a, b, h = nodes[:, :-1].ravel(), nodes[:, 1:].ravel(), nodes[:, 0]
+        g = np.full(a.size, g_seg)
+        stamps += [(a, a, g), (b, b, g), (a, b, -g), (b, a, -g),
+                   (h, h, np.where(floating, G_FLOAT, g_seg))]
+        inj[h] = g_seg * drive
+        v[nodes] = drive[:, None]
+    rows, cols, g = (np.concatenate(x) for x in zip(*stamps))
+    slot, idx, ptr = _compressed(rows, cols, n)
+    # symmetric, so its compressed columns are also its compressed rows
+    return sp.csr_matrix((np.bincount(slot, g), idx, ptr), shape=(n, n)), inj, v
 
 
 def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     """Damped-Newton DC solve of the read network.
+
+    Node k < rows*cols is the source-side channel terminal of cell
+    divmod(k, cols) and node rows*cols + k its bit-line-side terminal.  The
+    nodes of each line form a chain of wire segments, driven at its first
+    node or, when floating, tied to ground there by G_FLOAT.  That linear
+    part (`_wires`) and the Jacobian's sparsity pattern are built once per
+    solve; each Newton assembly only evaluates the devices and fills in
+    values.
 
     Raises ConvergenceError if the max node residual does not reach
     RESIDUAL_TOL within MAX_NEWTON_ITER iterations.
@@ -203,69 +223,51 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     if plan.topology is not array.topology:
         raise ValueError("bias plan topology does not match array")
     rows, cols = array.rows, array.cols
-    n_nodes, sl_idx, bl_idx, chains = _line_nodes(array)
-    vts = array.vts()
+    par = array.parasitics
+    n_cells = rows * cols
+    n_nodes = 2 * n_cells
+    sl = np.arange(n_cells).reshape(rows, cols)
+    bl = sl + n_cells
+    r_bl = par.seg_resistance(par.pitch_y)
+    if array.topology is Topology.CAND:
+        chains = (("SL", sl, par.seg_resistance(par.pitch_x)),
+                  ("BL", bl.T, r_bl))
+    else:
+        chains = (("SL", sl.T, r_bl), ("BL", bl.T, r_bl))
+    g_lin, inj, v = _wires(chains, plan, n_nodes)
+
+    # Jacobian layout: the linear entries, then the four stamps of every
+    # cell.  Each node is the terminal of one cell and lies in one chain, so
+    # every entry sums at most two terms and the summation order is moot.
+    bl_f, sl_f = bl.ravel(), sl.ravel()
+    jac_slot, jac_idx, jac_ptr = _compressed(
+        np.concatenate([g_lin.indices, bl_f, bl_f, sl_f, sl_f]),
+        np.concatenate([np.repeat(np.arange(n_nodes), np.diff(g_lin.indptr)),
+                        bl_f, sl_f, bl_f, sl_f]), n_nodes)
+    wl = [plan.driven(f"WL{r}") for r in range(rows)]
+    gates = [vg for vg in wl for _ in range(cols)]
+    vts = array.vts().ravel().tolist()
     dev = array.dev
 
-    # Fixed linear part: wire segments, drivers, floating ties.
-    g_rows, g_cols, g_vals = [], [], []
-    inj = np.zeros(n_nodes)          # current injected by drivers at V=0 nodes
-
-    def add_cond(a: int, b: int | None, g: float, v_src: float = 0.0):
-        # conductance between node a and (node b | fixed source v_src)
-        g_rows.append(a); g_cols.append(a); g_vals.append(g)
-        if b is not None:
-            g_rows.append(b); g_cols.append(b); g_vals.append(g)
-            g_rows.append(a); g_cols.append(b); g_vals.append(-g)
-            g_rows.append(b); g_cols.append(a); g_vals.append(-g)
-        else:
-            inj[a] += g * v_src
-
-    drive_voltage: dict[str, float] = {}
-    for name, nodes, r_seg in chains:
-        g_seg = 1.0 / r_seg
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            add_cond(a, b, g_seg)
-        v = plan.lines[name]
-        if v is None:
-            add_cond(nodes[0], None, G_FLOAT, 0.0)
-        else:
-            add_cond(nodes[0], None, g_seg, v)
-            drive_voltage[name] = v
-
-    g_lin = sp.csr_matrix((g_vals, (g_rows, g_cols)), shape=(n_nodes, n_nodes))
-
-    # initial guess: every node at its line's driven voltage (0 if floating)
-    v = np.zeros(n_nodes)
-    for name, nodes, _ in chains:
-        val = plan.lines[name]
-        if val is not None:
-            v[np.asarray(nodes)] = val
-
-    wl = np.array([plan.driven(f"WL{r}") for r in range(rows)])
-
     def assemble(vv: np.ndarray):
+        i, di_da, di_db = np.array(
+            [device.drain_current_and_derivs(dev, vg, vd, vs, vt)
+             for vg, vd, vs, vt in zip(gates, vv[bl_f].tolist(),
+                                       vv[sl_f].tolist(), vts)]).T
         f = g_lin.dot(vv) - inj
-        jr, jc, jv = [], [], []
-        for r in range(rows):
-            for c in range(cols):
-                a, b = int(bl_idx[r][c]), int(sl_idx[r][c])
-                i, di_da, di_db = device.drain_current_and_derivs(
-                    dev, wl[r], vv[a], vv[b], vts[r][c])
-                f[a] += i
-                f[b] -= i
-                jr += [a, a, b, b]
-                jc += [a, b, a, b]
-                jv += [di_da, di_db, -di_da, -di_db]
-        j_dev = sp.csr_matrix((jv, (jr, jc)), shape=(n_nodes, n_nodes))
-        return f, g_lin + j_dev
+        f[bl_f] += i
+        f[sl_f] -= i
+        jac_val = np.bincount(
+            jac_slot, np.concatenate([g_lin.data, di_da, di_db, -di_da, -di_db]))
+        jac = sp.csc_matrix((jac_val, jac_idx, jac_ptr), shape=(n_nodes, n_nodes))
+        return f, jac
 
     f, jac = assemble(v)
     res = np.max(np.abs(f))
     it = 0
     while res > RESIDUAL_TOL and it < MAX_NEWTON_ITER:
         it += 1
-        step = spla.spsolve(jac.tocsc(), -f)
+        step = spla.spsolve(jac, -f)
         scale = 1.0
         while True:
             v_new = v + scale * step
@@ -280,12 +282,8 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
             f"read solve stalled at residual {res:.3e} A after {it} iterations")
 
     # sensed current: what flows out of each selected sense line driver
-    col_currents: dict[int, float] = {}
-    for c in plan.sel_cols:
-        v_drv = drive_voltage[f"BL{c}"]
-        node0 = int(bl_idx[0][c])
-        r_seg = array.parasitics.seg_resistance(array.parasitics.pitch_y)
-        col_currents[c] = (v[node0] - v_drv) / r_seg
+    col_currents = {c: (v[bl[0, c]] - plan.lines[f"BL{c}"]) / r_bl
+                    for c in plan.sel_cols}
     return ReadResult(plan, col_currents, it, float(res))
 
 
