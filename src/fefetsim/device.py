@@ -114,21 +114,7 @@ def _sigmoid(x: float) -> float:
 
 def drain_current(dev: FeFetParams, vgs: float, vds: float, vt: float) -> float:
     """Drain current, A.  Symmetric under source/drain exchange."""
-    if vds < 0.0:
-        return -drain_current(dev, vgs - vds, -vds, vt)
-    vtl = dev.v_tilde
-    x1 = (vgs - vt) / vtl
-    x2 = (vgs - vt - vds) / vtl
-    s1, s2 = _softplus(x1), _softplus(x2)
-    # s1^2 - s2^2 = (s1 - s2)(s1 + s2), with the difference taken without
-    # cancellation: s1 - s2 = log1p(sigmoid(x2) * expm1(x1 - x2)), and
-    # x1 - x2 taken as vds / vtl rather than from the rounded x1 and x2.
-    # Past expm1's range the plain difference has no cancellation to lose.
-    d = vds / vtl
-    diff = (math.log1p(_sigmoid(x2) * math.expm1(d)) if d < _EXPM1_MAX
-            else s1 - s2)
-    chan = dev.i_spec * (dev.w / dev.l) * diff * (s1 + s2)
-    return chan + dev.g_min * vds
+    return drain_current_and_derivs(dev, vgs, vds, 0.0, vt)[0]
 
 
 def drain_current_and_derivs(dev: FeFetParams, vg: float, vd: float, vs: float,
@@ -143,11 +129,18 @@ def drain_current_and_derivs(dev: FeFetParams, vg: float, vd: float, vs: float,
         return -i, -di_ds, -di_dd
     vtl = dev.v_tilde
     pref = dev.i_spec * (dev.w / dev.l)
-    x1 = (vg - vs - vt) / vtl
-    x2 = (vg - vd - vt) / vtl
+    vgs, vds = vg - vs, vd - vs
+    x1 = (vgs - vt) / vtl
+    x2 = (vgs - vt - vds) / vtl
     s1, s2 = _softplus(x1), _softplus(x2)
     g1, g2 = _sigmoid(x1), _sigmoid(x2)
-    i = pref * (s1 ** 2 - s2 ** 2) + dev.g_min * (vd - vs)
+    # s1^2 - s2^2 = (s1 - s2)(s1 + s2), with the difference taken without
+    # cancellation: s1 - s2 = log1p(sigmoid(x2) * expm1(x1 - x2)), and
+    # x1 - x2 taken as vds / vtl rather than from the rounded x1 and x2.
+    # Past expm1's range the plain difference has no cancellation to lose.
+    d = vds / vtl
+    diff = math.log1p(g2 * math.expm1(d)) if d < _EXPM1_MAX else s1 - s2
+    i = pref * diff * (s1 + s2) + dev.g_min * vds
     di_dvd = pref * (2.0 * s2 * g2) / vtl + dev.g_min
     di_dvs = -pref * (2.0 * s1 * g1) / vtl - dev.g_min
     return i, di_dvd, di_dvs

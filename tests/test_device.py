@@ -77,6 +77,30 @@ def test_derivatives_match_finite_differences(vg, vd, vs):
     assert dis == pytest.approx((ip - im) / (2 * h), rel=1e-4, abs=1e-12)
 
 
+@given(st.floats(min_value=-0.5, max_value=3.0),
+       st.floats(min_value=-1.5, max_value=1.5),
+       st.floats(min_value=-1.5, max_value=1.5),
+       st.floats(min_value=0.4, max_value=1.8))
+@settings(max_examples=300, deadline=None)
+@example(vg=3.0, vd=1e-15, vs=0.0, vt=0.40625)
+@example(vg=3.05, vd=1e-15, vs=0.0, vt=0.40625)
+def test_solver_current_is_the_drain_current(vg, vd, vs, vt):
+    # the read solver's current is drain_current at the terminal voltage
+    # differences, bit for bit, in both conduction directions
+    i = device.drain_current_and_derivs(DEV, vg, vd, vs, vt)[0]
+    if vd >= vs:
+        assert i == device.drain_current(DEV, vg - vs, vd - vs, vt)
+    else:
+        assert i == -device.drain_current(DEV, vg - vd, vs - vd, vt)
+
+
+def test_solver_current_rises_with_gate_at_tiny_drain_bias():
+    # s1^2 - s2^2 formed directly cancels to noise here and fell with the gate
+    lo = device.drain_current_and_derivs(DEV, 3.0, 1e-15, 0.0, 0.40625)[0]
+    hi = device.drain_current_and_derivs(DEV, 3.05, 1e-15, 0.0, 0.40625)[0]
+    assert 0.0 < lo < hi
+
+
 def test_write_then_read_state_separation():
     one = ferro.negative_saturation(FE)
     device.write_cell(DEV, FE, one, 3.2, T_PULSE)
