@@ -46,9 +46,6 @@ class BiasPlan:
     sel_cols: tuple[int, ...]
     lines: dict[str, float | None] = field(default_factory=dict)
 
-    def v(self, name: str) -> float | None:
-        return self.lines[name]
-
     def driven(self, name: str) -> float:
         val = self.lines[name]
         if val is None:

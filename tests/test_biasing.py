@@ -70,30 +70,30 @@ def test_cand_quiescent_channel_lines_grounded():
     for plan in (cand_write0_bias(4, 4, 0, (1,), -1.5),
                  cand_write1_bias(4, 4, 0, (1,), 3.2)):
         for r in range(4):
-            assert plan.v(f"SL{r}") == 0.0
+            assert plan.lines[f"SL{r}"] == 0.0
         for c in range(4):
-            assert plan.v(f"BL{c}") == 0.0
+            assert plan.lines[f"BL{c}"] == 0.0
 
 
 def test_and_write_inhibits_both_channel_terminals_equally():
     plan = and_write_bias(4, 4, 1, (2,), 3.2)
     for c in range(4):
-        assert plan.v(f"BL{c}") == plan.v(f"SL{c}")
+        assert plan.lines[f"BL{c}"] == plan.lines[f"SL{c}"]
     assert cell_write_voltage(plan, 1, 2) == pytest.approx(3.2)
     assert abs(cell_write_voltage(plan, 0, 0)) == pytest.approx(3.2 / 3.0)
 
 
 def test_read_plans_drive_selected_lines_only():
     plan = cand_read_bias(4, 4, 1, (2,), 1.0, 1.0)
-    assert plan.v("WL1") == 1.0 and plan.v("SL1") == 1.0
-    assert plan.v("SL0") is biasing.HIGH_Z
-    assert plan.v("BL0") is biasing.HIGH_Z
-    assert plan.v("BL2") == 0.0
+    assert plan.lines["WL1"] == 1.0 and plan.lines["SL1"] == 1.0
+    assert plan.lines["SL0"] is biasing.HIGH_Z
+    assert plan.lines["BL0"] is biasing.HIGH_Z
+    assert plan.lines["BL2"] == 0.0
 
     plan = and_read_bias(4, 4, 1, (2,), 1.0, 1.0)
-    assert plan.v("WL1") == 1.0 and plan.v("BL2") == 1.0
-    assert plan.v("BL0") is biasing.HIGH_Z
-    assert all(plan.v(f"SL{c}") == 0.0 for c in range(4))
+    assert plan.lines["WL1"] == 1.0 and plan.lines["BL2"] == 1.0
+    assert plan.lines["BL0"] is biasing.HIGH_Z
+    assert all(plan.lines[f"SL{c}"] == 0.0 for c in range(4))
 
 
 def test_selection_validation():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fefetsim import biasing, device, engine, ferro
 from fefetsim.biasing import Topology
@@ -259,3 +259,95 @@ def test_write_that_raises_leaves_the_array_unchanged(monkeypatch):
     assert all(a is b for ra, rb in zip(arr.cells, cells)
                for a, b in zip(ra, rb))
     assert np.array_equal(arr.vts(), vts)
+
+
+# --------------------------------------------------------------------------
+# Read network against a dense oracle
+
+
+def _oracle_read(arr, plan):
+    """Sensed currents of the read network built from its description:
+    dense nodal matrices, one scalar device call per cell, plain Newton
+    to a residual far below the solver's."""
+    rows, cols, par = arr.rows, arr.cols, arr.parasitics
+    n = 2 * rows * cols
+    sl = lambda r, c: r * cols + c
+    bl = lambda r, c: rows * cols + r * cols + c
+    r_col = par.seg_resistance(par.pitch_y)
+    lines = {}   # line name -> (nodes from the driven end, segment resistance)
+    for c in range(cols):
+        lines[f"BL{c}"] = ([bl(r, c) for r in range(rows)], r_col)
+    if arr.topology is Topology.CAND:
+        for r in range(rows):
+            lines[f"SL{r}"] = ([sl(r, c) for c in range(cols)],
+                               par.seg_resistance(par.pitch_x))
+    else:
+        for c in range(cols):
+            lines[f"SL{c}"] = ([sl(r, c) for r in range(rows)], r_col)
+    g_lin, inj, v = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+    for name, (nodes, r_seg) in lines.items():
+        for p, q in zip(nodes, nodes[1:]):
+            g_lin[[p, q, p, q], [p, q, q, p]] += [1 / r_seg] * 2 + [-1 / r_seg] * 2
+        drive = plan.lines[name]
+        if drive is None:
+            g_lin[nodes[0], nodes[0]] += engine.G_FLOAT
+        else:
+            g_lin[nodes[0], nodes[0]] += 1 / r_seg
+            inj[nodes[0]] += drive / r_seg
+            v[nodes] = drive
+    vts = arr.vts()
+    for _ in range(50):
+        f, jac = g_lin @ v - inj, g_lin.copy()
+        for r in range(rows):
+            for c in range(cols):
+                d, s = bl(r, c), sl(r, c)
+                i, di_dd, di_ds = device.drain_current_and_derivs(
+                    arr.dev, plan.lines[f"WL{r}"], v[d], v[s], vts[r, c])
+                f[d] += i
+                f[s] -= i
+                jac[[d, d, s, s], [d, s, d, s]] += [di_dd, di_ds, -di_dd, -di_ds]
+        if np.max(np.abs(f)) < 1e-3 * engine.RESIDUAL_TOL:
+            break
+        v = v - np.linalg.solve(jac, f)
+    else:
+        raise AssertionError("oracle Newton did not converge")
+    # read_cells reports the current through the cells towards the sensed
+    # line: into the grounded bit line (C-AND), out of the driven one (AND)
+    sign = 1.0 if arr.topology is Topology.CAND else -1.0
+    return {c: sign * (v[bl(0, c)] - plan.lines[f"BL{c}"]) / r_col
+            for c in plan.sel_cols}
+
+
+#: '1' cells at vt 0 V and '0' cells at 200 V with no ohmic floor: a '0'
+#: cell conducts nothing at all, so a floating line of them is held to
+#: ground by its tie alone
+OPEN_ZERO_DEV = FeFetParams(g_min=0.0, vt_mid=100.0,
+                            mem_window=200.0 * FE.ps / FE.pr)
+
+
+@st.composite
+def _reads(draw):
+    topology = draw(st.sampled_from(Topology))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=cols,
+                                  max_size=cols), min_size=rows, max_size=rows))
+    row = draw(st.integers(0, rows - 1))
+    sel = draw(st.sets(st.integers(0, cols - 1), min_size=1))
+    return topology, bits, row, sel
+
+
+@given(_reads(), st.sampled_from((DEV, OPEN_ZERO_DEV)))
+@settings(max_examples=150, deadline=None)
+@example((Topology.CAND, [[1, 0], [0, 0]], 0, {0}), OPEN_ZERO_DEV)
+@example((Topology.AND, [[1, 0], [0, 0]], 0, {0}), OPEN_ZERO_DEV)
+def test_read_currents_match_dense_network_oracle(read, dev):
+    topology, bits, row, sel = read
+    arr = ArrayState(topology, len(bits), len(bits[0]), FE, dev)
+    arr.set_pattern(bits)
+    got = engine.read_cells(arr, row, sel, V_READ, V_READ).col_currents
+    want = _oracle_read(arr, biasing.read_bias(
+        topology, arr.rows, arr.cols, row, sel, V_READ, V_READ))
+    assert got.keys() == want.keys()
+    for c in sel:
+        assert abs(got[c] - want[c]) <= 1e-9 * abs(want[c]) + engine.RESIDUAL_TOL
