@@ -25,6 +25,9 @@ EXIT_BAD_VALUE = 5
 
 RUN_EXPERIMENTS = ("bitline", "disturb", "word-write", "disturb-accumulate")
 
+#: widest array whose 2**cols words `run word-write` enumerates (65 536)
+WORD_WRITE_MAX_COLS = 16
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -164,7 +167,15 @@ def cmd_run(args, cfg, prov) -> int:
             else EXIT_CHECK_FAILED
     if args.experiment == "word-write":
         words = [args.word] if args.word is not None else None
-        res = experiments.word_write_demo(cfg, words=words)
+        # the config's 16x16 default would mean 65 536 words: the demo keeps
+        # its own 8x8 unless the size is set explicitly
+        size = {k: getattr(cfg, k) for k in ("rows", "cols")
+                if prov[k] != "default"}
+        if words is None and size.get("cols", 0) > WORD_WRITE_MAX_COLS:
+            print(f"error: run word-write writes all 2**cols words; above "
+                  f"{WORD_WRITE_MAX_COLS} columns give --word", file=sys.stderr)
+            return EXIT_BAD_VALUE
+        res = experiments.word_write_demo(cfg, words=words, **size)
         for e in res.entries:
             print(f"word 0x{e.word:02X} row {e.row} -> readback "
                   f"0x{e.readback:02X} {'ok' if e.match else 'MISMATCH'}")

@@ -14,7 +14,9 @@ potentials.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +34,12 @@ G_FLOAT = 1e-15
 RESIDUAL_TOL = 1e-13       # A, max node current residual
 MAX_NEWTON_ITER = 200
 DAMPING = 0.5
+
+#: largest array, in cells, whose read-network layout stays cached: a larger
+#: one is rebuilt in a small share of its solve's time, while keeping it
+#: holds heap that the factorisation then cannot reuse (two cached 256 x 256
+#: layouts raised the peak memory of a 64-256 read sweep by 10 %)
+LAYOUT_CACHE_CELLS = 64 * 64
 
 
 class ConvergenceError(RuntimeError):
@@ -177,79 +185,137 @@ def _compressed(rows: np.ndarray, cols: np.ndarray, n: int):
     return slot, (keys % n).astype(np.intc), indptr.astype(np.intc)
 
 
-def _wires(chains, plan: BiasPlan, n: int):
-    """Linear part of the read network over n nodes: the symmetric wire,
-    driver and floating-tie conductance matrix (CSR), the current the
-    drivers inject, and the initial guess with every node at its line's
-    drive (0 V when floating).
+class _Layout(NamedTuple):
+    """The part of a read network that no bias plan or cell state changes.
 
-    `chains` holds (line name prefix, node matrix, segment resistance); row
-    k of the node matrix is line k's nodes from its driven end on.
+    Node k < rows*cols is the source-side channel terminal of cell
+    divmod(k, cols) and node rows*cols + k its bit-line-side terminal
+    (`sl`, `bl`).  Each line is a chain of wire segments over its nodes;
+    `names` lists the lines, `line_of` gives each node's line and `heads`
+    each line's first node, where its driver or floating tie attaches
+    through one more conductance `g_head`.  The linear matrix is symmetric,
+    so its compressed columns (`lin_idx`, `lin_ptr`) are also its compressed
+    rows; `wire` holds its values without the head conductances, which go
+    to slots `head_slot`.  The Jacobian's compressed columns hold the
+    linear entries (slots `jac_slot[:lin_idx.size]`), then the four stamps
+    of every cell.
     """
-    inj, v = np.zeros(n), np.zeros(n)
-    stamps = []   # (rows, cols, conductances)
+
+    sl: np.ndarray
+    bl: np.ndarray
+    names: tuple[str, ...]
+    line_of: np.ndarray
+    heads: np.ndarray
+    g_head: np.ndarray
+    wire: np.ndarray
+    lin_idx: np.ndarray
+    lin_ptr: np.ndarray
+    head_slot: np.ndarray
+    jac_slot: np.ndarray
+    jac_idx: np.ndarray
+    jac_ptr: np.ndarray
+    r_bl: float
+
+
+def _layout(topology: Topology, rows: int, cols: int,
+            par: Parasitics) -> _Layout:
+    """The read network's layout for one array shape, built from numpy index
+    arrays in the style of modified nodal analysis; read-only, so that every
+    read of that shape can share it."""
+    n_cells = rows * cols
+    n = 2 * n_cells
+    sl = np.arange(n_cells).reshape(rows, cols)
+    bl = sl + n_cells
+    r_bl = par.seg_resistance(par.pitch_y)
+    if topology is Topology.CAND:
+        chains = (("SL", sl, par.seg_resistance(par.pitch_x)),
+                  ("BL", bl.T, r_bl))
+    else:
+        chains = (("SL", sl.T, r_bl), ("BL", bl.T, r_bl))
+    # row k of a chain's node matrix is line k's nodes from its driven end on
+    names, heads, g_head, stamps = [], [], [], []
+    line_of = np.empty(n, dtype=np.intp)
     for prefix, nodes, r_seg in chains:
         g_seg = 1.0 / r_seg
-        drive = np.array([plan.lines[f"{prefix}{k}"] for k in range(len(nodes))],
-                         dtype=float)
-        floating = np.isnan(drive)
-        drive[floating] = 0.0
-        a, b, h = nodes[:, :-1].ravel(), nodes[:, 1:].ravel(), nodes[:, 0]
+        line_of[nodes] = len(names) + np.arange(len(nodes))[:, None]
+        names += [f"{prefix}{k}" for k in range(len(nodes))]
+        heads.append(nodes[:, 0])
+        g_head.append(np.full(len(nodes), g_seg))
+        a, b = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
         g = np.full(a.size, g_seg)
-        stamps += [(a, a, g), (b, b, g), (a, b, -g), (b, a, -g),
-                   (h, h, np.where(floating, G_FLOAT, g_seg))]
-        inj[h] = g_seg * drive
-        v[nodes] = drive[:, None]
-    rows, cols, g = (np.concatenate(x) for x in zip(*stamps))
-    slot, idx, ptr = _compressed(rows, cols, n)
-    # symmetric, so its compressed columns are also its compressed rows
-    return sp.csr_matrix((np.bincount(slot, g), idx, ptr), shape=(n, n)), inj, v
+        stamps += [(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)]
+    heads, g_head = np.concatenate(heads), np.concatenate(g_head)
+    rows_w, cols_w, g_w = (np.concatenate(x) for x in zip(*stamps))
+    slot, lin_idx, lin_ptr = _compressed(np.concatenate([rows_w, heads]),
+                                         np.concatenate([cols_w, heads]), n)
+    # a one-cell line has no segments, and bincount of nothing is integer
+    wire = np.bincount(slot[:g_w.size], g_w,
+                       minlength=lin_idx.size).astype(float, copy=False)
+
+    bl_f, sl_f = bl.ravel(), sl.ravel()
+    jac_slot, jac_idx, jac_ptr = _compressed(
+        np.concatenate([lin_idx, bl_f, bl_f, sl_f, sl_f]),
+        np.concatenate([np.repeat(np.arange(n), np.diff(lin_ptr)),
+                        bl_f, sl_f, bl_f, sl_f]), n)
+    layout = _Layout(sl, bl, tuple(names), line_of, heads, g_head, wire,
+                     lin_idx, lin_ptr, slot[g_w.size:].copy(), jac_slot,
+                     jac_idx, jac_ptr, r_bl)
+    for arr in layout:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return layout
+
+
+#: layouts of arrays up to LAYOUT_CACHE_CELLS; two entries let callers that
+#: alternate between two shapes keep both
+_cached_layout = functools.lru_cache(maxsize=2)(_layout)
 
 
 def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     """Damped-Newton DC solve of the read network.
 
-    Node k < rows*cols is the source-side channel terminal of cell
-    divmod(k, cols) and node rows*cols + k its bit-line-side terminal.  The
-    nodes of each line form a chain of wire segments, driven at its first
-    node or, when floating, tied to ground there by G_FLOAT.  That linear
-    part (`_wires`) and the Jacobian's sparsity pattern are built once per
-    solve; each Newton assembly only evaluates the devices and fills in
-    values.
+    The nodes of each line form a chain of wire segments, driven at its
+    first node or, when floating, tied to ground there by G_FLOAT.  The
+    layout of that network and of its Jacobian (`_layout`) is cached per
+    array shape up to LAYOUT_CACHE_CELLS cells; per solve only the drives,
+    the head conductances and the initial guess come from the plan, and
+    each Newton assembly only evaluates the devices and refills the
+    Jacobian's values.
 
     Raises ConvergenceError if the max node residual does not reach
-    RESIDUAL_TOL within MAX_NEWTON_ITER iterations.
+    RESIDUAL_TOL within MAX_NEWTON_ITER iterations, or if the residual or
+    a Newton step is not finite (a singular Jacobian).
     """
     if plan.topology is not array.topology:
         raise ValueError("bias plan topology does not match array")
-    rows, cols = array.rows, array.cols
-    par = array.parasitics
-    n_cells = rows * cols
-    n_nodes = 2 * n_cells
-    sl = np.arange(n_cells).reshape(rows, cols)
-    bl = sl + n_cells
-    r_bl = par.seg_resistance(par.pitch_y)
-    if array.topology is Topology.CAND:
-        chains = (("SL", sl, par.seg_resistance(par.pitch_x)),
-                  ("BL", bl.T, r_bl))
-    else:
-        chains = (("SL", sl.T, r_bl), ("BL", bl.T, r_bl))
-    g_lin, inj, v = _wires(chains, plan, n_nodes)
+    cached = array.rows * array.cols <= LAYOUT_CACHE_CELLS
+    lay = (_cached_layout if cached else _layout)(
+        array.topology, array.rows, array.cols, array.parasitics)
+    n_nodes = lay.line_of.size
+    drive = np.array([plan.lines[name] for name in lay.names], dtype=float)
+    floating = np.isnan(drive)
+    drive[floating] = 0.0
+    lin = lay.wire.copy()
+    lin[lay.head_slot] += np.where(floating, G_FLOAT, lay.g_head)
+    g_lin = sp.csr_matrix((lin, lay.lin_idx, lay.lin_ptr),
+                          shape=(n_nodes, n_nodes))
+    inj = np.zeros(n_nodes)
+    inj[lay.heads] = lay.g_head * drive
+    # every node starts at its line's drive (0 V when floating)
+    v = drive[lay.line_of]
 
-    # Jacobian layout: the linear entries, then the four stamps of every
-    # cell.  Each node is the terminal of one cell and lies in one chain, so
-    # every entry sums at most two terms and the summation order is moot.
-    bl_f, sl_f = bl.ravel(), sl.ravel()
-    jac_slot, jac_idx, jac_ptr = _compressed(
-        np.concatenate([g_lin.indices, bl_f, bl_f, sl_f, sl_f]),
-        np.concatenate([np.repeat(np.arange(n_nodes), np.diff(g_lin.indptr)),
-                        bl_f, sl_f, bl_f, sl_f]), n_nodes)
-    wl = [plan.driven(f"WL{r}") for r in range(rows)]
-    gates = [vg for vg in wl for _ in range(cols)]
+    # Each node is the terminal of one cell and lies in one chain, so every
+    # Jacobian entry sums at most two terms and the summation order is moot.
+    jac = sp.csc_matrix((np.zeros(lay.jac_idx.size), lay.jac_idx, lay.jac_ptr),
+                        shape=(n_nodes, n_nodes))
+    bl_f, sl_f = lay.bl.ravel(), lay.sl.ravel()
+    wl = [plan.driven(f"WL{r}") for r in range(array.rows)]
+    gates = [vg for vg in wl for _ in range(array.cols)]
     vts = array.vts().ravel().tolist()
     dev = array.dev
 
-    def assemble(vv: np.ndarray):
+    def assemble(vv: np.ndarray) -> np.ndarray:
+        """The node residual at vv; refills jac with its Jacobian."""
         i, di_da, di_db = np.array(
             [device.drain_current_and_derivs(dev, vg, vd, vs, vt)
              for vg, vd, vs, vt in zip(gates, vv[bl_f].tolist(),
@@ -257,32 +323,35 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
         f = g_lin.dot(vv) - inj
         f[bl_f] += i
         f[sl_f] -= i
-        jac_val = np.bincount(
-            jac_slot, np.concatenate([g_lin.data, di_da, di_db, -di_da, -di_db]))
-        jac = sp.csc_matrix((jac_val, jac_idx, jac_ptr), shape=(n_nodes, n_nodes))
-        return f, jac
+        jac.data[:] = np.bincount(
+            lay.jac_slot, np.concatenate([lin, di_da, di_db, -di_da, -di_db]))
+        return f
 
-    f, jac = assemble(v)
+    f = assemble(v)
     res = np.max(np.abs(f))
     it = 0
     while res > RESIDUAL_TOL and it < MAX_NEWTON_ITER:
         it += 1
+        # jac is always the Jacobian at v: the last assembly is the accepted one
         step = spla.spsolve(jac, -f)
+        if not np.isfinite(step).all():
+            raise ConvergenceError(
+                f"read solve met a singular Jacobian at iteration {it}")
         scale = 1.0
         while True:
             v_new = v + scale * step
-            f_new, jac_new = assemble(v_new)
+            f_new = assemble(v_new)
             res_new = np.max(np.abs(f_new))
             if res_new < res or scale < 1e-8:
                 break
             scale *= DAMPING
-        v, f, jac, res = v_new, f_new, jac_new, res_new
-    if res > RESIDUAL_TOL:
+        v, f, res = v_new, f_new, res_new
+    if not res <= RESIDUAL_TOL:
         raise ConvergenceError(
             f"read solve stalled at residual {res:.3e} A after {it} iterations")
 
     # sensed current: what flows out of each selected sense line driver
-    col_currents = {c: (v[bl[0, c]] - plan.lines[f"BL{c}"]) / r_bl
+    col_currents = {c: (v[lay.bl[0, c]] - plan.lines[f"BL{c}"]) / lay.r_bl
                     for c in plan.sel_cols}
     return ReadResult(plan, col_currents, it, float(res))
 

@@ -41,7 +41,28 @@ def test_word_write_single_word(tmp_path, capsys):
                   "--rows", "4", "--cols", "4")
     assert status == cli.EXIT_OK
     assert "0x0F" in capsys.readouterr().out
-    assert (tmp_path / "word-write" / "word_write.csv").exists()
+    with open(tmp_path / "word-write" / "word_write.csv", newline="") as fh:
+        (entry,) = csv.DictReader(fh)
+    # all four columns of a 4-column array hold a '1': no '0' current
+    assert entry["readback"] == "15" and entry["max_zero_amps"] == "nan"
+
+
+def test_word_write_covers_every_word_of_the_requested_array(tmp_path):
+    assert _run(tmp_path, "run", "word-write", "--rows", "4", "--cols", "4") \
+        == cli.EXIT_OK
+    with open(tmp_path / "word-write" / "word_write.csv", newline="") as fh:
+        entries = list(csv.DictReader(fh))
+    assert [int(e["word"]) for e in entries] == list(range(16))
+    assert {int(e["row"]) for e in entries} == {0, 1, 2, 3}
+
+
+def test_word_write_refuses_to_enumerate_a_wide_array(tmp_path, capsys):
+    cols = str(cli.WORD_WRITE_MAX_COLS + 1)
+    assert _run(tmp_path, "run", "word-write", "--cols", cols) == \
+        cli.EXIT_BAD_VALUE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--word" in err
+    assert not (tmp_path / "word-write").exists()
 
 
 def test_disturb_command_artifacts(tmp_path):

@@ -351,3 +351,91 @@ def test_read_currents_match_dense_network_oracle(read, dev):
     assert got.keys() == want.keys()
     for c in sel:
         assert abs(got[c] - want[c]) <= 1e-9 * abs(want[c]) + engine.RESIDUAL_TOL
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_read_with_a_singular_jacobian_raises(monkeypatch):
+    arr = ArrayState(Topology.CAND, 2, 2, FE, OPEN_ZERO_DEV)
+    arr.set_pattern([[1, 0], [0, 0]])
+    # a read of this shape first, so the cached layout is warm: the tie
+    # conductance must still be read at call time
+    assert engine.read_cells(arr, 0, [0], V_READ, V_READ).current(0) > 0
+    # untied, the floating lines of non-conducting cells connect to nothing
+    monkeypatch.setattr(engine, "G_FLOAT", 0.0)
+    with pytest.raises(engine.ConvergenceError, match="singular Jacobian"):
+        engine.read_cells(arr, 0, [0], V_READ, V_READ)
+
+
+def test_read_with_a_non_finite_residual_raises(monkeypatch):
+    arr = _array(Topology.CAND, 2, 2, [[1, 0], [0, 1]])
+    monkeypatch.setattr(device, "drain_current_and_derivs",
+                        lambda *args: (float("nan"), 0.0, 0.0))
+    with pytest.raises(engine.ConvergenceError, match="residual nan"):
+        engine.read_cells(arr, 0, (0, 1), V_READ, V_READ)
+
+
+# --------------------------------------------------------------------------
+# Layout cache
+
+
+def _random_reads(n_reads, seed):
+    rng = np.random.default_rng(seed)
+    shapes = [(Topology.CAND, 3, 4), (Topology.AND, 3, 4), (Topology.CAND, 2, 2),
+              (Topology.AND, 4, 1), (Topology.CAND, 1, 3)]
+    arrays = {s: _array(*s, rng.integers(0, 2, s[1:]).tolist()) for s in shapes}
+    reads = []
+    for _ in range(n_reads):
+        arr = arrays[shapes[rng.integers(len(shapes))]]
+        cols = sorted(set(rng.integers(0, arr.cols, 2).tolist()))
+        reads.append((arr, int(rng.integers(arr.rows)), cols))
+    return reads
+
+
+def test_cached_layouts_read_exactly_as_fresh_ones():
+    reads = _random_reads(40, seed=5)
+    engine._cached_layout.cache_clear()
+    cached = [engine.read_cells(arr, row, cols, V_READ, V_READ)
+              for arr, row, cols in reads]
+    # interleaved shapes, topologies and rows both hit and evict entries
+    info = engine._cached_layout.cache_info()
+    assert info.hits > 0 and info.misses > len({id(a) for a, _, _ in reads})
+    for (arr, row, cols), got in zip(reads, cached):
+        engine._cached_layout.cache_clear()
+        want = engine.read_cells(arr, row, cols, V_READ, V_READ)
+        assert (got.col_currents, got.iterations, got.max_residual) == \
+            (want.col_currents, want.iterations, want.max_residual)
+
+
+def test_only_layouts_of_small_arrays_stay_cached(monkeypatch):
+    monkeypatch.setattr(engine, "LAYOUT_CACHE_CELLS", 4)
+    engine._cached_layout.cache_clear()
+    small, large = _array(Topology.CAND, 2, 2), _array(Topology.CAND, 1, 5)
+    for arr in (small, large, small, large):
+        engine.read_cells(arr, 0, [0], V_READ, V_READ)
+    info = engine._cached_layout.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_cached_layout_is_read_only():
+    lay = engine._cached_layout(Topology.CAND, 3, 4, Parasitics())
+    arrays = [x for x in lay if isinstance(x, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        lay.wire[0] = 1.0
+
+
+@pytest.mark.parametrize("topology", Topology)
+def test_drive_change_between_reads_of_one_shape(topology):
+    arr = _array(topology, 3, 3, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
+    got = []
+    for row, cols, v_sl in ((1, (0, 2), V_READ), (1, (0, 2), 0.5),
+                            (2, (0, 2), 0.5), (2, (1,), 0.5)):
+        plan = biasing.read_bias(topology, 3, 3, row, cols, V_READ, v_sl)
+        res = engine.read_cells(arr, row, cols, V_READ, v_sl).col_currents
+        want = _oracle_read(arr, plan)
+        assert res.keys() == want.keys()
+        for c in cols:
+            assert abs(res[c] - want[c]) <= 1e-9 * abs(want[c]) + engine.RESIDUAL_TOL
+        got.append(res)
+    # each read changes the drive of at least one line, and its currents
+    assert all(a != b for a, b in zip(got, got[1:]))
