@@ -167,15 +167,21 @@ def cmd_run(args, cfg, prov) -> int:
             else EXIT_CHECK_FAILED
     if args.experiment == "word-write":
         words = [args.word] if args.word is not None else None
-        # the config's 16x16 default would mean 65 536 words: the demo keeps
-        # its own 8x8 unless the size is set explicitly
-        size = {k: getattr(cfg, k) for k in ("rows", "cols")
-                if prov[k] != "default"}
-        if words is None and size.get("cols", 0) > WORD_WRITE_MAX_COLS:
+        # the demo keeps its own 8x8 unless `run` is given a size: the
+        # config's 16x16 default would mean 65 536 words, and `all` must run
+        # at any configured size
+        rows, cols = (getattr(cfg, k)
+                      if args.command == "run" and prov[k] != "default"
+                      else experiments.WORD_WRITE_SIZE for k in ("rows", "cols"))
+        if words is None and cols > WORD_WRITE_MAX_COLS:
             print(f"error: run word-write writes all 2**cols words; above "
                   f"{WORD_WRITE_MAX_COLS} columns give --word", file=sys.stderr)
             return EXIT_BAD_VALUE
-        res = experiments.word_write_demo(cfg, words=words, **size)
+        if words is not None and not 0 <= args.word < 1 << cols:
+            print(f"error: --word {args.word:#x} does not fit in {cols} "
+                  f"columns", file=sys.stderr)
+            return EXIT_BAD_VALUE
+        res = experiments.word_write_demo(cfg, rows, cols, words=words)
         for e in res.entries:
             print(f"word 0x{e.word:02X} row {e.row} -> readback "
                   f"0x{e.readback:02X} {'ok' if e.match else 'MISMATCH'}")

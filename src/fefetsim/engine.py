@@ -14,7 +14,6 @@ potentials.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -34,12 +33,6 @@ G_FLOAT = 1e-15
 RESIDUAL_TOL = 1e-13       # A, max node current residual
 MAX_NEWTON_ITER = 200
 DAMPING = 0.5
-
-#: largest array, in cells, whose read-network layout stays cached: a larger
-#: one is rebuilt in a small share of its solve's time, while keeping it
-#: holds heap that the factorisation then cannot reuse (two cached 256 x 256
-#: layouts raised the peak memory of a 64-256 read sweep by 10 %)
-LAYOUT_CACHE_CELLS = 64 * 64
 
 
 class ConvergenceError(RuntimeError):
@@ -266,9 +259,18 @@ def _layout(topology: Topology, rows: int, cols: int,
     return layout
 
 
-#: layouts of arrays up to LAYOUT_CACHE_CELLS; two entries let callers that
-#: alternate between two shapes keep both
-_cached_layout = functools.lru_cache(maxsize=2)(_layout)
+#: [key, layout] of the last array shape read; every caller reads one shape
+#: at a time.  Kept by hand because an lru_cache builds the new layout before
+#: it drops the old one: two 256 x 256 layouts alive at once raised the peak
+#: memory of a 64-256 read sweep by 4.5 %.
+_last_layout: list = []
+
+
+def _shared_layout(*key) -> _Layout:
+    if not _last_layout or _last_layout[0] != key:
+        _last_layout.clear()
+        _last_layout.extend((key, _layout(*key)))
+    return _last_layout[1]
 
 
 def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
@@ -276,8 +278,8 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
 
     The nodes of each line form a chain of wire segments, driven at its
     first node or, when floating, tied to ground there by G_FLOAT.  The
-    layout of that network and of its Jacobian (`_layout`) is cached per
-    array shape up to LAYOUT_CACHE_CELLS cells; per solve only the drives,
+    layout of that network and of its Jacobian (`_layout`) is cached for
+    the last array shape read; per solve only the drives,
     the head conductances and the initial guess come from the plan, and
     each Newton assembly only evaluates the devices and refills the
     Jacobian's values.
@@ -288,9 +290,8 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     """
     if plan.topology is not array.topology:
         raise ValueError("bias plan topology does not match array")
-    cached = array.rows * array.cols <= LAYOUT_CACHE_CELLS
-    lay = (_cached_layout if cached else _layout)(
-        array.topology, array.rows, array.cols, array.parasitics)
+    lay = _shared_layout(array.topology, array.rows, array.cols,
+                         array.parasitics)
     n_nodes = lay.line_of.size
     drive = np.array([plan.lines[name] for name in lay.names], dtype=float)
     floating = np.isnan(drive)

@@ -18,6 +18,9 @@ from .config import RunConfig
 
 POWERS_OF_TWO = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
 
+#: rows and columns of the word-write demo's array: all 256 words of 8 bits
+WORD_WRITE_SIZE = 8
+
 
 # --------------------------------------------------------------------------
 # Nominal written states (shared by several campaigns)
@@ -273,8 +276,8 @@ def read_word(cfg: RunConfig, array: engine.ArrayState, row: int) -> tuple[int, 
     return word, res.col_currents
 
 
-def word_write_demo(cfg: RunConfig, rows: int = 8, cols: int = 8,
-                    words=None) -> WordWriteResult:
+def word_write_demo(cfg: RunConfig, rows: int = WORD_WRITE_SIZE,
+                    cols: int = WORD_WRITE_SIZE, words=None) -> WordWriteResult:
     """Write words with the two-cycle scheme and read them back.
 
     Words are written sequentially into one array (rotating through rows),

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -56,13 +58,43 @@ def test_word_write_covers_every_word_of_the_requested_array(tmp_path):
     assert {int(e["row"]) for e in entries} == {0, 1, 2, 3}
 
 
-def test_word_write_refuses_to_enumerate_a_wide_array(tmp_path, capsys):
-    cols = str(cli.WORD_WRITE_MAX_COLS + 1)
-    assert _run(tmp_path, "run", "word-write", "--cols", cols) == \
-        cli.EXIT_BAD_VALUE
+@pytest.mark.parametrize("argv, message", [
+    (("--cols", str(cli.WORD_WRITE_MAX_COLS + 1)), "give --word"),
+    (("--word=0x10", "--cols", "4"), "does not fit in 4 columns"),
+    (("--word=0x1F", "--cols", "4"), "does not fit in 4 columns"),
+    (("--word=-1", "--cols", "4"), "does not fit in 4 columns"),
+])
+def test_word_write_refuses_what_does_not_fit_the_array(tmp_path, capsys,
+                                                         argv, message):
+    assert _run(tmp_path, "run", "word-write", *argv) == cli.EXIT_BAD_VALUE
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--word" in err
+    assert err.count("\n") == 1 and message in err
     assert not (tmp_path / "word-write").exists()
+
+
+def _readme_config(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "example.json"
+    path.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    return path
+
+
+def test_all_writes_the_8x8_word_demo_whatever_the_config_size(tmp_path,
+                                                               monkeypatch):
+    cfg_path = _readme_config(tmp_path)
+    assert json.loads(cfg_path.read_text())["cols"] > cli.WORD_WRITE_MAX_COLS
+    # only the word-write step runs: the others take minutes at 64x64
+    run = cli.cmd_run
+    monkeypatch.setattr(cli, "cmd_run", lambda args, cfg, prov: run(
+        args, cfg, prov) if args.experiment == "word-write" else cli.EXIT_OK)
+    for name in ("cmd_device_sweep", "cmd_verify_scheme", "cmd_mc",
+                 "cmd_power", "cmd_area"):
+        monkeypatch.setattr(cli, name, lambda args, cfg, prov: cli.EXIT_OK)
+    assert _run(tmp_path, "all", "--config", str(cfg_path)) == cli.EXIT_OK
+    with open(tmp_path / "word-write" / "word_write.csv", newline="") as fh:
+        entries = list(csv.DictReader(fh))
+    assert [int(e["word"]) for e in entries] == list(range(256))
+    assert {int(e["row"]) for e in entries} == set(range(8))
 
 
 def test_disturb_command_artifacts(tmp_path):

@@ -391,33 +391,39 @@ def _random_reads(n_reads, seed):
     return reads
 
 
-def test_cached_layouts_read_exactly_as_fresh_ones():
+def test_cached_layouts_read_exactly_as_fresh_ones(monkeypatch):
     reads = _random_reads(40, seed=5)
-    engine._cached_layout.cache_clear()
+    builds = []
+    build = engine._layout
+    monkeypatch.setattr(engine, "_layout",
+                        lambda *key: builds.append(key) or build(*key))
+    engine._last_layout.clear()
     cached = [engine.read_cells(arr, row, cols, V_READ, V_READ)
               for arr, row, cols in reads]
-    # interleaved shapes, topologies and rows both hit and evict entries
-    info = engine._cached_layout.cache_info()
-    assert info.hits > 0 and info.misses > len({id(a) for a, _, _ in reads})
+    # interleaved shapes, topologies and rows both reuse and replace layouts
+    assert len({id(a) for a, _, _ in reads}) < len(builds) < len(reads)
     for (arr, row, cols), got in zip(reads, cached):
-        engine._cached_layout.cache_clear()
+        engine._last_layout.clear()
         want = engine.read_cells(arr, row, cols, V_READ, V_READ)
         assert (got.col_currents, got.iterations, got.max_residual) == \
             (want.col_currents, want.iterations, want.max_residual)
 
 
-def test_only_layouts_of_small_arrays_stay_cached(monkeypatch):
-    monkeypatch.setattr(engine, "LAYOUT_CACHE_CELLS", 4)
-    engine._cached_layout.cache_clear()
-    small, large = _array(Topology.CAND, 2, 2), _array(Topology.CAND, 1, 5)
-    for arr in (small, large, small, large):
-        engine.read_cells(arr, 0, [0], V_READ, V_READ)
-    info = engine._cached_layout.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+def test_a_new_shape_drops_the_old_layout_before_building(monkeypatch):
+    build = engine._layout
+
+    def build_alone(*key):
+        assert not engine._last_layout
+        return build(*key)
+
+    engine.read_cells(_array(Topology.CAND, 2, 2), 0, [0], V_READ, V_READ)
+    monkeypatch.setattr(engine, "_layout", build_alone)
+    engine.read_cells(_array(Topology.AND, 2, 2), 0, [0], V_READ, V_READ)
+    assert engine._last_layout[0][0] is Topology.AND
 
 
 def test_cached_layout_is_read_only():
-    lay = engine._cached_layout(Topology.CAND, 3, 4, Parasitics())
+    lay = engine._layout(Topology.CAND, 3, 4, Parasitics())
     arrays = [x for x in lay if isinstance(x, np.ndarray)]
     assert arrays and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
