@@ -21,15 +21,13 @@ def main():
           f"P in [{p_min:+.3f}, {p_max:+.3f}] C/m^2 (Ps = {fe.ps})")
 
     state = ferro.positive_saturation(fe)
-    ferro.settle(fe, state)
+    state = ferro.settle(fe, state)
     print(f"remanence after +saturation: {state.p:+.4f} (Pr = {fe.pr})")
 
     print("\n== threshold window ==")
-    one = ferro.negative_saturation(fe)
-    device.write_cell(dev, fe, one, cfg.v_w1, cfg.t_pulse)
-    zero = ferro.negative_saturation(fe)
-    device.write_cell(dev, fe, zero, cfg.v_w1, cfg.t_pulse)
-    device.write_cell(dev, fe, zero, cfg.v_w0, cfg.t_pulse)
+    one = device.write_cell(dev, fe, ferro.negative_saturation(fe),
+                            cfg.v_w1, cfg.t_pulse)
+    zero = device.write_cell(dev, fe, one, cfg.v_w0, cfg.t_pulse)
     vt1 = device.cell_vt(dev, fe, one)
     vt0 = device.cell_vt(dev, fe, zero)
     print(f"vt('1') = {vt1:.3f} V   vt('0') = {vt0:.3f} V   "
@@ -44,10 +42,10 @@ def main():
     print("\n== half-select stress on the '0' cell ==")
     vt_before = device.cell_vt(dev, fe, zero)
     # one pulse moves it, further identical pulses retrace the same loop
-    device.write_cell(dev, fe, zero, cfg.v_w1 / 2.0, cfg.t_pulse)
+    zero = device.write_cell(dev, fe, zero, cfg.v_w1 / 2.0, cfg.t_pulse)
     vt_one_pulse = device.cell_vt(dev, fe, zero)
     for _ in range(99):
-        device.write_cell(dev, fe, zero, cfg.v_w1 / 2.0, cfg.t_pulse)
+        zero = device.write_cell(dev, fe, zero, cfg.v_w1 / 2.0, cfg.t_pulse)
     vt_hundred = device.cell_vt(dev, fe, zero)
     print(f"vt drift: first pulse {vt_before - vt_one_pulse:+.3f} V, "
           f"next 99 pulses {vt_one_pulse - vt_hundred:+.2e} V "

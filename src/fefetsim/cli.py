@@ -204,6 +204,7 @@ def cmd_mc(args, cfg, prov) -> int:
     _emit(args, "mc", cfg, prov, {"mc": (res.header, res.rows)},
           _summary_jsonable(res.summary))
     ok = (not res.summary["band_overlap"]
+          and res.summary["misreads"] == 0
           and res.summary["min_on_off_ratio"] >= 10.0)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

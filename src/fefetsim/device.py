@@ -196,12 +196,10 @@ def write_cell(dev: FeFetParams, fe: FerroParams, state: BranchState,
     """Apply a gate-to-body write pulse, then let the field relax.
 
     Drain and source are held at equal potential during writes, so the
-    pulse acts purely through the gate stack.  Mutates and returns `state`.
+    pulse acts purely through the gate stack.  Returns the new state.
     """
     v_fe = gate_drive(dev, fe, state, v_gb)
-    ferro.apply_pulse(fe, state, v_fe, duration)
-    ferro.settle(fe, state)
-    return state
+    return ferro.settle(fe, ferro.apply_pulse(fe, state, v_fe, duration))
 
 
 def cell_vt(dev: FeFetParams, fe: FerroParams, state: BranchState) -> float:

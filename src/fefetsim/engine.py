@@ -14,7 +14,7 @@ potentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -64,24 +64,15 @@ class Parasitics:
         return length_um * (self.c_poly if poly else self.c_metal)
 
 
-def _intern(table: dict[tuple, BranchState], state: BranchState) -> BranchState:
-    """The state in `table` equal to `state` in every field, adding `state`
-    if there is none."""
-    key = (state.direction, state.k, state.p_off, state.e_eff, state.p,
-           tuple(state.history))
-    return table.setdefault(key, state)
-
-
 @dataclass
 class ArrayState:
     """A rows x cols memory array with per-cell hysteresis state.
 
-    Cells with equal state share one interned `BranchState` from a
-    per-array table keyed by all of the state's fields, so ``cells[r][c]``
-    is a reference that is never mutated in place: a write replaces it.
-    By return-point memory and wipe-out, two cells with equal state evolve
-    identically under the same pulse, which lets `apply_write` pulse each
-    distinct (state, gate voltage) pair once.
+    ``cells[r][c]`` is the cell's `BranchState`, an immutable value, so a
+    write replaces it and cells may share one state.  By return-point
+    memory and wipe-out, two cells with equal state evolve identically
+    under the same pulse, which lets `apply_write` pulse each distinct
+    (state, gate voltage) pair once.
     """
 
     topology: Topology
@@ -91,31 +82,20 @@ class ArrayState:
     dev: FeFetParams
     parasitics: Parasitics = field(default_factory=Parasitics)
     cells: list[list[BranchState]] = field(default_factory=list)
-    _states: dict[tuple, BranchState] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.cells:
-            self.cells = [[_intern(self._states, st.copy()) for st in row]
-                          for row in self.cells]
-        else:
-            rest = _intern(self._states, ferro.negative_saturation(self.fe))
+        if not self.cells:
+            rest = ferro.negative_saturation(self.fe)
             self.cells = [[rest] * self.cols for _ in range(self.rows)]
 
     def copy(self) -> "ArrayState":
-        """An independent array in the same state; the interned states are
-        shared, the grid and the table are not."""
-        twin = ArrayState(self.topology, self.rows, self.cols, self.fe,
-                          self.dev, self.parasitics)
-        twin.cells = [row[:] for row in self.cells]
-        twin._states = dict(self._states)
-        return twin
+        """An independent array in the same state; only the grid is copied."""
+        return replace(self, cells=[row[:] for row in self.cells])
 
     def set_pattern(self, bits) -> None:
         """Force saturated rest states from a 0/1 matrix (no transient)."""
-        self._states = {}
-        zero = _intern(self._states, ferro.make_state(self.fe, False))
-        one = _intern(self._states, ferro.make_state(self.fe, True))
+        zero = ferro.make_state(self.fe, False)
+        one = ferro.make_state(self.fe, True)
         self.cells = [[one if row[c] else zero for c in range(self.cols)]
                       for row in (bits[r] for r in range(self.rows))]
 
@@ -123,39 +103,35 @@ class ArrayState:
         return device.cell_vt(self.dev, self.fe, self.cells[r][c])
 
     def vts(self) -> np.ndarray:
-        vt_of = {id(st): device.cell_vt(self.dev, self.fe, st)
-                 for st in self._states.values()}
-        return np.array([[vt_of[id(st)] for st in row] for row in self.cells])
+        vt_of = {st: device.cell_vt(self.dev, self.fe, st)
+                 for st in set().union(*self.cells)}
+        return np.array([[vt_of[st] for st in row] for row in self.cells])
 
 
 def apply_write(array: ArrayState, plan: BiasPlan, duration: float) -> None:
     """Run one write phase: every cell sees its plan-derived gate voltage.
 
-    Cells sharing an interned state and a gate voltage form one group; the
-    scalar write runs once per group on a copy, and every cell of the
-    group then refers to the interned result.
+    Cells with equal state and gate voltage form one group; the scalar
+    write runs once per group, and every cell of the group then holds its
+    result.  The new grid replaces the old only once every write has
+    succeeded, so a write that raises leaves the array as it was.
     """
     if plan.topology is not array.topology:
         raise ValueError("bias plan topology does not match array")
     if (plan.rows, plan.cols) != (array.rows, array.cols):
         raise ValueError("bias plan shape does not match array")
-    # The new grid and table are built aside, so a write that raises leaves
-    # the array as it was; the old grid keeps every pre-state alive until
-    # then, so their ids stay unique.
-    table: dict[tuple, BranchState] = {}
-    written: dict[tuple[int, float], BranchState] = {}
+    written: dict[tuple[BranchState, float], BranchState] = {}
     cells = []
     for row, v_row in zip(array.cells, biasing.write_voltages(plan)):
         new_row = []
-        for st, v_gb in zip(row, v_row):
-            key = (id(st), v_gb)
+        for key in zip(row, v_row):
             new = written.get(key)
             if new is None:
-                new = written[key] = _intern(table, device.write_cell(
-                    array.dev, array.fe, st.copy(), v_gb, duration))
+                new = written[key] = device.write_cell(
+                    array.dev, array.fe, *key, duration)
             new_row.append(new)
         cells.append(new_row)
-    array.cells, array._states = cells, table
+    array.cells = cells
 
 
 @dataclass
@@ -285,8 +261,9 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     Jacobian's values.
 
     Raises ConvergenceError if the max node residual does not reach
-    RESIDUAL_TOL within MAX_NEWTON_ITER iterations, or if the residual or
-    a Newton step is not finite (a singular Jacobian).
+    RESIDUAL_TOL within MAX_NEWTON_ITER iterations, if no damped step lowers
+    it (a stalled line search), or if the residual or a Newton step is not
+    finite (a singular Jacobian).
     """
     if plan.topology is not array.topology:
         raise ValueError("bias plan topology does not match array")
@@ -343,8 +320,11 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
             v_new = v + scale * step
             f_new = assemble(v_new)
             res_new = np.max(np.abs(f_new))
-            if res_new < res or scale < 1e-8:
+            if res_new < res:
                 break
+            if scale < 1e-8:
+                raise ConvergenceError(
+                    f"line search stalled at iteration {it}")
             scale *= DAMPING
         v, f, res = v_new, f_new, res_new
     if not res <= RESIDUAL_TOL:
@@ -399,9 +379,10 @@ def column_readout_with_leak(dev: FeFetParams, topology: Topology,
 
 def accumulate_disturb(dev: FeFetParams, fe: FerroParams, state: BranchState,
                        v_gb: float, n_pulses: int, duration: float):
-    """Repeatedly apply a half-select pulse; return vt after each pulse."""
+    """Repeatedly apply a half-select pulse; return the final state and vt
+    after each pulse."""
     out = []
     for _ in range(n_pulses):
-        device.write_cell(dev, fe, state, v_gb, duration)
+        state = device.write_cell(dev, fe, state, v_gb, duration)
         out.append(device.cell_vt(dev, fe, state))
-    return out
+    return state, out

@@ -42,12 +42,10 @@ class NominalCell:
 def nominal_cell(cfg: RunConfig) -> NominalCell:
     fe = config.make_ferro(cfg)
     dev = config.make_device(cfg)
-    one = ferro.negative_saturation(fe)
-    device.write_cell(dev, fe, one, cfg.v_w1, cfg.t_pulse)
-    zero = one.copy()
-    device.write_cell(dev, fe, zero, cfg.v_w0, cfg.t_pulse)
-    zdist = zero.copy()
-    device.write_cell(dev, fe, zdist, cfg.v_w1 / 2.0, cfg.t_pulse)
+    one = device.write_cell(dev, fe, ferro.negative_saturation(fe),
+                            cfg.v_w1, cfg.t_pulse)
+    zero = device.write_cell(dev, fe, one, cfg.v_w0, cfg.t_pulse)
+    zdist = device.write_cell(dev, fe, zero, cfg.v_w1 / 2.0, cfg.t_pulse)
 
     def cur(st):
         return device.read_current(dev, fe, st, cfg.v_wl, cfg.v_sl)
@@ -330,7 +328,9 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
     and one shared draw applied to channel width and length.  The array is
     programmed, erased, then one cell is rewritten to '1', leaving the
     three '0' cells at the three disturb positions.  Read currents include
-    the sneak leakage a large (leak_rows x leak_cols) array would add.
+    the sneak leakage a large (leak_rows x leak_cols) array would add;
+    ``misreads`` counts the reads whose comparison with ``cfg.i_ref``
+    disagrees with the logic value written.
     """
     n = samples if samples is not None else cfg.samples
     rng = np.random.default_rng(seed if seed is not None else cfg.seed)
@@ -347,6 +347,7 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
     rows_out = []
     trial_ratios = []
     ones_all, zeros_all = [], []
+    misreads = 0
     for t in range(n):
         v_w0 = cfg.v_w0 + dv0[t]
         v_w1 = cfg.v_w1 + dv1[t]
@@ -365,6 +366,7 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
         for (r, c), i in sorted(currents.items()):
             logic = 1 if (r, c) == (0, 0) else 0
             (ones if logic else zeros).append(i)
+            misreads += int(i > cfg.i_ref) != logic
             rows_out.append((t, r, c, logic, array.vt(r, c), i))
         trial_ratios.append(min(ones) / max(zeros))
         ones_all += ones
@@ -377,6 +379,7 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
         "global_min_one": min(ones_all),
         "global_max_zero": max(zeros_all),
         "band_overlap": min(ones_all) <= max(zeros_all),
+        "misreads": misreads,
         "added_leak_amps": i_leak_large,
     }
     return MonteCarloResult(rows_out, summary)
@@ -455,9 +458,9 @@ def accumulative_disturb_sweep(cfg: RunConfig,
     """Half-select pulses applied repeatedly to a written '0' cell."""
     fe = config.make_ferro(cfg)
     dev = config.make_device(cfg)
-    st = ferro.negative_saturation(fe)
-    device.write_cell(dev, fe, st, cfg.v_w1, cfg.t_pulse)
-    device.write_cell(dev, fe, st, cfg.v_w0, cfg.t_pulse)
+    st = device.write_cell(dev, fe, ferro.negative_saturation(fe),
+                           cfg.v_w1, cfg.t_pulse)
+    st = device.write_cell(dev, fe, st, cfg.v_w0, cfg.t_pulse)
     vt0 = device.cell_vt(dev, fe, st)
 
     checkpoints = sorted({int(round(10 ** (k / 8.0)))
@@ -468,8 +471,8 @@ def accumulative_disturb_sweep(cfg: RunConfig,
     for target in checkpoints:
         if target > max_pulses:
             break
-        engine.accumulate_disturb(dev, fe, st, cfg.v_w1 / 2.0,
-                                  target - pulses_done, cfg.t_pulse)
+        st, _ = engine.accumulate_disturb(dev, fe, st, cfg.v_w1 / 2.0,
+                                          target - pulses_done, cfg.t_pulse)
         pulses_done = target
         vt = device.cell_vt(dev, fe, st)
         delta = vt0 - vt

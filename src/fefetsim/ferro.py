@@ -15,7 +15,8 @@ keeps the remanence identity P(0) = -/+ Pr exact on both branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 ASCENDING = +1
 DESCENDING = -1
@@ -95,113 +96,113 @@ def _branch_tanh(params: FerroParams, direction: int, e: float) -> float:
     return math.tanh((e + ec) / (2.0 * delta))
 
 
-@dataclass
-class BranchState:
+class BranchState(NamedTuple):
     """Polarization state: current branch, lagged field, and loop history.
 
     ``history`` holds past turning points (field, polarization), innermost
     last.  The live branch starts at history[-1] and closes at history[-2];
     with fewer entries it closes into saturation, which reproduces the
-    major loop.
+    major loop.  (k, p_off) is always the fit `_fit_branch` gives for
+    (direction, history).
+
+    A state is an immutable value: every transition returns a new one, and
+    two states are equal, with equal hashes, exactly when every field is.
+    By return-point memory and wipe-out, equal states evolve identically
+    under the same pulse.
     """
 
-    direction: int = ASCENDING
-    k: float = 1.0
-    p_off: float = 0.0
-    e_eff: float = 0.0
-    p: float = 0.0
-    history: list[tuple[float, float]] = field(default_factory=list)
+    direction: int
+    k: float
+    p_off: float
+    e_eff: float
+    p: float
+    history: tuple[tuple[float, float], ...]
 
-    def copy(self) -> "BranchState":
-        return BranchState(self.direction, self.k, self.p_off,
-                           self.e_eff, self.p, list(self.history))
+
+def _on_branch(params: FerroParams, direction: int, k: float, p_off: float,
+               e: float) -> float:
+    return k * params.ps * _branch_tanh(params, direction, e) + p_off
+
+
+def _rest_state(params: FerroParams, direction: int) -> BranchState:
+    return BranchState(direction, 1.0, 0.0, 0.0,
+                       _on_branch(params, direction, 1.0, 0.0, 0.0), ())
 
 
 def negative_saturation(params: FerroParams) -> BranchState:
     """Rest state after deep negative saturation (ascending major branch)."""
-    st = BranchState(direction=ASCENDING, k=1.0, p_off=0.0, e_eff=0.0)
-    st.p = branch_polarization(params, st, 0.0)
-    return st
+    return _rest_state(params, ASCENDING)
 
 
 def positive_saturation(params: FerroParams) -> BranchState:
     """Rest state after deep positive saturation (descending major branch)."""
-    st = BranchState(direction=DESCENDING, k=1.0, p_off=0.0, e_eff=0.0)
-    st.p = branch_polarization(params, st, 0.0)
-    return st
+    return _rest_state(params, DESCENDING)
 
 
 def branch_polarization(params: FerroParams, state: BranchState, e: float) -> float:
     """Polarization on the state's current branch at field `e`, C/m^2."""
-    return state.k * params.ps * _branch_tanh(params, state.direction, e) + state.p_off
+    return _on_branch(params, state.direction, state.k, state.p_off, e)
 
 
-def _rebuild_branch(params: FerroParams, state: BranchState) -> None:
-    """Recompute (k, p_off) from the turning-point history.
+def _fit_branch(params: FerroParams, d: int,
+                history: tuple[tuple[float, float], ...]) -> tuple[float, float]:
+    """(k, p_off) of the branch in direction `d` over the turning points.
 
     Continuity at the newest turning point; closure either at the turning
     point one level out, or into the saturation the branch is heading for
     when no outer turning point exists.
     """
-    d = state.direction
-    if not state.history:
-        state.k = 1.0
-        state.p_off = 0.0
-        return
-    e_top, p_top = state.history[-1]
+    if not history:
+        return 1.0, 0.0
+    e_top, p_top = history[-1]
     t_top = _branch_tanh(params, d, e_top)
     ps = params.ps
-    if len(state.history) >= 2:
-        e_anchor, p_anchor = state.history[-2]
+    if len(history) >= 2:
+        e_anchor, p_anchor = history[-2]
         t_anchor = _branch_tanh(params, d, e_anchor)
         denom = ps * (t_top - t_anchor)
         if abs(denom) < _DENOM_EPS:
-            state.k = 0.0
-            state.p_off = p_top
-            return
-        state.k = (p_top - p_anchor) / denom
+            return 0.0, p_top
+        k = (p_top - p_anchor) / denom
+    elif d == ASCENDING:
+        denom = ps * (1.0 - t_top)
+        k = (ps - p_top) / denom if abs(denom) >= _DENOM_EPS else 0.0
     else:
-        if d == ASCENDING:
-            denom = ps * (1.0 - t_top)
-            state.k = (ps - p_top) / denom if abs(denom) >= _DENOM_EPS else 0.0
-        else:
-            denom = ps * (1.0 + t_top)
-            state.k = (p_top + ps) / denom if abs(denom) >= _DENOM_EPS else 0.0
-    state.p_off = p_top - state.k * ps * t_top
+        denom = ps * (1.0 + t_top)
+        k = (p_top + ps) / denom if abs(denom) >= _DENOM_EPS else 0.0
+    return k, p_top - k * ps * t_top
 
 
 def reverse_branch(state: BranchState, params: FerroParams) -> BranchState:
-    """Reverse sweep direction at the current (E_eff, P) point.
-
-    Pushes the turning point and fits the new branch through it.  Mutates
-    and returns `state`.
-    """
-    state.history.append((state.e_eff, state.p))
-    state.direction = -state.direction
-    _rebuild_branch(params, state)
-    return state
+    """The state with its sweep direction reversed at the current
+    (E_eff, P) point: the turning point is pushed and the new branch fitted
+    through it."""
+    d = -state.direction
+    history = state.history + ((state.e_eff, state.p),)
+    k, p_off = _fit_branch(params, d, history)
+    return BranchState(d, k, p_off, state.e_eff, state.p, history)
 
 
-def _move_to(params: FerroParams, state: BranchState, e_target: float) -> None:
-    """Advance E_eff monotonically to `e_target`, handling reversal and
-    wipe-out of exhausted turning points."""
-    if e_target == state.e_eff:
-        return
-    step = ASCENDING if e_target > state.e_eff else DESCENDING
-    if step != state.direction:
-        reverse_branch(state, params)
+def _move_to(params: FerroParams, state: BranchState,
+             e_target: float) -> BranchState:
+    """The state after E_eff advances monotonically to `e_target`, with
+    reversal and wipe-out of exhausted turning points."""
+    d, k, p_off, e_eff, p, history = state
+    if e_target == e_eff:
+        return state
+    step = ASCENDING if e_target > e_eff else DESCENDING
+    refit = step != d
+    if refit:
+        d, history = step, history + ((e_eff, p),)
     # Wipe out turning-point pairs the move passes beyond: the branch
     # rejoins the loop that was interrupted there.
-    while len(state.history) >= 2:
-        e_anchor = state.history[-2][0]
-        passed = (e_target >= e_anchor if state.direction == ASCENDING
-                  else e_target <= e_anchor)
-        if not passed:
-            break
-        del state.history[-2:]
-        _rebuild_branch(params, state)
-    state.e_eff = e_target
-    state.p = branch_polarization(params, state, e_target)
+    while len(history) >= 2 and (e_target >= history[-2][0] if d == ASCENDING
+                                 else e_target <= history[-2][0]):
+        history, refit = history[:-2], True
+    if refit:
+        k, p_off = _fit_branch(params, d, history)
+    return BranchState(d, k, p_off, e_target,
+                       _on_branch(params, d, k, p_off, e_target), history)
 
 
 def advance_field(params: FerroParams, e_eff: float, e_ext: float, dt: float) -> float:
@@ -219,13 +220,13 @@ def apply_pulse(params: FerroParams, state: BranchState, v_fe: float,
     """Drive the layer with a constant voltage pulse across it.
 
     Under constant drive the lagged field moves monotonically, so a single
-    step is exact.  Mutates and returns `state`.
+    step is exact.
     """
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
     e_ext = v_fe / params.t_fe
-    _move_to(params, state, advance_field(params, state.e_eff, e_ext, duration))
-    return state
+    return _move_to(params, state,
+                    advance_field(params, state.e_eff, e_ext, duration))
 
 
 def settle(params: FerroParams, state: BranchState,
@@ -248,17 +249,14 @@ def trace_loop(params: FerroParams, v_amplitude: float, nsteps: int = 400):
     if v_amplitude <= 0.0:
         raise ValueError("v_amplitude must be positive")
     e_amp = v_amplitude / params.t_fe
-    state = negative_saturation(params)
-    _move_to(params, state, -e_amp)
+    state = _move_to(params, negative_saturation(params), -e_amp)
     points = [(-v_amplitude, state.p)]
     half = max(2, nsteps // 2)
-    for i in range(1, half + 1):       # -A -> +A
-        e = -e_amp + 2.0 * e_amp * i / half
-        _move_to(params, state, e)
-        points.append((e * params.t_fe, state.p))
-    for i in range(1, half + 1):       # +A -> -A
-        e = e_amp - 2.0 * e_amp * i / half
-        _move_to(params, state, e)
+    steps = range(1, half + 1)
+    fields = ([-e_amp + 2.0 * e_amp * i / half for i in steps]     # -A -> +A
+              + [e_amp - 2.0 * e_amp * i / half for i in steps])   # +A -> -A
+    for e in fields:
+        state = _move_to(params, state, e)
         points.append((e * params.t_fe, state.p))
     return points
 

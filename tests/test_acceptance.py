@@ -25,23 +25,23 @@ def test_a01_hysteresis_identities_and_continuity():
     t0 = time.monotonic()
     # major-loop remanence is +/-Pr to 1e-6 relative
     down = ferro.positive_saturation(FE)
-    ferro._move_to(FE, down, 0.0)
+    down = ferro._move_to(FE, down, 0.0)
     assert down.p == pytest.approx(FE.pr, rel=1e-6)
     up = ferro.negative_saturation(FE)
-    ferro._move_to(FE, up, 0.0)
+    up = ferro._move_to(FE, up, 0.0)
     assert up.p == pytest.approx(-FE.pr, rel=1e-6)
     # saturation at +/-10 Ec
-    ferro._move_to(FE, up, 10.0 * FE.ec)
+    up = ferro._move_to(FE, up, 10.0 * FE.ec)
     assert up.p >= 0.999 * FE.ps * (1.0 - 1e-6)
-    ferro._move_to(FE, down, -10.0 * FE.ec)
+    down = ferro._move_to(FE, down, -10.0 * FE.ec)
     assert down.p <= -0.999 * FE.ps * (1.0 - 1e-6)
     # branch continuity across 1e4 random reversals, < 1e-12 C/m^2
     rng = np.random.default_rng(CFG.seed)
     state = ferro.negative_saturation(FE)
     for e in rng.uniform(-3.0 * FE.ec_program, 3.0 * FE.ec_program, 10_000):
-        ferro._move_to(FE, state, float(e))
+        state = ferro._move_to(FE, state, float(e))
         p_here = state.p
-        ferro.reverse_branch(state, FE)
+        state = ferro.reverse_branch(state, FE)
         assert abs(state.p - p_here) < 1e-12
     assert time.monotonic() - t0 < 10.0
 

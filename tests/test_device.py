@@ -102,10 +102,8 @@ def test_solver_current_rises_with_gate_at_tiny_drain_bias():
 
 
 def test_write_then_read_state_separation():
-    one = ferro.negative_saturation(FE)
-    device.write_cell(DEV, FE, one, 3.2, T_PULSE)
-    zero = one.copy()
-    device.write_cell(DEV, FE, zero, -1.5, T_PULSE)
+    one = device.write_cell(DEV, FE, ferro.negative_saturation(FE), 3.2, T_PULSE)
+    zero = device.write_cell(DEV, FE, one, -1.5, T_PULSE)
     i_one = device.read_current(DEV, FE, one, 1.0, 1.0)
     i_zero = device.read_current(DEV, FE, zero, 1.0, 1.0)
     assert i_one / i_zero > 1e3
@@ -113,20 +111,19 @@ def test_write_then_read_state_separation():
 
 
 def test_write_idempotence():
-    a = ferro.negative_saturation(FE)
-    device.write_cell(DEV, FE, a, 3.2, T_PULSE)
+    a = device.write_cell(DEV, FE, ferro.negative_saturation(FE), 3.2, T_PULSE)
     vt_once = device.cell_vt(DEV, FE, a)
-    device.write_cell(DEV, FE, a, 3.2, T_PULSE)
+    a = device.write_cell(DEV, FE, a, 3.2, T_PULSE)
     assert device.cell_vt(DEV, FE, a) == pytest.approx(vt_once, abs=1e-6)
 
 
 def test_read_of_programmed_cell_is_non_destructive():
     # after a program pulse the read gate bias retraces a closed minor
     # excursion, so the remanent state is recovered exactly on return
-    state = ferro.negative_saturation(FE)
-    device.write_cell(DEV, FE, state, 3.2, T_PULSE)
+    state = device.write_cell(DEV, FE, ferro.negative_saturation(FE), 3.2,
+                              T_PULSE)
     vt0 = device.cell_vt(DEV, FE, state)
-    device.write_cell(DEV, FE, state, 1.0, T_PULSE)   # read-bias episode
+    state = device.write_cell(DEV, FE, state, 1.0, T_PULSE)   # read-bias episode
     assert abs(device.cell_vt(DEV, FE, state) - vt0) < 1e-9
 
 
@@ -136,25 +133,26 @@ def test_read_of_erased_cell_settles_after_first_read():
     # disturb), moving vt by a few percent of the window.  Every read after
     # that retraces a closed loop, so the state is stable from then on and
     # never leaves the erased logic band.
-    state = ferro.negative_saturation(FE)
-    device.write_cell(DEV, FE, state, 3.2, T_PULSE)
-    device.write_cell(DEV, FE, state, -1.5, T_PULSE)
+    state = device.write_cell(DEV, FE, ferro.negative_saturation(FE), 3.2,
+                              T_PULSE)
+    state = device.write_cell(DEV, FE, state, -1.5, T_PULSE)
     vt0 = device.cell_vt(DEV, FE, state)
-    device.write_cell(DEV, FE, state, 1.0, T_PULSE)   # first read episode
+    state = device.write_cell(DEV, FE, state, 1.0, T_PULSE)   # first read episode
     vt1 = device.cell_vt(DEV, FE, state)
     assert abs(vt1 - vt0) < 0.1 * DEV.mem_window
     assert vt1 > DEV.vt_mid          # still reads as an erased cell
     for _ in range(5):               # subsequent reads are exactly closed
-        device.write_cell(DEV, FE, state, 1.0, T_PULSE)
+        state = device.write_cell(DEV, FE, state, 1.0, T_PULSE)
         assert abs(device.cell_vt(DEV, FE, state) - vt1) < 1e-9
 
 
 def test_determinism():
-    a = ferro.negative_saturation(FE)
-    b = ferro.negative_saturation(FE)
-    for st_ in (a, b):
-        device.write_cell(DEV, FE, st_, 3.2, T_PULSE)
-        device.write_cell(DEV, FE, st_, 1.6, T_PULSE)
+    def written():
+        st_ = device.write_cell(DEV, FE, ferro.negative_saturation(FE), 3.2,
+                                T_PULSE)
+        return device.write_cell(DEV, FE, st_, 1.6, T_PULSE)
+
+    a, b = written(), written()
     assert device.read_current(DEV, FE, a, 1.0, 1.0) \
         == device.read_current(DEV, FE, b, 1.0, 1.0)
 

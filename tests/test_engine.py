@@ -84,6 +84,24 @@ def test_read_that_does_not_converge_raises(monkeypatch):
         engine.read_cells(arr, 0, (0, 1), V_READ, V_READ)
 
 
+def test_read_whose_steps_all_go_uphill_raises_at_once(monkeypatch):
+    # a linear cell of 4e-7 S that reports itself as a -1 S conductance, so
+    # every Newton step raises the residual at every damping scale
+    calls = []
+
+    def uphill(dev, vg, vd, vs, vt):
+        calls.append(vd)
+        return 4e-7 * (vd - vs), -1.0, 1.0
+
+    monkeypatch.setattr(device, "drain_current_and_derivs", uphill)
+    arr = _array(Topology.CAND, 1, 1, [[1]])
+    with pytest.raises(engine.ConvergenceError,
+                       match="line search stalled at iteration 1"):
+        engine.read_cells(arr, 0, (0,), V_READ, V_READ)
+    # the first assembly, then one iteration's damped steps down to 1e-8
+    assert len(calls) == 1 + 28
+
+
 def test_plan_array_mismatch_rejected():
     arr = _array(Topology.CAND, 4, 4)
     wrong_shape = biasing.cand_write1_bias(4, 5, 0, (0,), 3.2)
@@ -155,10 +173,11 @@ def test_column_model_leak_grows_with_rows():
 
 
 def test_accumulate_disturb_reports_every_pulse():
-    state = ferro.negative_saturation(FE)
-    device.write_cell(DEV, FE, state, -1.5, T_PULSE)
-    vts = engine.accumulate_disturb(DEV, FE, state, 1.6, 50, T_PULSE)
+    state = device.write_cell(DEV, FE, ferro.negative_saturation(FE), -1.5,
+                              T_PULSE)
+    final, vts = engine.accumulate_disturb(DEV, FE, state, 1.6, 50, T_PULSE)
     assert len(vts) == 50
+    assert vts[-1] == device.cell_vt(DEV, FE, final)
     # half-select stress can only program, never erase further
     assert all(b <= a + 1e-12 for a, b in zip(vts, vts[1:]))
 
@@ -172,20 +191,15 @@ def test_set_pattern_hits_saturated_rest_states():
 
 
 # --------------------------------------------------------------------------
-# Interned write path against a per-cell oracle
-
-
-def _key(state):
-    return (state.direction, state.k, state.p_off, state.e_eff, state.p,
-            tuple(state.history))
+# Grouped write path against a per-cell oracle
 
 
 def _oracle_write(dev, cells, plan, duration):
     """Every cell pulsed on its own: the scalar write at its plan voltage."""
     for r, row in enumerate(cells):
         for c, state in enumerate(row):
-            device.write_cell(dev, FE, state,
-                              biasing.cell_write_voltage(plan, r, c), duration)
+            row[c] = device.write_cell(
+                dev, FE, state, biasing.cell_write_voltage(plan, r, c), duration)
 
 
 @st.composite
@@ -219,8 +233,7 @@ def test_interned_writes_match_per_cell_oracle(run, gate_mode):
     for plan, duration in plans:
         engine.apply_write(arr, plan, duration)
         _oracle_write(dev, ref, plan, duration)
-        assert [[_key(s) for s in row] for row in arr.cells] == \
-            [[_key(s) for s in row] for row in ref]
+        assert arr.cells == ref
         ref_vts = np.array([[device.cell_vt(dev, FE, s) for s in row]
                             for row in ref])
         assert np.array_equal(arr.vts(), ref_vts)
@@ -231,13 +244,13 @@ def test_writes_never_reach_a_copy_or_another_array():
     twin = arr.copy()
     other = _array(Topology.CAND, 4, 4, np.eye(4))
     seen = [row[:] for a in (arr, twin, other) for row in a.cells]
-    before = [[_key(cell) for cell in row] for row in seen]
+    before = [row[:] for row in seen]
     for plan in (biasing.cand_write1_bias(4, 4, 1, (0, 2), 3.2),
                  biasing.cand_write0_bias(4, 4, 0, range(4), -1.5)):
         engine.apply_write(arr, plan, T_PULSE)
-    assert [[_key(cell) for cell in row] for row in seen] == before
-    assert [[_key(cell) for cell in row] for row in twin.cells] == before[4:8]
-    assert [[_key(cell) for cell in row] for row in other.cells] == before[8:]
+    assert seen == before
+    assert twin.cells == before[4:8]
+    assert other.cells == before[8:]
     assert not np.array_equal(arr.vts(), twin.vts())
 
 

@@ -44,11 +44,6 @@ def test_disturb_matrix_preserves_logic():
     assert res.summary["band_separation"] > 1e2
 
 
-def _key(state):
-    return (state.direction, state.k, state.p_off, state.e_eff, state.p,
-            tuple(state.history))
-
-
 @pytest.mark.parametrize("topology", ["cand", "and"])
 def test_state_one_array_copied_from_state_zero_matches_a_fresh_one(topology):
     # disturb_matrix builds its state-0 array with a program and an erase
@@ -72,12 +67,12 @@ def test_state_one_array_copied_from_state_zero_matches_a_fresh_one(topology):
                                       range(cols), v_w)
             for rr in range(rows):
                 for c in range(cols):
-                    device.write_cell(dev, fe, ref[rr][c],
-                                      biasing.cell_write_voltage(plan, rr, c),
-                                      cfg.t_pulse)
-        swept.append([[_key(s) for s in row] for row in ref])
-    assert [[_key(s) for s in row] for row in zero.cells] == swept[1]
-    assert [[_key(s) for s in row] for row in one.cells] == swept[2]
+                    ref[rr][c] = device.write_cell(
+                        dev, fe, ref[rr][c],
+                        biasing.cell_write_voltage(plan, rr, c), cfg.t_pulse)
+        swept.append([row[:] for row in ref])
+    assert zero.cells == swept[1]
+    assert one.cells == swept[2]
 
 
 def test_write_word_always_two_cycles():
@@ -111,6 +106,14 @@ def test_monte_carlo_bands_do_not_overlap():
     assert not res.summary["band_overlap"]
     assert res.summary["min_on_off_ratio"] > 10
     assert len(res.rows) == 50 * 4
+
+
+def test_monte_carlo_counts_reads_against_i_ref():
+    assert experiments.monte_carlo(CFG, samples=5).summary["misreads"] == 0
+    # in the AND array the 511-cell leak lifts every '0' above i_ref
+    res = experiments.monte_carlo(dataclasses.replace(CFG, topology="and"),
+                                  samples=5)
+    assert res.summary["misreads"] > 0
 
 
 def test_power_sweep_flat_and_leak_dominated_by_cells():

@@ -42,19 +42,19 @@ def test_branch_monotone_in_field():
 
 def test_reversal_is_continuous():
     state = ferro.negative_saturation(PARAMS)
-    ferro._move_to(PARAMS, state, 1.5 * PARAMS.ec)
+    state = ferro._move_to(PARAMS, state, 1.5 * PARAMS.ec)
     p_before = state.p
-    ferro.reverse_branch(state, PARAMS)
+    state = ferro.reverse_branch(state, PARAMS)
     assert abs(state.p - p_before) < 1e-12
 
 
 def test_closed_minor_loop_returns_exactly():
     # drive 0 -> e1 -> e0 -> e1: the second visit of e1 must close the loop
     state = ferro.negative_saturation(PARAMS)
-    ferro._move_to(PARAMS, state, 2.0 * PARAMS.ec)
-    ferro._move_to(PARAMS, state, 0.5 * PARAMS.ec)
+    state = ferro._move_to(PARAMS, state, 2.0 * PARAMS.ec)
+    state = ferro._move_to(PARAMS, state, 0.5 * PARAMS.ec)
     p_top = ferro.branch_polarization(PARAMS, state, 2.0 * PARAMS.ec)
-    ferro._move_to(PARAMS, state, 2.0 * PARAMS.ec)
+    state = ferro._move_to(PARAMS, state, 2.0 * PARAMS.ec)
     assert state.p == pytest.approx(p_top, abs=1e-15)
 
 
@@ -62,16 +62,11 @@ def test_repeated_identical_pulses_do_not_ratchet():
     # a '0' cell exposed to the same inhibit pulse many times must come
     # back to the same remanent polarization every time
     state = ferro.negative_saturation(PARAMS)
-    ferro.apply_pulse(PARAMS, state, 3.2, 10e-6)
-    ferro.settle(PARAMS, state)
-    ferro.apply_pulse(PARAMS, state, -1.5, 10e-6)
-    ferro.settle(PARAMS, state)
-    ferro.apply_pulse(PARAMS, state, 1.6, 10e-6)
-    ferro.settle(PARAMS, state)
+    for v in (3.2, -1.5, 1.6):
+        state = ferro.settle(PARAMS, ferro.apply_pulse(PARAMS, state, v, 10e-6))
     p_once = state.p
     for _ in range(49):
-        ferro.apply_pulse(PARAMS, state, 1.6, 10e-6)
-        ferro.settle(PARAMS, state)
+        state = ferro.settle(PARAMS, ferro.apply_pulse(PARAMS, state, 1.6, 10e-6))
     assert state.p == pytest.approx(p_once, abs=1e-15)
 
 
@@ -86,7 +81,7 @@ def test_full_bipolar_sweep_closes():
 def test_polarization_bounded(drive):
     state = ferro.negative_saturation(PARAMS)
     for v in drive:
-        ferro._move_to(PARAMS, state, v / PARAMS.t_fe)
+        state = ferro._move_to(PARAMS, state, v / PARAMS.t_fe)
         assert abs(state.p) <= PARAMS.ps + 1e-15
 
 
@@ -98,7 +93,7 @@ def test_subloops_contained_in_major_loop_symmetric(drive):
     state = ferro.negative_saturation(params)
     for v in drive:
         e = v / params.t_fe
-        ferro._move_to(params, state, e)
+        state = ferro._move_to(params, state, e)
         lo, hi = ferro.major_loop_envelope(params, e)
         assert lo - 1e-9 <= state.p <= hi + 1e-9
 
@@ -114,7 +109,7 @@ def test_subloops_within_outer_hull_asymmetric(drive):
     state = ferro.negative_saturation(PARAMS)
     for v in drive:
         e = v / PARAMS.t_fe
-        ferro._move_to(PARAMS, state, e)
+        state = ferro._move_to(PARAMS, state, e)
         _, hi = ferro.major_loop_envelope(PARAMS, e)
         assert -PARAMS.ps - 1e-15 <= state.p <= hi + 1e-9
 
@@ -157,8 +152,7 @@ def test_erase_pulse_from_positive_saturation():
     # a -1.5 V erase lands well negative (enough to store '0'), though far
     # from full saturation at this amplitude
     state = ferro.positive_saturation(PARAMS)
-    ferro.apply_pulse(PARAMS, state, -1.5, 10e-6)
-    ferro.settle(PARAMS, state)
+    state = ferro.settle(PARAMS, ferro.apply_pulse(PARAMS, state, -1.5, 10e-6))
     assert state.p < -0.5 * PARAMS.pr
     assert state.p > -PARAMS.ps
 
@@ -170,9 +164,15 @@ def test_parameter_validation():
         FerroParams(ec=-1.0)
 
 
-def test_state_copy_is_independent():
+def test_transitions_leave_their_input_state_as_it_was():
     a = ferro.negative_saturation(PARAMS)
-    b = a.copy()
-    ferro._move_to(PARAMS, b, 3.0 * PARAMS.ec)
+    b = ferro._move_to(PARAMS, a, 3.0 * PARAMS.ec)
+    c = ferro._move_to(PARAMS, b, 0.5 * PARAMS.ec)
+    assert a == ferro.negative_saturation(PARAMS)
     assert a.p == pytest.approx(-PARAMS.pr, rel=1e-9)
-    assert b.p > 0.0
+    assert b.p > 0.0 and b.history == ()
+    assert len(c.history) == 1 and c != b
+    d = ferro.reverse_branch(c, PARAMS)
+    assert len(c.history) == 1 and len(d.history) == 2
+    e = ferro.apply_pulse(PARAMS, d, -1.5, 10e-6)
+    assert ferro.settle(PARAMS, e) != e and len(d.history) == 2
