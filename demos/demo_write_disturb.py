@@ -31,13 +31,13 @@ def main():
         for t in ("and", "cand")}
     print(f"  {'group':12} {'init':>4} {'op':7} {'AND read':>8} "
           f"{'C-AND read':>10}")
-    for a, c in zip(res["and"].entries, res["cand"].entries):
+    for a, c in zip(res["and"].rows, res["cand"].rows):
         marks = ["" if e.read_logic == e.expected_logic else " FLIP"
                  for e in (a, c)]
         print(f"  {a.group:12} {a.initial_state:4} {a.op:7} "
               f"{a.read_logic:8}{marks[0]:5} {c.read_logic:5}{marks[1]}")
     for t, label in (("and", "AND"), ("cand", "C-AND")):
-        flips = sum(e.read_logic != e.expected_logic for e in res[t].entries)
+        flips = sum(e.read_logic != e.expected_logic for e in res[t].rows)
         print(f"  {label:5}: {flips} logic flips in 16 cases, band separation "
               f"(min '1' / max '0') {res[t].summary['band_separation']:.3g}")
 

@@ -135,12 +135,11 @@ CAND_PITCH_X = 83.57 / CAND_PITCH_Y
 class CellFootprint:
     pitch_x: float
     pitch_y: float
-    well_spacing: float = WELL_SPACING
 
     def area(self, with_spacing: bool = False) -> float:
         base = self.pitch_x * self.pitch_y
         if with_spacing:
-            base += self.well_spacing * self.pitch_y
+            base += WELL_SPACING * self.pitch_y
         return base
 
 

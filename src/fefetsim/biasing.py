@@ -259,15 +259,14 @@ def _group_exposures(style: str, v_w: float) -> dict[CellGroup, float]:
 
 def verify_scheme(v_w0: float, v_w1: float,
                   scheme: SchemeKind = SchemeKind.MIXED,
-                  thresholds: tuple[float, float] | None = None,
-                  partial_margin: float = PARTIAL_MARGIN) -> SchemeReport:
+                  thresholds: tuple[float, float] | None = None) -> SchemeReport:
     """Audit unselected-cell exposures of a write scheme.
 
     `thresholds` are the minimum absolute gate voltages that flip a cell to
     '0' and to '1' respectively; they default to (|v_w0|, v_w1), i.e. the
     write voltages are assumed to be chosen at the switching minimum.  An
     exposure whose magnitude reaches the threshold for its polarity is a
-    `disturb`; reaching `partial_margin` of it is a `partial-risk`.
+    `disturb`; reaching `PARTIAL_MARGIN` of it is a `partial-risk`.
     """
     if v_w0 >= 0.0 or v_w1 <= 0.0:
         raise ValueError("expected v_w0 < 0 < v_w1")
@@ -287,7 +286,7 @@ def verify_scheme(v_w0: float, v_w1: float,
             mag = abs(v_gb)
             if mag >= thr:
                 flag = FLAG_DISTURB
-            elif mag >= partial_margin * thr:
+            elif mag >= PARTIAL_MARGIN * thr:
                 flag = FLAG_PARTIAL
             else:
                 flag = FLAG_PASS

@@ -14,8 +14,7 @@ import argparse
 import os
 import sys
 
-from . import analytics, biasing, config, engine, experiments, output
-from .biasing import Topology
+from . import biasing, config, engine, experiments, output
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -83,17 +82,20 @@ def _out_dir(args, command: str) -> str:
     return path
 
 
-def _emit(args, command: str, cfg, provenance, tables: dict,
-          summary: dict | None = None, plots: dict | None = None) -> list[str]:
-    """Write tables/summary/plots plus the manifest; return artifact paths."""
+def _emit(args, command: str, cfg, provenance,
+          tables: dict[str, experiments.Table],
+          plots: dict | None = None) -> list[str]:
+    """Write each table as `<name>.csv`, the summary of the one table that
+    has one as `summary.json`, the plots, and the manifest; return the
+    artifact paths."""
     out = _out_dir(args, command)
     files = []
-    for name, (header, rows) in tables.items():
+    for name, table in tables.items():
         files.append(output.write_csv(os.path.join(out, f"{name}.csv"),
-                                      header, rows))
-    if summary is not None:
-        files.append(output.write_json(os.path.join(out, "summary.json"),
-                                       summary))
+                                      table.header, table.rows))
+        if table.summary is not None:
+            files.append(output.write_json(os.path.join(out, "summary.json"),
+                                           _summary_jsonable(table.summary)))
     if args.plot and plots:
         for name, (series, title, xl, yl, log_x, log_y) in plots.items():
             files.append(output.svg_line_plot(
@@ -114,36 +116,28 @@ def _summary_jsonable(summary: dict) -> dict:
 
 
 def cmd_device_sweep(args, cfg, prov) -> int:
-    th, trows = experiments.device_transfer_sweep(cfg)
-    hh, hrows = experiments.hysteresis_sweep(cfg)
+    transfer = experiments.device_transfer_sweep(cfg)
+    loop = experiments.hysteresis_sweep(cfg)
+    ids = {f"state {s}": [(r[0], max(r[1 + s], 1e-16)) for r in transfer.rows]
+           for s in (0, 1)}
     plots = {
-        "transfer": ({"state 0": [(r[0], max(r[1], 1e-16)) for r in trows],
-                      "state 1": [(r[0], max(r[2], 1e-16)) for r in trows]},
-                     "Transfer curves", "Vgs (V)", "Ids (A)", False, True),
-        "hysteresis": ({"loop": hrows},
+        "transfer": (ids, "Transfer curves", "Vgs (V)", "Ids (A)", False, True),
+        "hysteresis": ({"loop": loop.rows},
                        "Polarization loop", "V (V)", "P (C/m^2)",
                        False, False),
     }
     _emit(args, "device-sweep", cfg, prov,
-          {"transfer": (th, trows), "hysteresis": (hh, hrows)}, plots=plots)
+          {"transfer": transfer, "hysteresis": loop}, plots)
     return EXIT_OK
 
 
 def cmd_verify_scheme(args, cfg, prov) -> int:
-    report = biasing.verify_scheme(cfg.v_w0, cfg.v_w1,
-                                   biasing.SchemeKind(args.scheme))
-    header = ["op", "group", "exposure_volts", "margin_volts", "flag"]
-    rows = [(f.op, f.group.value, f.v_gb, f.margin, f.flag)
-            for f in report.findings]
+    res = experiments.scheme_audit(cfg, biasing.SchemeKind(args.scheme))
     print(f"{'op':8} {'group':10} {'exposure':>10} {'margin':>10} flag")
-    for op, group, exposure, margin, flag in rows:
+    for op, group, exposure, margin, flag in res.rows:
         print(f"{op:8} {group:10} {exposure:10.3f} {margin:10.3f} {flag}")
-    summary = {"v_w0": cfg.v_w0, "v_w1": cfg.v_w1, "scheme": args.scheme,
-               "any_disturb": report.any_disturb,
-               "any_partial": report.any_partial}
-    _emit(args, "verify-scheme", cfg, prov, {"findings": (header, rows)},
-          summary)
-    return EXIT_CHECK_FAILED if report.any_disturb else EXIT_OK
+    _emit(args, "verify-scheme", cfg, prov, {"findings": res})
+    return EXIT_CHECK_FAILED if res.summary["any_disturb"] else EXIT_OK
 
 
 def cmd_run(args, cfg, prov) -> int:
@@ -153,16 +147,12 @@ def cmd_run(args, cfg, prov) -> int:
                        if r.topology == t] for t in ("and", "cand")}
         plots = {"window": (by_topo, "Read window vs rows", "rows",
                             "on/off ratio", True, True)}
-        _emit(args, "bitline", cfg, prov,
-              {"bitline": (res.header, res.table())},
-              _summary_jsonable(res.summary), plots)
+        _emit(args, "bitline", cfg, prov, {"bitline": res}, plots)
         ok = all(r.window_ratio > 1.0 for r in res.rows)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.experiment == "disturb":
         res = experiments.disturb_matrix(cfg)
-        _emit(args, "disturb", cfg, prov,
-              {"disturb": (res.header, res.table())},
-              _summary_jsonable(res.summary))
+        _emit(args, "disturb", cfg, prov, {"disturb": res})
         return EXIT_OK if res.summary["all_logic_preserved"] \
             else EXIT_CHECK_FAILED
     if args.experiment == "word-write":
@@ -182,27 +172,23 @@ def cmd_run(args, cfg, prov) -> int:
                   f"columns", file=sys.stderr)
             return EXIT_BAD_VALUE
         res = experiments.word_write_demo(cfg, rows, cols, words=words)
-        for e in res.entries:
+        for e in res.rows:
             print(f"word 0x{e.word:02X} row {e.row} -> readback "
                   f"0x{e.readback:02X} {'ok' if e.match else 'MISMATCH'}")
-        _emit(args, "word-write", cfg, prov,
-              {"word_write": (res.header, res.table())},
-              _summary_jsonable(res.summary))
+        _emit(args, "word-write", cfg, prov, {"word_write": res})
         return EXIT_OK if res.summary["all_match"] else EXIT_CHECK_FAILED
     res = experiments.accumulative_disturb_sweep(cfg)
     plots = {"drift": ({"vt drift": [(r[0], r[2] + 1e-12) for r in res.rows]},
                        "Half-select vt drift", "pulses", "delta vt (V)",
                        True, False)}
     _emit(args, "disturb-accumulate", cfg, prov,
-          {"disturb_accumulate": (res.header, res.rows)},
-          _summary_jsonable(res.summary), plots)
+          {"disturb_accumulate": res}, plots)
     return EXIT_OK
 
 
 def cmd_mc(args, cfg, prov) -> int:
     res = experiments.monte_carlo(cfg)
-    _emit(args, "mc", cfg, prov, {"mc": (res.header, res.rows)},
-          _summary_jsonable(res.summary))
+    _emit(args, "mc", cfg, prov, {"mc": res})
     ok = (not res.summary["band_overlap"]
           and res.summary["misreads"] == 0
           and res.summary["min_on_off_ratio"] >= 10.0)
@@ -214,25 +200,18 @@ def cmd_power(args, cfg, prov) -> int:
     plots = {"power": ({"total": [(r[0], r[4]) for r in res.rows]},
                        "Peak single-bit read power", "array size",
                        "power (W)", True, False)}
-    _emit(args, "power", cfg, prov, {"power": (res.header, res.rows)},
-          _summary_jsonable(res.summary), plots)
+    _emit(args, "power", cfg, prov, {"power": res}, plots)
     ok = (res.summary["flatness"] <= 1.2
           and res.summary["max_leak_share"] < 0.1)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_area(args, cfg, prov) -> int:
-    header = ["spacing", "and_lambda2", "cand_lambda2", "improvement"]
-    rows = []
-    for with_spacing, label in ((True, "with"), (False, "without")):
-        a = analytics.cell_area(Topology.AND, with_spacing)
-        c = analytics.cell_area(Topology.CAND, with_spacing)
-        rows.append((label, a, c, a / c))
+    res = experiments.area_comparison()
+    for label, a, c, ratio in res.rows:
         print(f"{label:8} AND {a:8.2f} λ²   C-AND {c:8.2f} λ²   "
-              f"{a / c:.2f}X")
-    summary = {"improvement_with_spacing": rows[0][3],
-               "improvement_without_spacing": rows[1][3]}
-    _emit(args, "area", cfg, prov, {"area": (header, rows)}, summary)
+              f"{ratio:.2f}X")
+    _emit(args, "area", cfg, prov, {"area": res})
     return EXIT_OK
 
 

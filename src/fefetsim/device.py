@@ -93,8 +93,9 @@ class FeFetParams:
         return self.vt_mid + 0.5 * self.mem_window
 
 
-def vt_of_polarization(dev: FeFetParams, fe: FerroParams, p: float) -> float:
-    """Threshold voltage for stored polarization `p` (C/m^2)."""
+def vt_of_polarization(dev: FeFetParams, fe: FerroParams, p):
+    """Threshold voltage for stored polarization `p` (C/m^2): a float, or
+    elementwise for an array, with the same roundings."""
     return dev.vt_mid - (p / fe.ps) * 0.5 * dev.mem_window
 
 

@@ -103,9 +103,8 @@ class ArrayState:
         return device.cell_vt(self.dev, self.fe, self.cells[r][c])
 
     def vts(self) -> np.ndarray:
-        vt_of = {st: device.cell_vt(self.dev, self.fe, st)
-                 for st in set().union(*self.cells)}
-        return np.array([[vt_of[st] for st in row] for row in self.cells])
+        p = np.array([[st.p for st in row] for row in self.cells])
+        return device.vt_of_polarization(self.dev, self.fe, p)
 
 
 def apply_write(array: ArrayState, plan: BiasPlan, duration: float) -> None:

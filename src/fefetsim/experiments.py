@@ -1,25 +1,39 @@
 """Seeded experiment campaigns over the device and array models.
 
 Each campaign is a pure function of a RunConfig (plus explicit knobs) and
-returns a result object holding tabular rows ready for CSV export and a
-summary dict; nothing here touches the filesystem.
+returns a `Table`: rows ready for CSV export under a header, and a summary
+dict; nothing here touches the filesystem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analytics, biasing, config, device, engine, ferro
-from .biasing import Topology
+from .biasing import SchemeKind, Topology
 from .config import RunConfig
 
 POWERS_OF_TWO = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
 
 #: rows and columns of the word-write demo's array: all 256 words of 8 bits
 WORD_WRITE_SIZE = 8
+
+#: rows and columns of the large array whose sneak leakage Monte Carlo
+#: reads add
+MC_LEAK_SIZE = 512
+
+
+class Table(NamedTuple):
+    """One campaign's result: CSV rows under `header`, each as wide as it,
+    and the summary written beside them (None where there is none)."""
+
+    header: list[str]
+    rows: list
+    summary: dict | None
 
 
 # --------------------------------------------------------------------------
@@ -72,8 +86,7 @@ def _make_array(cfg: RunConfig, rows: int, cols: int,
 # Bit-line length sweep
 
 
-@dataclass(frozen=True)
-class BitlineRow:
+class BitlineRow(NamedTuple):
     rows: int
     topology: str
     i_read0: float
@@ -81,20 +94,8 @@ class BitlineRow:
     window_ratio: float
 
 
-@dataclass
-class BitlineSweepResult:
-    rows: list[BitlineRow]
-    summary: dict
-
-    header = ["rows", "topology", "i_read0_amps", "i_read1_amps", "window_ratio"]
-
-    def table(self):
-        return [(r.rows, r.topology, r.i_read0, r.i_read1, r.window_ratio)
-                for r in self.rows]
-
-
 def long_bitline_sweep(cfg: RunConfig,
-                       sizes: tuple[int, ...] = POWERS_OF_TWO) -> BitlineSweepResult:
+                       sizes: tuple[int, ...] = POWERS_OF_TWO) -> Table:
     """Worst-case single-bit read current vs array size for both flavors.
 
     Worst case: every unselected cell conducts as hard as possible (stores
@@ -119,15 +120,15 @@ def long_bitline_sweep(cfg: RunConfig,
         "and_over_cand_read0_at_2048":
             by[("and", 2048)].i_read0 / by[("cand", 2048)].i_read0,
     }
-    return BitlineSweepResult(rows, summary)
+    return Table(["rows", "topology", "i_read0_amps", "i_read1_amps",
+                  "window_ratio"], rows, summary)
 
 
 # --------------------------------------------------------------------------
 # Single-op disturb matrix
 
 
-@dataclass(frozen=True)
-class DisturbEntry:
+class DisturbEntry(NamedTuple):
     group: str
     initial_state: int
     op: str
@@ -135,19 +136,6 @@ class DisturbEntry:
     i_after: float
     expected_logic: int
     read_logic: int
-
-
-@dataclass
-class DisturbMatrixResult:
-    entries: list[DisturbEntry]
-    summary: dict
-
-    header = ["group", "initial_state", "op", "i_before_amps", "i_after_amps",
-              "expected_logic", "read_logic"]
-
-    def table(self):
-        return [(e.group, e.initial_state, e.op, e.i_before, e.i_after,
-                 e.expected_logic, e.read_logic) for e in self.entries]
 
 
 def _write_rows(cfg: RunConfig, array: engine.ArrayState, rows, cols,
@@ -172,7 +160,7 @@ def _read_cell(cfg: RunConfig, array: engine.ArrayState, r: int, c: int) -> floa
 
 
 def disturb_matrix(cfg: RunConfig, rows: int | None = None,
-                   cols: int | None = None) -> DisturbMatrixResult:
+                   cols: int | None = None) -> Table:
     """All (cell group) x (initial state) x (write op) single-shot cases.
 
     For each case a copy of the uniformly initialized array gets one write
@@ -220,33 +208,22 @@ def disturb_matrix(cfg: RunConfig, rows: int | None = None,
                                    for e in entries),
         "rows": m, "cols": n,
     }
-    return DisturbMatrixResult(entries, summary)
+    return Table(["group", "initial_state", "op", "i_before_amps",
+                  "i_after_amps", "expected_logic", "read_logic"],
+                 entries, summary)
 
 
 # --------------------------------------------------------------------------
 # Two-cycle word write
 
 
-@dataclass(frozen=True)
-class WordWriteEntry:
+class WordWriteEntry(NamedTuple):
     word: int
     row: int
     readback: int
     match: bool
     min_one: float
     max_zero: float
-
-
-@dataclass
-class WordWriteResult:
-    entries: list[WordWriteEntry]
-    summary: dict
-
-    header = ["word", "row", "readback", "match", "min_one_amps", "max_zero_amps"]
-
-    def table(self):
-        return [(e.word, e.row, e.readback, e.match, e.min_one, e.max_zero)
-                for e in self.entries]
 
 
 def write_word(cfg: RunConfig, array: engine.ArrayState, row: int,
@@ -275,7 +252,7 @@ def read_word(cfg: RunConfig, array: engine.ArrayState, row: int) -> tuple[int, 
 
 
 def word_write_demo(cfg: RunConfig, rows: int = WORD_WRITE_SIZE,
-                    cols: int = WORD_WRITE_SIZE, words=None) -> WordWriteResult:
+                    cols: int = WORD_WRITE_SIZE, words=None) -> Table:
     """Write words with the two-cycle scheme and read them back.
 
     Words are written sequentially into one array (rotating through rows),
@@ -301,34 +278,23 @@ def word_write_demo(cfg: RunConfig, rows: int = WORD_WRITE_SIZE,
         "matches": sum(e.match for e in entries),
         "all_match": all(e.match for e in entries),
     }
-    return WordWriteResult(entries, summary)
+    return Table(["word", "row", "readback", "match", "min_one_amps",
+                  "max_zero_amps"], entries, summary)
 
 
 # --------------------------------------------------------------------------
 # Monte Carlo variability
 
 
-@dataclass
-class MonteCarloResult:
-    rows: list[tuple]
-    summary: dict
-
-    header = ["trial", "row", "col", "logic", "vt_volts", "i_amps"]
-
-    def table(self):
-        return self.rows
-
-
 def monte_carlo(cfg: RunConfig, samples: int | None = None,
-                seed: int | None = None,
-                leak_rows: int = 512, leak_cols: int = 512) -> MonteCarloResult:
+                seed: int | None = None) -> Table:
     """Write-voltage and geometry variability on a 2x2 array.
 
     Per trial: one Gaussian draw each for the erase and program voltages
     and one shared draw applied to channel width and length.  The array is
     programmed, erased, then one cell is rewritten to '1', leaving the
     three '0' cells at the three disturb positions.  Read currents include
-    the sneak leakage a large (leak_rows x leak_cols) array would add;
+    the sneak leakage a large (MC_LEAK_SIZE square) array would add;
     ``misreads`` counts the reads whose comparison with ``cfg.i_ref``
     disagrees with the logic value written.
     """
@@ -340,7 +306,7 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
 
     dev_nom = config.make_device(cfg)
     _, i_leak_large = engine.column_readout_with_leak(
-        dev_nom, config.topology_of(cfg), leak_rows, leak_cols,
+        dev_nom, config.topology_of(cfg), MC_LEAK_SIZE, MC_LEAK_SIZE,
         dev_nom.vt_high, dev_nom.vt_low, cfg.v_wl, cfg.v_sl)
 
     fe = config.make_ferro(cfg)
@@ -382,27 +348,16 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
         "misreads": misreads,
         "added_leak_amps": i_leak_large,
     }
-    return MonteCarloResult(rows_out, summary)
+    return Table(["trial", "row", "col", "logic", "vt_volts", "i_amps"],
+                 rows_out, summary)
 
 
 # --------------------------------------------------------------------------
 # Read power vs array size
 
 
-@dataclass
-class PowerSweepResult:
-    rows: list[tuple]
-    summary: dict
-
-    header = ["size", "p_select_watts", "p_wordline_watts", "p_leak_watts",
-              "p_total_watts"]
-
-    def table(self):
-        return self.rows
-
-
 def power_sweep(cfg: RunConfig,
-                sizes: tuple[int, ...] = (2, 4, 8, 16, 32)) -> PowerSweepResult:
+                sizes: tuple[int, ...] = (2, 4, 8, 16, 32)) -> Table:
     """Peak single-bit read power vs square array size.
 
     Peak means the strongest possible cell (fully programmed) conducts; the
@@ -435,26 +390,16 @@ def power_sweep(cfg: RunConfig,
         "word_power_max_8x": analytics.select_line_power_max(
             8, i_high, cfg.v_sl),
     }
-    return PowerSweepResult(rows, summary)
+    return Table(["size", "p_select_watts", "p_wordline_watts",
+                  "p_leak_watts", "p_total_watts"], rows, summary)
 
 
 # --------------------------------------------------------------------------
 # Accumulative half-select disturb
 
 
-@dataclass
-class AccumulativeDisturbResult:
-    rows: list[tuple]
-    summary: dict
-
-    header = ["pulses", "vt_volts", "delta_vt_volts", "crossed_half_window"]
-
-    def table(self):
-        return self.rows
-
-
 def accumulative_disturb_sweep(cfg: RunConfig,
-                               max_pulses: int = 10000) -> AccumulativeDisturbResult:
+                               max_pulses: int = 10000) -> Table:
     """Half-select pulses applied repeatedly to a written '0' cell."""
     fe = config.make_ferro(cfg)
     dev = config.make_device(cfg)
@@ -485,29 +430,59 @@ def accumulative_disturb_sweep(cfg: RunConfig,
         "monotone_drift": all(rows[i + 1][2] >= rows[i][2] - 1e-12
                               for i in range(len(rows) - 1)),
     }
-    return AccumulativeDisturbResult(rows, summary)
+    return Table(["pulses", "vt_volts", "delta_vt_volts",
+                  "crossed_half_window"], rows, summary)
 
 
 # --------------------------------------------------------------------------
-# Device sweep (for the CLI's device characterization command)
+# Device sweeps (for the CLI's device characterization command)
 
 
-def device_transfer_sweep(cfg: RunConfig, vgs_points: int = 121):
-    """Transfer curves for both stored states; returns (header, rows)."""
+def device_transfer_sweep(cfg: RunConfig, vgs_points: int = 121) -> Table:
+    """Transfer curves for both stored states."""
     dev = config.make_device(cfg)
-    header = ["vgs_volts", "ids_amps_state0", "ids_amps_state1"]
     rows = []
     for k in range(vgs_points):
         vgs = 3.0 * k / (vgs_points - 1)
         rows.append((vgs,
                      device.drain_current(dev, vgs, cfg.v_sl, dev.vt_high),
                      device.drain_current(dev, vgs, cfg.v_sl, dev.vt_low)))
-    return header, rows
+    return Table(["vgs_volts", "ids_amps_state0", "ids_amps_state1"], rows,
+                 None)
 
 
-def hysteresis_sweep(cfg: RunConfig, nsteps: int = 400):
-    """Quasi-static polarization loop; returns (header, rows)."""
+def hysteresis_sweep(cfg: RunConfig, nsteps: int = 400) -> Table:
+    """Quasi-static polarization loop."""
     fe = config.make_ferro(cfg)
     amplitude = max(cfg.v_w1, 2.0 * cfg.vc_program)
-    pts = ferro.trace_loop(fe, amplitude, nsteps)
-    return ["v_volts", "p_c_per_m2"], pts
+    return Table(["v_volts", "p_c_per_m2"],
+                 ferro.trace_loop(fe, amplitude, nsteps), None)
+
+
+# --------------------------------------------------------------------------
+# Closed-form tables: write-scheme exposure audit and cell area
+
+
+def scheme_audit(cfg: RunConfig, scheme: SchemeKind) -> Table:
+    """Gate-to-bulk exposure of every unselected cell group per write op."""
+    report = biasing.verify_scheme(cfg.v_w0, cfg.v_w1, scheme)
+    rows = [(f.op, f.group.value, f.v_gb, f.margin, f.flag)
+            for f in report.findings]
+    summary = {"v_w0": cfg.v_w0, "v_w1": cfg.v_w1, "scheme": scheme.value,
+               "any_disturb": report.any_disturb,
+               "any_partial": report.any_partial}
+    return Table(["op", "group", "exposure_volts", "margin_volts", "flag"],
+                 rows, summary)
+
+
+def area_comparison() -> Table:
+    """AND and C-AND cell footprints with and without well spacing."""
+    rows = []
+    for with_spacing, label in ((True, "with"), (False, "without")):
+        a = analytics.cell_area(Topology.AND, with_spacing)
+        c = analytics.cell_area(Topology.CAND, with_spacing)
+        rows.append((label, a, c, a / c))
+    summary = {"improvement_with_spacing": rows[0][3],
+               "improvement_without_spacing": rows[1][3]}
+    return Table(["spacing", "and_lambda2", "cand_lambda2", "improvement"],
+                 rows, summary)

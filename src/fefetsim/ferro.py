@@ -64,10 +64,6 @@ class FerroParams:
         if self.ec_program is not None and self.ec_program <= 0.0:
             raise ValueError("ec_program must be positive when given")
 
-    @property
-    def coercive_voltage(self) -> float:
-        return self.ec * self.t_fe
-
 
 def delta_of(params: FerroParams, ec: float | None = None) -> float:
     """Transition width of a branch, V/m.

@@ -89,10 +89,10 @@ def test_a03_write_scheme_audit_golden_cases():
 def test_a04_single_write_disturb_matrix_16x16():
     t0 = time.monotonic()
     res = experiments.disturb_matrix(CFG, rows=16, cols=16)
-    assert len(res.entries) == 16
+    assert len(res.rows) == 16
     # selected cell lands in the target band; every unselected cell keeps
     # its logic state through either write op
-    assert all(e.read_logic == e.expected_logic for e in res.entries)
+    assert all(e.read_logic == e.expected_logic for e in res.rows)
     assert res.summary["band_separation"] >= 1e2
     assert time.monotonic() - t0 < 120.0
 

@@ -137,6 +137,25 @@ def test_halves_write_leaves_diagonal_cells_untouched():
     assert arr.vt(3, 3) == vt_before
 
 
+@pytest.mark.parametrize("topology", Topology)
+def test_vts_has_the_bytes_of_per_cell_vt_after_real_writes(topology):
+    # program, erase and partial pulses leave cells on minor loops, not
+    # only at the saturated rest states set_pattern gives
+    rows, cols = 5, 6
+    arr = _array(topology, rows, cols)
+    for r, sel, v in ((0, range(cols), 3.2), (1, (1, 4), 3.2),
+                      (1, (1,), -1.5), (3, (0, 2, 5), 2.7),
+                      (4, range(cols), -1.1), (2, (3,), 4.1)):
+        engine.apply_write(arr, biasing.write_bias(topology, rows, cols, r,
+                                                   sel, v), T_PULSE)
+    ref = np.array([[device.cell_vt(DEV, FE, st) for st in row]
+                    for row in arr.cells])
+    assert len(set(ref.ravel())) > 3
+    vts = arr.vts()
+    assert vts.shape == (rows, cols)
+    assert vts.tobytes() == ref.tobytes()
+
+
 def test_column_model_cross_checks_full_solver_and():
     # the scalable AND column model must agree with the Newton solve of the
     # real network for a mid-size array (wire drops are tiny at 16 rows)

@@ -39,7 +39,7 @@ def test_bitline_sweep_monotone_and_ordered():
 
 def test_disturb_matrix_preserves_logic():
     res = experiments.disturb_matrix(CFG, rows=8, cols=8)
-    assert len(res.entries) == 16
+    assert len(res.rows) == 16
     assert res.summary["all_logic_preserved"]
     assert res.summary["band_separation"] > 1e2
 
@@ -136,8 +136,43 @@ def test_accumulative_disturb_monotone():
     assert res.summary["monotone_drift"]
 
 
+_TABLES = {
+    "bitline": (lambda: experiments.long_bitline_sweep(CFG),
+                experiments.BitlineRow),
+    "disturb": (lambda: experiments.disturb_matrix(CFG, rows=4, cols=4),
+                experiments.DisturbEntry),
+    "word_write": (lambda: experiments.word_write_demo(CFG, rows=2, cols=2),
+                   experiments.WordWriteEntry),
+    "mc": (lambda: experiments.monte_carlo(CFG, samples=3), None),
+    "power": (lambda: experiments.power_sweep(CFG, sizes=(2, 4)), None),
+    "disturb_accumulate": (
+        lambda: experiments.accumulative_disturb_sweep(CFG, max_pulses=10),
+        None),
+    "transfer": (lambda: experiments.device_transfer_sweep(CFG, vgs_points=5),
+                 None),
+    "hysteresis": (lambda: experiments.hysteresis_sweep(CFG, nsteps=20), None),
+    "findings": (lambda: experiments.scheme_audit(
+        CFG, biasing.SchemeKind.MIXED), None),
+    "area": (experiments.area_comparison, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_every_table_is_well_formed(name):
+    make, row_type = _TABLES[name]
+    table = make()
+    assert isinstance(table, experiments.Table)
+    assert table.rows
+    assert all(len(row) == len(table.header) for row in table.rows)
+    assert table.summary is None or isinstance(table.summary, dict)
+    if row_type is not None:
+        assert len(row_type._fields) == len(table.header)
+        assert all(type(row) is row_type for row in table.rows)
+
+
 def test_device_transfer_sweep_window():
-    header, rows = experiments.device_transfer_sweep(CFG, vgs_points=31)
+    sweep = experiments.device_transfer_sweep(CFG, vgs_points=31)
+    header, rows = sweep.header, sweep.rows
     assert header == ["vgs_volts", "ids_amps_state0", "ids_amps_state1"]
     arr = np.array(rows)
     # the stored '1' conducts more than the stored '0' at every gate bias
@@ -145,7 +180,8 @@ def test_device_transfer_sweep_window():
 
 
 def test_hysteresis_sweep_is_a_closed_loop():
-    header, pts = experiments.hysteresis_sweep(CFG, nsteps=200)
+    loop = experiments.hysteresis_sweep(CFG, nsteps=200)
+    header, pts = loop.header, loop.rows
     assert header == ["v_volts", "p_c_per_m2"]
     v = np.array([p[0] for p in pts])
     p = np.array([p[1] for p in pts])
