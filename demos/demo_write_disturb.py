@@ -11,7 +11,8 @@ import dataclasses
 
 from fefetsim import biasing, experiments
 from fefetsim.biasing import SchemeKind, Topology
-from fefetsim.config import load_config, make_device, make_ferro
+from fefetsim.config import (load_config, make_device, make_ferro,
+                             make_parasitics)
 from fefetsim.engine import ArrayState
 
 
@@ -27,7 +28,7 @@ def main():
 
     print("\n== single-write disturb matrix, 16x16, AND next to C-AND ==")
     res = {t: experiments.disturb_matrix(
-        dataclasses.replace(cfg, topology=t), rows=16, cols=16)
+        dataclasses.replace(cfg, topology=t, rows=16, cols=16))
         for t in ("and", "cand")}
     print(f"  {'group':12} {'init':>4} {'op':7} {'AND read':>8} "
           f"{'C-AND read':>10}")
@@ -42,7 +43,8 @@ def main():
               f"(min '1' / max '0') {res[t].summary['band_separation']:.3g}")
 
     print("\n== two-cycle word write, 8x8 ==")
-    array = ArrayState(Topology.CAND, 8, 8, make_ferro(cfg), make_device(cfg))
+    array = ArrayState(Topology.CAND, 8, 8, make_ferro(cfg), make_device(cfg),
+                       make_parasitics(cfg))
     for word in (0x00, 0x5A, 0xFF):
         cycles = experiments.write_word(cfg, array, 0, word)
         readback, _ = experiments.read_word(cfg, array, 0)

@@ -155,12 +155,3 @@ def cell_area(topology, with_spacing: bool = False) -> float:
     if key == "cand":
         return CAND_CELL.area(with_spacing)
     raise ValueError(f"unknown topology {topology!r}")
-
-
-def area_ratio(with_spacing: bool = False) -> float:
-    """AND-to-CAND cell area ratio (>1 means the shared-bulk cell is smaller)."""
-    return cell_area("and", with_spacing) / cell_area("cand", with_spacing)
-
-
-def array_area(topology, rows: int, cols: int, with_spacing: bool = False) -> float:
-    return rows * cols * cell_area(topology, with_spacing)

@@ -258,21 +258,18 @@ def _group_exposures(style: str, v_w: float) -> dict[CellGroup, float]:
 
 
 def verify_scheme(v_w0: float, v_w1: float,
-                  scheme: SchemeKind = SchemeKind.MIXED,
-                  thresholds: tuple[float, float] | None = None) -> SchemeReport:
+                  scheme: SchemeKind = SchemeKind.MIXED) -> SchemeReport:
     """Audit unselected-cell exposures of a write scheme.
 
-    `thresholds` are the minimum absolute gate voltages that flip a cell to
-    '0' and to '1' respectively; they default to (|v_w0|, v_w1), i.e. the
-    write voltages are assumed to be chosen at the switching minimum.  An
-    exposure whose magnitude reaches the threshold for its polarity is a
-    `disturb`; reaching `PARTIAL_MARGIN` of it is a `partial-risk`.
+    The write voltages are taken to be chosen at the switching minimum, so
+    |v_w0| and v_w1 are the smallest gate voltages that flip a cell to '0'
+    and to '1'.  An exposure whose magnitude reaches the threshold for its
+    polarity is a `disturb`; reaching `PARTIAL_MARGIN` of it is a
+    `partial-risk`.
     """
     if v_w0 >= 0.0 or v_w1 <= 0.0:
         raise ValueError("expected v_w0 < 0 < v_w1")
-    thr0, thr1 = thresholds if thresholds is not None else (abs(v_w0), v_w1)
-    if thr0 <= 0.0 or thr1 <= 0.0:
-        raise ValueError("thresholds must be positive")
+    thr0, thr1 = abs(v_w0), v_w1
 
     style0 = "vdd2" if scheme is SchemeKind.VDD2_ONLY else "vdd3"
     style1 = "vdd3" if scheme is SchemeKind.VDD3_ONLY else "vdd2"

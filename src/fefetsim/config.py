@@ -1,15 +1,18 @@
 """Run configuration: defaults, config-file parsing, provenance tracking.
 
-The config file is JSON holding a flat object of the fields below plus a
-mandatory ``schema_version``.  Unknown keys are rejected so typos fail
-loudly.  Every resolved field records where its value came from
-(default / file / flag).
+`RunConfig` is the one place a model value has a default; the parameter
+objects of the model layers are built from it by the `make_*` builders and
+check their own values.  The config file is JSON holding a flat object of
+the fields below plus a mandatory ``schema_version``.  Unknown keys are
+rejected so typos fail loudly.  Every resolved field records where its
+value came from (default / file / flag).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .biasing import Topology
@@ -37,7 +40,9 @@ class RunConfig:
     mem_window: float = 1.2         # threshold window, V
     swing: float = 0.15             # subthreshold swing, V/dec
     n_slope: float = 2.0
-    i_spec: float = 3.2935126652037966e-08  # channel current prefactor, A
+    # channel current prefactor, A: a fully programmed cell (vt = vt_low)
+    # at vgs = vds = 1 V sources exactly 400 nA at the default geometry
+    i_spec: float = 3.2935126652037966e-08
     g_min: float = 1e-14            # off-state floor conductance, S
     gate_mode: str = "direct"
     c_il: float = 2.0e-2            # interlayer capacitance, F/m^2
@@ -91,7 +96,14 @@ def _coerce(name: str, value):
     if f.type in ("float", float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueRangeError(f"field {name!r} must be a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        # json reads NaN, Infinity and integers too large for a float
+        if not math.isfinite(number):
+            raise ValueRangeError(f"field {name!r} must be finite, got {value!r}")
+        return number
     if f.type in ("int", int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueRangeError(f"field {name!r} must be an integer, got {value!r}")
@@ -140,19 +152,21 @@ def load_config(path: str | None = None,
         provenance[key] = "flag"
 
     cfg = RunConfig(**values)
+    # fields that no parameter object holds; the builders check the rest
     if cfg.topology not in ("and", "cand"):
         raise ValueRangeError("topology must be 'and' or 'cand'")
     if cfg.rows < 1 or cfg.cols < 1 or cfg.samples < 1:
         raise ValueRangeError("rows, cols, samples must be positive")
-    if not 0.0 < cfg.pr < cfg.ps:
-        raise ValueRangeError("pr must be positive and smaller than ps")
     if not cfg.v_w0 < 0.0 < cfg.v_w1:
         raise ValueRangeError("write voltages must satisfy v_w0 < 0 < v_w1, "
                               f"got v_w0={cfg.v_w0}, v_w1={cfg.v_w1}")
-    if min(cfg.vc, cfg.t_fe, cfg.tau_eff, cfg.t_pulse,
-           cfg.width, cfg.length) <= 0.0:
-        raise ValueRangeError("vc, t_fe, tau_eff, t_pulse, width, length "
-                              "must be positive")
+    if cfg.t_pulse <= 0.0:
+        raise ValueRangeError("t_pulse must be positive")
+    for build in (make_ferro, make_device, make_parasitics):
+        try:
+            build(cfg)
+        except ValueError as exc:
+            raise ValueRangeError(str(exc)) from exc
     return cfg, provenance
 
 
@@ -176,11 +190,9 @@ def make_ferro(cfg: RunConfig) -> FerroParams:
     )
 
 
-def make_device(cfg: RunConfig, width: float | None = None,
-                length: float | None = None) -> FeFetParams:
+def make_device(cfg: RunConfig) -> FeFetParams:
     return FeFetParams(
-        w=width if width is not None else cfg.width,
-        l=length if length is not None else cfg.length,
+        w=cfg.width, l=cfg.length,
         vt_mid=cfg.vt_mid, mem_window=cfg.mem_window,
         swing=cfg.swing, n_slope=cfg.n_slope,
         i_spec=cfg.i_spec, g_min=cfg.g_min,

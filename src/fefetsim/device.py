@@ -57,19 +57,17 @@ class FeFetParams:
         Relative permittivity of the ferroelectric (divider mode).
     """
 
-    w: float = 500e-9
-    l: float = 500e-9
-    vt_mid: float = 1.15
-    mem_window: float = 1.2
-    swing: float = 0.15
-    n_slope: float = 2.0
-    # prefactor chosen so a fully programmed cell (vt = vt_low) at
-    # vgs = vds = 1 V sources exactly 400 nA at the default geometry
-    i_spec: float = 3.2935126652037966e-08
-    g_min: float = 1e-14
-    gate_mode: str = GATE_DIRECT
-    c_il: float = 2.0e-2
-    eps_fe: float = 30.0
+    w: float
+    l: float
+    vt_mid: float
+    mem_window: float
+    swing: float
+    n_slope: float
+    i_spec: float
+    g_min: float
+    gate_mode: str
+    c_il: float
+    eps_fe: float
 
     def __post_init__(self):
         if self.gate_mode not in (GATE_DIRECT, GATE_DIVIDER):

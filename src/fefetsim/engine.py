@@ -39,21 +39,25 @@ class ConvergenceError(RuntimeError):
     pass
 
 
+#: cell pitch along a row and along a column, in units of the layout
+#: feature size `Parasitics.lam`
+PITCH_X = 9.0
+PITCH_Y = 9.2896
+
+
 @dataclass(frozen=True)
 class Parasitics:
-    """Wire parasitics per unit length and the cell pitch.
+    """Wire parasitics per unit length and the layout feature size.
 
-    Resistances are Ohm/um, capacitances F/um; pitches are in units of the
-    layout feature size `lam` (m).
+    Resistances are Ohm/um, capacitances F/um, `lam` is in m; segment
+    lengths are given in units of `lam`.
     """
 
-    r_metal: float = 9.45
-    c_metal: float = 0.22e-15
-    r_poly: float = 2000.0
-    c_poly: float = 0.15e-15
-    lam: float = 50e-9
-    pitch_x: float = 9.0     # along a row, lambda units
-    pitch_y: float = 9.2896  # along a column, lambda units
+    r_metal: float
+    c_metal: float
+    r_poly: float
+    c_poly: float
+    lam: float
 
     def seg_resistance(self, pitch_lam: float, poly: bool = False) -> float:
         length_um = pitch_lam * self.lam * 1e6
@@ -80,7 +84,7 @@ class ArrayState:
     cols: int
     fe: FerroParams
     dev: FeFetParams
-    parasitics: Parasitics = field(default_factory=Parasitics)
+    parasitics: Parasitics
     cells: list[list[BranchState]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -194,9 +198,9 @@ def _layout(topology: Topology, rows: int, cols: int,
     n = 2 * n_cells
     sl = np.arange(n_cells).reshape(rows, cols)
     bl = sl + n_cells
-    r_bl = par.seg_resistance(par.pitch_y)
+    r_bl = par.seg_resistance(PITCH_Y)
     if topology is Topology.CAND:
-        chains = (("SL", sl, par.seg_resistance(par.pitch_x)),
+        chains = (("SL", sl, par.seg_resistance(PITCH_X)),
                   ("BL", bl.T, r_bl))
     else:
         chains = (("SL", sl.T, r_bl), ("BL", bl.T, r_bl))

@@ -1,14 +1,14 @@
 """Seeded experiment campaigns over the device and array models.
 
-Each campaign is a pure function of a RunConfig (plus explicit knobs) and
-returns a `Table`: rows ready for CSV export under a header, and a summary
-dict; nothing here touches the filesystem.
+Each campaign is a pure function of a RunConfig and returns a `Table`:
+rows ready for CSV export under a header, and a summary dict; nothing here
+touches the filesystem.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +17,17 @@ from . import analytics, biasing, config, device, engine, ferro
 from .biasing import SchemeKind, Topology
 from .config import RunConfig
 
+#: array sizes of the long bit-line sweep
 POWERS_OF_TWO = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
+
+#: array sizes of the read power sweep
+POWER_SIZES = (2, 4, 8, 16, 32)
+
+#: half-select pulses the accumulative disturb sweep applies
+DISTURB_PULSES = 10000
+
+#: gate-voltage points of the transfer sweep, 0 V to 3 V
+TRANSFER_POINTS = 121
 
 #: rows and columns of the word-write demo's array: all 256 words of 8 bits
 WORD_WRITE_SIZE = 8
@@ -34,42 +44,6 @@ class Table(NamedTuple):
     header: list[str]
     rows: list
     summary: dict | None
-
-
-# --------------------------------------------------------------------------
-# Nominal written states (shared by several campaigns)
-
-
-@dataclass(frozen=True)
-class NominalCell:
-    """Per-state threshold voltages and single-cell read currents after a
-    nominal write sequence (program, erase-from-programmed, half-disturbed)."""
-
-    vt_one: float
-    vt_zero: float
-    vt_zero_disturbed: float
-    i_one: float
-    i_zero: float
-    i_zero_disturbed: float
-
-
-def nominal_cell(cfg: RunConfig) -> NominalCell:
-    fe = config.make_ferro(cfg)
-    dev = config.make_device(cfg)
-    one = device.write_cell(dev, fe, ferro.negative_saturation(fe),
-                            cfg.v_w1, cfg.t_pulse)
-    zero = device.write_cell(dev, fe, one, cfg.v_w0, cfg.t_pulse)
-    zdist = device.write_cell(dev, fe, zero, cfg.v_w1 / 2.0, cfg.t_pulse)
-
-    def cur(st):
-        return device.read_current(dev, fe, st, cfg.v_wl, cfg.v_sl)
-
-    return NominalCell(
-        vt_one=device.cell_vt(dev, fe, one),
-        vt_zero=device.cell_vt(dev, fe, zero),
-        vt_zero_disturbed=device.cell_vt(dev, fe, zdist),
-        i_one=cur(one), i_zero=cur(zero), i_zero_disturbed=cur(zdist),
-    )
 
 
 def _make_array(cfg: RunConfig, rows: int, cols: int,
@@ -94,8 +68,7 @@ class BitlineRow(NamedTuple):
     window_ratio: float
 
 
-def long_bitline_sweep(cfg: RunConfig,
-                       sizes: tuple[int, ...] = POWERS_OF_TWO) -> Table:
+def long_bitline_sweep(cfg: RunConfig) -> Table:
     """Worst-case single-bit read current vs array size for both flavors.
 
     Worst case: every unselected cell conducts as hard as possible (stores
@@ -105,7 +78,7 @@ def long_bitline_sweep(cfg: RunConfig,
     vt_on, vt_off = dev.vt_low, dev.vt_high
     rows = []
     for topo in (Topology.AND, Topology.CAND):
-        for n in sizes:
+        for n in POWERS_OF_TWO:
             i1, leak1 = engine.column_readout_with_leak(
                 dev, topo, n, n, vt_on, vt_on, cfg.v_wl, cfg.v_sl)
             i0, leak0 = engine.column_readout_with_leak(
@@ -159,16 +132,15 @@ def _read_cell(cfg: RunConfig, array: engine.ArrayState, r: int, c: int) -> floa
     return engine.read_cells(array, r, [c], cfg.v_wl, cfg.v_sl).current(c)
 
 
-def disturb_matrix(cfg: RunConfig, rows: int | None = None,
-                   cols: int | None = None) -> Table:
-    """All (cell group) x (initial state) x (write op) single-shot cases.
+def disturb_matrix(cfg: RunConfig) -> Table:
+    """All (cell group) x (initial state) x (write op) single-shot cases on
+    a cfg.rows x cfg.cols array.
 
     For each case a copy of the uniformly initialized array gets one write
     at the center cell and the observed cell (at the group position
     relative to it) is read before and after.
     """
-    m = rows if rows is not None else cfg.rows
-    n = cols if cols is not None else cfg.cols
+    m, n = cfg.rows, cfg.cols
     if m < 2 or n < 2:
         raise ValueError("disturb matrix needs at least a 2x2 array")
     sel_r, sel_c = m // 2 - 1, n // 2 - 1
@@ -286,9 +258,9 @@ def word_write_demo(cfg: RunConfig, rows: int = WORD_WRITE_SIZE,
 # Monte Carlo variability
 
 
-def monte_carlo(cfg: RunConfig, samples: int | None = None,
-                seed: int | None = None) -> Table:
-    """Write-voltage and geometry variability on a 2x2 array.
+def monte_carlo(cfg: RunConfig) -> Table:
+    """Write-voltage and geometry variability on a 2x2 array, cfg.samples
+    trials drawn from cfg.seed.
 
     Per trial: one Gaussian draw each for the erase and program voltages
     and one shared draw applied to channel width and length.  The array is
@@ -298,8 +270,8 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
     ``misreads`` counts the reads whose comparison with ``cfg.i_ref``
     disagrees with the logic value written.
     """
-    n = samples if samples is not None else cfg.samples
-    rng = np.random.default_rng(seed if seed is not None else cfg.seed)
+    n = cfg.samples
+    rng = np.random.default_rng(cfg.seed)
     dv0 = rng.normal(0.0, cfg.sigma_v_w0, n)
     dv1 = rng.normal(0.0, cfg.sigma_v_w1, n)
     dwl = rng.normal(0.0, cfg.sigma_wl, n)
@@ -317,8 +289,8 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
     for t in range(n):
         v_w0 = cfg.v_w0 + dv0[t]
         v_w1 = cfg.v_w1 + dv1[t]
-        dev = config.make_device(cfg, width=cfg.width + dwl[t],
-                                 length=cfg.length + dwl[t])
+        dev = dataclasses.replace(dev_nom, w=cfg.width + dwl[t],
+                                  l=cfg.length + dwl[t])
         array = _make_array(cfg, 2, 2, dev=dev, fe=fe)
         _init_uniform(cfg, array, v_w0, v_w1)
         _write_rows(cfg, array, [0], [0], v_w1)
@@ -340,7 +312,7 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
 
     summary = {
         "samples": n,
-        "seed": seed if seed is not None else cfg.seed,
+        "seed": cfg.seed,
         "min_on_off_ratio": min(trial_ratios),
         "global_min_one": min(ones_all),
         "global_max_zero": max(zeros_all),
@@ -356,8 +328,7 @@ def monte_carlo(cfg: RunConfig, samples: int | None = None,
 # Read power vs array size
 
 
-def power_sweep(cfg: RunConfig,
-                sizes: tuple[int, ...] = (2, 4, 8, 16, 32)) -> Table:
+def power_sweep(cfg: RunConfig) -> Table:
     """Peak single-bit read power vs square array size.
 
     Peak means the strongest possible cell (fully programmed) conducts; the
@@ -373,8 +344,8 @@ def power_sweep(cfg: RunConfig,
     i_high = device.drain_current(dev, cfg.v_wl, cfg.v_sl, dev.vt_low)
     f_read = 1.0 / cfg.t_pulse
     rows = []
-    for n in sizes:
-        c_wl = n * (par.seg_capacitance(par.pitch_x, poly=True) + gate_cap)
+    for n in POWER_SIZES:
+        c_wl = n * (par.seg_capacitance(engine.PITCH_X, poly=True) + gate_cap)
         _, i_leak = engine.column_readout_with_leak(
             dev, config.topology_of(cfg), n, n, dev.vt_high, dev.vt_low,
             cfg.v_wl, cfg.v_sl)
@@ -398,25 +369,30 @@ def power_sweep(cfg: RunConfig,
 # Accumulative half-select disturb
 
 
-def accumulative_disturb_sweep(cfg: RunConfig,
-                               max_pulses: int = 10000) -> Table:
-    """Half-select pulses applied repeatedly to a written '0' cell."""
+def accumulative_disturb_sweep(cfg: RunConfig) -> Table:
+    """Half-select pulses applied repeatedly to a written '0' cell.
+
+    The pulse is the strongest program-polarity gate voltage an unselected
+    cell sees under the topology's program plan.
+    """
     fe = config.make_ferro(cfg)
     dev = config.make_device(cfg)
+    volts = biasing.write_voltages(biasing.write_bias(
+        config.topology_of(cfg), 2, 2, 0, [0], cfg.v_w1))
+    v_stress = max(volts[0][1], volts[1][0], volts[1][1])
     st = device.write_cell(dev, fe, ferro.negative_saturation(fe),
                            cfg.v_w1, cfg.t_pulse)
     st = device.write_cell(dev, fe, st, cfg.v_w0, cfg.t_pulse)
     vt0 = device.cell_vt(dev, fe, st)
 
-    checkpoints = sorted({int(round(10 ** (k / 8.0)))
-                          for k in range(0, int(8 * math.log10(max_pulses)) + 1)}
-                         | {1, max_pulses})
+    # eight checkpoints per decade of pulses
+    steps = int(8 * math.log10(DISTURB_PULSES))
+    checkpoints = sorted({int(round(10 ** (k / 8.0))) for k in range(steps + 1)}
+                         | {1, DISTURB_PULSES})
     rows = []
     pulses_done = 0
     for target in checkpoints:
-        if target > max_pulses:
-            break
-        st, _ = engine.accumulate_disturb(dev, fe, st, cfg.v_w1 / 2.0,
+        st, _ = engine.accumulate_disturb(dev, fe, st, v_stress,
                                           target - pulses_done, cfg.t_pulse)
         pulses_done = target
         vt = device.cell_vt(dev, fe, st)
@@ -438,12 +414,12 @@ def accumulative_disturb_sweep(cfg: RunConfig,
 # Device sweeps (for the CLI's device characterization command)
 
 
-def device_transfer_sweep(cfg: RunConfig, vgs_points: int = 121) -> Table:
+def device_transfer_sweep(cfg: RunConfig) -> Table:
     """Transfer curves for both stored states."""
     dev = config.make_device(cfg)
     rows = []
-    for k in range(vgs_points):
-        vgs = 3.0 * k / (vgs_points - 1)
+    for k in range(TRANSFER_POINTS):
+        vgs = 3.0 * k / (TRANSFER_POINTS - 1)
         rows.append((vgs,
                      device.drain_current(dev, vgs, cfg.v_sl, dev.vt_high),
                      device.drain_current(dev, vgs, cfg.v_sl, dev.vt_low)))
@@ -451,12 +427,12 @@ def device_transfer_sweep(cfg: RunConfig, vgs_points: int = 121) -> Table:
                  None)
 
 
-def hysteresis_sweep(cfg: RunConfig, nsteps: int = 400) -> Table:
+def hysteresis_sweep(cfg: RunConfig) -> Table:
     """Quasi-static polarization loop."""
     fe = config.make_ferro(cfg)
     amplitude = max(cfg.v_w1, 2.0 * cfg.vc_program)
     return Table(["v_volts", "p_c_per_m2"],
-                 ferro.trace_loop(fe, amplitude, nsteps), None)
+                 ferro.trace_loop(fe, amplitude), None)
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,9 @@ DESCENDING = -1
 # Guard for degenerate branch fits (reversal at an already-visited field).
 _DENOM_EPS = 1e-30
 
+#: relaxation times `settle` waits: E_eff reaches zero within float precision
+SETTLE_TAUS = 50.0
+
 
 @dataclass(frozen=True)
 class FerroParams:
@@ -37,9 +40,9 @@ class FerroParams:
         Remanent polarization, C/m^2.  Must satisfy 0 < pr < ps.
     ec : float
         Coercive field of the erase (descending) branch, V/m.
-    ec_program : float or None
-        Coercive field of the program (ascending) branch, V/m.  ``None``
-        selects a symmetric loop (ec_program = ec).
+    ec_program : float
+        Coercive field of the program (ascending) branch, V/m; equal to
+        `ec` for a symmetric loop.
     t_fe : float
         Layer thickness, m.
     tau_eff : float
@@ -48,39 +51,33 @@ class FerroParams:
         Device area, m^2 (used for charge bookkeeping by the gate stack).
     """
 
-    ps: float = 0.2
-    pr: float = 0.19
-    ec: float = 1.04e8
-    ec_program: float | None = None
-    t_fe: float = 10e-9
-    tau_eff: float = 1.0e-6
-    area: float = 2.5e-13
+    ps: float
+    pr: float
+    ec: float
+    ec_program: float
+    t_fe: float
+    tau_eff: float
+    area: float
 
     def __post_init__(self):
         if not (0.0 < self.pr < self.ps):
             raise ValueError("require 0 < pr < ps")
-        if self.ec <= 0.0 or self.t_fe <= 0.0 or self.tau_eff <= 0.0:
-            raise ValueError("ec, t_fe, tau_eff must be positive")
-        if self.ec_program is not None and self.ec_program <= 0.0:
-            raise ValueError("ec_program must be positive when given")
+        if min(self.ec, self.ec_program, self.t_fe, self.tau_eff) <= 0.0:
+            raise ValueError("ec, ec_program, t_fe, tau_eff must be positive")
 
 
-def delta_of(params: FerroParams, ec: float | None = None) -> float:
-    """Transition width of a branch, V/m.
+def delta_of(params: FerroParams, ec: float) -> float:
+    """Transition width of a branch with coercive field `ec`, V/m.
 
     Chosen so the branch passes through the remanent point exactly:
     tanh(ec / (2*delta)) == pr/ps.
     """
-    if ec is None:
-        ec = params.ec
     ratio = params.pr / params.ps
     return ec / math.log((1.0 + ratio) / (1.0 - ratio))
 
 
 def _branch_ec(params: FerroParams, direction: int) -> float:
-    if direction == ASCENDING and params.ec_program is not None:
-        return params.ec_program
-    return params.ec
+    return params.ec_program if direction == ASCENDING else params.ec
 
 
 def _branch_tanh(params: FerroParams, direction: int, e: float) -> float:
@@ -225,15 +222,10 @@ def apply_pulse(params: FerroParams, state: BranchState, v_fe: float,
                     advance_field(params, state.e_eff, e_ext, duration))
 
 
-def settle(params: FerroParams, state: BranchState,
-           duration: float | None = None) -> BranchState:
-    """Let the lagged field relax at zero applied voltage.
-
-    Default duration (50 tau) drives E_eff to zero within float precision.
-    """
-    if duration is None:
-        duration = 50.0 * params.tau_eff
-    return apply_pulse(params, state, 0.0, duration)
+def settle(params: FerroParams, state: BranchState) -> BranchState:
+    """Let the lagged field relax at zero applied voltage for SETTLE_TAUS
+    relaxation times."""
+    return apply_pulse(params, state, 0.0, SETTLE_TAUS * params.tau_eff)
 
 
 def trace_loop(params: FerroParams, v_amplitude: float, nsteps: int = 400):

@@ -12,6 +12,10 @@ import json
 import math
 import os
 
+#: size of every SVG chart, px
+SVG_WIDTH = 640
+SVG_HEIGHT = 440
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -79,10 +83,9 @@ def write_manifest(out_dir: str, command: str, config: dict,
 
 def svg_line_plot(path: str, series: dict[str, list[tuple[float, float]]],
                   title: str, x_label: str, y_label: str,
-                  log_x: bool = False, log_y: bool = False,
-                  width: int = 640, height: int = 440) -> str:
+                  log_x: bool = False, log_y: bool = False) -> str:
     """Write a self-contained SVG with one polyline per named series."""
-    margin = 60
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, 60
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
     def tx(v):

@@ -5,6 +5,7 @@ PASS/FAIL line per criterion (see conftest.py).  Tolerances and runtime
 budgets are part of the criteria and asserted explicitly.
 """
 
+import dataclasses
 import math
 import time
 
@@ -13,12 +14,14 @@ import pytest
 
 from fefetsim import analytics, biasing, device, engine, experiments, ferro
 from fefetsim.biasing import CellGroup, SchemeKind
-from fefetsim.config import load_config, make_device, make_ferro
+from fefetsim.config import (load_config, make_device, make_ferro,
+                             make_parasitics)
 from fefetsim.engine import ArrayState
 
 CFG, _ = load_config()
 FE = make_ferro(CFG)
 DEV = make_device(CFG)
+PAR = make_parasitics(CFG)
 
 
 def test_a01_hysteresis_identities_and_continuity():
@@ -54,7 +57,7 @@ def test_a02_field_update_matches_closed_form():
         e_ext = float(rng.uniform(-5e8, 5e8))
         dt = float(10.0 ** rng.uniform(-9, -3))
         tau = float(10.0 ** rng.uniform(-8, -4))
-        params = ferro.FerroParams(tau_eff=tau)
+        params = dataclasses.replace(FE, tau_eff=tau)
         expected = e_ext + (e0 - e_ext) * math.exp(-dt / tau)
         assert ferro.advance_field(params, e0, e_ext, dt) \
             == pytest.approx(expected, rel=1e-12)
@@ -88,7 +91,8 @@ def test_a03_write_scheme_audit_golden_cases():
 
 def test_a04_single_write_disturb_matrix_16x16():
     t0 = time.monotonic()
-    res = experiments.disturb_matrix(CFG, rows=16, cols=16)
+    res = experiments.disturb_matrix(
+        dataclasses.replace(CFG, rows=16, cols=16))
     assert len(res.rows) == 16
     # selected cell lands in the target band; every unselected cell keeps
     # its logic state through either write op
@@ -113,7 +117,7 @@ def test_a05_long_bitline_scaling_to_2048_rows():
 
 def test_a06_two_cycle_word_write_all_256_words():
     t0 = time.monotonic()
-    array = ArrayState(biasing.Topology.CAND, 8, 8, FE, DEV)
+    array = ArrayState(biasing.Topology.CAND, 8, 8, FE, DEV, PAR)
     for word in range(256):
         row = word % 8
         cycles = experiments.write_word(CFG, array, row, word)
@@ -146,7 +150,8 @@ def test_a07_sneak_resistance_formula_oracles():
 def test_a08_read_power_worst_case_and_flatness():
     t0 = time.monotonic()
     assert analytics.select_line_power_max(8, 400e-9, 1.0) == 3.2e-6
-    res = experiments.power_sweep(CFG, sizes=(2, 4, 8, 16, 32))
+    res = experiments.power_sweep(CFG)
+    assert [r[0] for r in res.rows] == [2, 4, 8, 16, 32]
     assert res.summary["flatness"] <= 1.2
     assert res.summary["max_leak_share"] < 0.1
     assert time.monotonic() - t0 < 60.0
@@ -158,17 +163,20 @@ def test_a09_cell_area_table():
     assert analytics.cell_area("cand") == pytest.approx(83.57, abs=0.005)
     assert analytics.cell_area("and", True) == pytest.approx(801.54, abs=0.005)
     assert analytics.cell_area("cand", True) == pytest.approx(415.2, abs=0.005)
-    assert analytics.area_ratio() == pytest.approx(2.92, abs=0.005)
-    assert analytics.area_ratio(True) == pytest.approx(1.93, abs=0.005)
+    # the improvement factors `fefetsim area` reports
+    summary = experiments.area_comparison().summary
+    assert summary["improvement_without_spacing"] == pytest.approx(2.92, abs=0.005)
+    assert summary["improvement_with_spacing"] == pytest.approx(1.93, abs=0.005)
     assert time.monotonic() - t0 < 1.0
 
 
 def test_a10_monte_carlo_variability_1000_samples():
     t0 = time.monotonic()
-    res = experiments.monte_carlo(CFG, samples=1000)
+    cfg = dataclasses.replace(CFG, samples=1000)
+    res = experiments.monte_carlo(cfg)
     assert res.summary["samples"] == 1000
     assert not res.summary["band_overlap"]
     assert res.summary["min_on_off_ratio"] >= 10.0
-    rerun = experiments.monte_carlo(CFG, samples=1000)
+    rerun = experiments.monte_carlo(cfg)
     assert rerun.rows == res.rows       # bit-identical per seed
     assert time.monotonic() - t0 < 300.0

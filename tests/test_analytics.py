@@ -102,16 +102,5 @@ def test_cell_areas_match_layout_numbers():
         == pytest.approx(801.54, abs=0.01)
     assert analytics.cell_area("cand", with_spacing=True) \
         == pytest.approx(415.2, abs=0.01)
-
-
-def test_area_ratio_values():
-    assert analytics.area_ratio() == pytest.approx(2.92, abs=0.01)
-    assert analytics.area_ratio(with_spacing=True) == pytest.approx(1.93, abs=0.01)
-
-
-def test_array_area_scales_linearly():
-    a1 = analytics.array_area("cand", 16, 16)
-    a4 = analytics.array_area("cand", 32, 32)
-    assert a4 == pytest.approx(4 * a1)
     with pytest.raises(ValueError):
         analytics.cell_area("nor")

@@ -213,7 +213,7 @@ def test_scheme_report_covers_all_unselected_groups():
 
 
 def test_scheme_margin_is_threshold_minus_exposure():
-    report = verify_scheme(-1.5, 3.2, thresholds=(1.5, 3.2))
+    report = verify_scheme(-1.5, 3.2)
     for f in report.findings:
         thr = 3.2 if f.v_gb > 0 else 1.5
         assert f.margin == pytest.approx(thr - abs(f.v_gb))
@@ -224,8 +224,6 @@ def test_scheme_argument_validation():
         verify_scheme(1.5, 3.2)
     with pytest.raises(ValueError):
         verify_scheme(-1.5, -3.2)
-    with pytest.raises(ValueError):
-        verify_scheme(-1.5, 3.2, thresholds=(0.0, 1.0))
 
 
 @given(v_w0=st.floats(-5.0, -0.1), v_w1=st.floats(0.1, 5.0))

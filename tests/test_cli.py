@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -165,6 +166,35 @@ def test_bad_config_value_exit_code(tmp_path, capsys):
     status = _run(tmp_path, "area", "--config", str(cfgfile))
     assert status == cli.EXIT_BAD_VALUE
     assert "topology" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gate_mode", "dividr"), ("swing", 0), ("vc_program", -1), ("g_min", -1),
+    ("vt_mid", math.nan), ("lam", math.inf),
+])
+def test_rejected_model_value_exits_five(tmp_path, capsys, field, value):
+    # each value is refused by the parameter class that holds it, or as a
+    # non-finite number, before anything runs
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"schema_version": 1, field: value}))
+    status = _run(tmp_path, "mc", "--samples", "2", "--config", str(cfgfile))
+    assert status == cli.EXIT_BAD_VALUE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not (tmp_path / "mc").exists()
+
+
+def test_disturb_accumulate_follows_the_topology(tmp_path):
+    csvs = {}
+    for topology in ("cand", "and"):
+        out = tmp_path / topology
+        assert _run(out, "run", "disturb-accumulate",
+                    "--topology", topology) == cli.EXIT_OK
+        folder = out / "disturb-accumulate"
+        csvs[topology] = (folder / "disturb_accumulate.csv").read_bytes()
+        manifest = json.loads((folder / "manifest.json").read_text())
+        assert manifest["config"]["topology"] == topology
+    assert csvs["and"] != csvs["cand"]
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -12,6 +14,9 @@ from fefetsim.config import (
     ValueRangeError,
     load_config,
 )
+from fefetsim.device import FeFetParams
+from fefetsim.engine import Parasitics
+from fefetsim.ferro import FerroParams
 
 
 def _write(tmp_path, payload):
@@ -91,6 +96,10 @@ def test_missing_file_raises_file_not_found(tmp_path):
     {"v_w0": 0.0},        # erase must be negative
     {"v_w0": 0.5},
     {"v_w1": -1.0},       # program must be positive
+    {"vt_mid": math.nan},  # json reads NaN and Infinity
+    {"lam": math.inf},
+    {"r_metal": -math.inf},
+    {"i_ref": 10 ** 400},  # too large for a float
 ])
 def test_value_range_validation(overrides):
     with pytest.raises(ValueRangeError):
@@ -132,8 +141,14 @@ def test_builders_carry_config_values():
     assert fe.area == pytest.approx(1e-6 * cfg.length)
     dev = config.make_device(cfg)
     assert dev.w == 1e-6
-    dev2 = config.make_device(cfg, width=2e-6, length=3e-6)
-    assert (dev2.w, dev2.l) == (2e-6, 3e-6)
     par = config.make_parasitics(cfg)
     assert par.lam == cfg.lam
     assert config.topology_of(cfg) is Topology.CAND
+
+
+@pytest.mark.parametrize("cls", [FerroParams, FeFetParams, Parasitics])
+def test_parameter_classes_hold_no_defaults(cls):
+    # RunConfig is the one place a model value has a default
+    assert all(f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING
+               for f in dataclasses.fields(cls))

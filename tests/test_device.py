@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fefetsim import device, ferro
-from fefetsim.device import FeFetParams
-from fefetsim.ferro import FerroParams
+from fefetsim.config import RunConfig, make_device, make_ferro
 
-DEV = FeFetParams()
-FE = FerroParams(ec_program=2.5e8)
+DEV = make_device(RunConfig())
+FE = make_ferro(RunConfig())
+DIVIDER = dataclasses.replace(DEV, gate_mode=device.GATE_DIVIDER)
 T_PULSE = 10e-6
 
 
@@ -158,15 +159,14 @@ def test_determinism():
 
 
 def test_divider_gate_mode_balances_charge():
-    dev = FeFetParams(gate_mode=device.GATE_DIVIDER)
     state = ferro.negative_saturation(FE)
-    v_fe = device.gate_drive(dev, FE, state, 2.0)
+    v_fe = device.gate_drive(DIVIDER, FE, state, 2.0)
     # the interlayer takes up the remainder of the applied voltage and its
     # charge must equal the total gate-stack charge on the ferroelectric
     e = v_fe / FE.t_fe
     p = ferro.branch_polarization(FE, state, e)
     q_fe = FE.area * (p + 30.0 * device.EPS0 * e)
-    q_il = dev.c_il * FE.area * (2.0 - v_fe)
+    q_il = DIVIDER.c_il * FE.area * (2.0 - v_fe)
     assert q_il == pytest.approx(q_fe, abs=1e-15 * max(1.0, abs(q_fe) * 1e15))
 
 
@@ -175,20 +175,18 @@ def test_divider_passes_less_than_direct():
     # divider and the ferroelectric sees only part of the applied voltage.
     # (at full polarization the remanent charge can push v_fe past the
     # applied voltage, which the charge-balance test above covers.)
-    dev = FeFetParams(gate_mode=device.GATE_DIVIDER)
-    weak = FerroParams(ps=0.002, pr=0.0019, ec_program=2.5e8)
+    weak = dataclasses.replace(FE, ps=0.002, pr=0.0019)
     state = ferro.negative_saturation(weak)
-    v_fe = device.gate_drive(dev, weak, state, 2.0)
+    v_fe = device.gate_drive(DIVIDER, weak, state, 2.0)
     assert 0.0 < v_fe < 2.0
 
 
 def test_divider_that_does_not_converge_raises():
-    dev = FeFetParams(gate_mode=device.GATE_DIVIDER)
     state = ferro.negative_saturation(FE)
     with pytest.raises(RuntimeError):
-        device.gate_drive(dev, FE, state, 2.0, max_iter=0)
+        device.gate_drive(DIVIDER, FE, state, 2.0, max_iter=0)
 
 
 def test_gate_mode_validation():
     with pytest.raises(ValueError):
-        FeFetParams(gate_mode="nonsense")
+        dataclasses.replace(DEV, gate_mode="nonsense")

@@ -1,32 +1,35 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fefetsim import biasing, device, engine, ferro
 from fefetsim.biasing import Topology
-from fefetsim.device import GATE_DIRECT, GATE_DIVIDER, FeFetParams
-from fefetsim.engine import ArrayState, Parasitics
-from fefetsim.ferro import FerroParams
+from fefetsim.config import (RunConfig, make_device, make_ferro,
+                             make_parasitics)
+from fefetsim.device import GATE_DIRECT, GATE_DIVIDER
+from fefetsim.engine import ArrayState
 
-FE = FerroParams(ec_program=2.5e8)
-DEV = FeFetParams()
+FE = make_ferro(RunConfig())
+DEV = make_device(RunConfig())
+PAR = make_parasitics(RunConfig())
 T_PULSE = 10e-6
 V_READ = 1.0
 
 
 def _array(topology, rows, cols, bits=None):
-    arr = ArrayState(topology, rows, cols, FE, DEV)
+    arr = ArrayState(topology, rows, cols, FE, DEV, PAR)
     if bits is not None:
         arr.set_pattern(bits)
     return arr
 
 
 def test_parasitic_segment_values():
-    par = Parasitics()
     # a 9-lambda metal segment at lambda = 50 nm is 0.45 um of wire
-    assert par.seg_resistance(9.0) == pytest.approx(0.45 * 9.45)
-    assert par.seg_capacitance(9.0) == pytest.approx(0.45 * 0.22e-15)
-    assert par.seg_resistance(9.0, poly=True) == pytest.approx(0.45 * 2000.0)
+    assert PAR.seg_resistance(9.0) == pytest.approx(0.45 * 9.45)
+    assert PAR.seg_capacitance(9.0) == pytest.approx(0.45 * 0.22e-15)
+    assert PAR.seg_resistance(9.0, poly=True) == pytest.approx(0.45 * 2000.0)
 
 
 def test_solve_read_meets_residual_everywhere():
@@ -245,8 +248,8 @@ def _write_runs(draw):
 @settings(max_examples=150, deadline=None)
 def test_interned_writes_match_per_cell_oracle(run, gate_mode):
     topology, rows, cols, bits, plans = run
-    dev = FeFetParams(gate_mode=gate_mode)
-    arr = ArrayState(topology, rows, cols, FE, dev)
+    dev = dataclasses.replace(DEV, gate_mode=gate_mode)
+    arr = ArrayState(topology, rows, cols, FE, dev, PAR)
     arr.set_pattern(bits)
     ref = [[ferro.make_state(FE, bool(b)) for b in row] for row in bits]
     for plan, duration in plans:
@@ -305,14 +308,14 @@ def _oracle_read(arr, plan):
     n = 2 * rows * cols
     sl = lambda r, c: r * cols + c
     bl = lambda r, c: rows * cols + r * cols + c
-    r_col = par.seg_resistance(par.pitch_y)
+    r_col = par.seg_resistance(engine.PITCH_Y)
     lines = {}   # line name -> (nodes from the driven end, segment resistance)
     for c in range(cols):
         lines[f"BL{c}"] = ([bl(r, c) for r in range(rows)], r_col)
     if arr.topology is Topology.CAND:
         for r in range(rows):
             lines[f"SL{r}"] = ([sl(r, c) for c in range(cols)],
-                               par.seg_resistance(par.pitch_x))
+                               par.seg_resistance(engine.PITCH_X))
     else:
         for c in range(cols):
             lines[f"SL{c}"] = ([sl(r, c) for r in range(rows)], r_col)
@@ -353,8 +356,8 @@ def _oracle_read(arr, plan):
 #: '1' cells at vt 0 V and '0' cells at 200 V with no ohmic floor: a '0'
 #: cell conducts nothing at all, so a floating line of them is held to
 #: ground by its tie alone
-OPEN_ZERO_DEV = FeFetParams(g_min=0.0, vt_mid=100.0,
-                            mem_window=200.0 * FE.ps / FE.pr)
+OPEN_ZERO_DEV = dataclasses.replace(DEV, g_min=0.0, vt_mid=100.0,
+                                    mem_window=200.0 * FE.ps / FE.pr)
 
 
 @st.composite
@@ -375,7 +378,7 @@ def _reads(draw):
 @example((Topology.AND, [[1, 0], [0, 0]], 0, {0}), OPEN_ZERO_DEV)
 def test_read_currents_match_dense_network_oracle(read, dev):
     topology, bits, row, sel = read
-    arr = ArrayState(topology, len(bits), len(bits[0]), FE, dev)
+    arr = ArrayState(topology, len(bits), len(bits[0]), FE, dev, PAR)
     arr.set_pattern(bits)
     got = engine.read_cells(arr, row, sel, V_READ, V_READ).col_currents
     want = _oracle_read(arr, biasing.read_bias(
@@ -387,7 +390,7 @@ def test_read_currents_match_dense_network_oracle(read, dev):
 
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_read_with_a_singular_jacobian_raises(monkeypatch):
-    arr = ArrayState(Topology.CAND, 2, 2, FE, OPEN_ZERO_DEV)
+    arr = ArrayState(Topology.CAND, 2, 2, FE, OPEN_ZERO_DEV, PAR)
     arr.set_pattern([[1, 0], [0, 0]])
     # a read of this shape first, so the cached layout is warm: the tie
     # conductance must still be read at call time
@@ -455,7 +458,7 @@ def test_a_new_shape_drops_the_old_layout_before_building(monkeypatch):
 
 
 def test_cached_layout_is_read_only():
-    lay = engine._layout(Topology.CAND, 3, 4, Parasitics())
+    lay = engine._layout(Topology.CAND, 3, 4, PAR)
     arrays = [x for x in lay if isinstance(x, np.ndarray)]
     assert arrays and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):

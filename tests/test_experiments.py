@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fefetsim import biasing, device, experiments, ferro
+from fefetsim import biasing, device, engine, experiments, ferro
 from fefetsim.biasing import Topology
 from fefetsim.config import load_config
 from fefetsim.engine import ArrayState
@@ -13,14 +13,24 @@ CFG, _ = load_config()
 
 
 def test_nominal_cell_bands():
-    cell = experiments.nominal_cell(CFG)
-    assert cell.vt_one < cell.vt_zero_disturbed < cell.vt_zero
-    assert cell.i_one / cell.i_zero_disturbed > 100
-    assert cell.i_zero_disturbed > cell.i_zero
+    # program, erase from programmed, then one half-select pulse
+    fe, dev = cfgmod.make_ferro(CFG), cfgmod.make_device(CFG)
+    one = device.write_cell(dev, fe, ferro.negative_saturation(fe),
+                            CFG.v_w1, CFG.t_pulse)
+    zero = device.write_cell(dev, fe, one, CFG.v_w0, CFG.t_pulse)
+    zdist = device.write_cell(dev, fe, zero, CFG.v_w1 / 2.0, CFG.t_pulse)
+    vt_one, vt_zero, vt_zdist = (device.cell_vt(dev, fe, st)
+                                 for st in (one, zero, zdist))
+    i_one, i_zero, i_zdist = (device.read_current(dev, fe, st, CFG.v_wl,
+                                                  CFG.v_sl)
+                              for st in (one, zero, zdist))
+    assert vt_one < vt_zdist < vt_zero
+    assert i_one / i_zdist > 100
+    assert i_zdist > i_zero
 
 
 def test_bitline_sweep_monotone_and_ordered():
-    res = experiments.long_bitline_sweep(CFG, sizes=(2, 8, 32, 128, 512, 2048))
+    res = experiments.long_bitline_sweep(CFG)
     by_topo = {}
     for r in res.rows:
         by_topo.setdefault(r.topology, []).append(r)
@@ -38,7 +48,7 @@ def test_bitline_sweep_monotone_and_ordered():
 
 
 def test_disturb_matrix_preserves_logic():
-    res = experiments.disturb_matrix(CFG, rows=8, cols=8)
+    res = experiments.disturb_matrix(dataclasses.replace(CFG, rows=8, cols=8))
     assert len(res.rows) == 16
     assert res.summary["all_logic_preserved"]
     assert res.summary["band_separation"] > 1e2
@@ -78,7 +88,7 @@ def test_state_one_array_copied_from_state_zero_matches_a_fresh_one(topology):
 def test_write_word_always_two_cycles():
     for word in (0x00, 0xFF, 0x5A):
         array = ArrayState(Topology.CAND, 4, 8, cfgmod.make_ferro(CFG),
-                           cfgmod.make_device(CFG))
+                           cfgmod.make_device(CFG), cfgmod.make_parasitics(CFG))
         cycles = experiments.write_word(CFG, array, 1, word)
         assert cycles == 2
         readback, _ = experiments.read_word(CFG, array, 1)
@@ -93,26 +103,27 @@ def test_word_write_demo_small_subset():
 
 
 def test_monte_carlo_reruns_bit_identical():
-    a = experiments.monte_carlo(CFG, samples=20, seed=1234)
-    b = experiments.monte_carlo(CFG, samples=20, seed=1234)
+    cfg = dataclasses.replace(CFG, samples=20, seed=1234)
+    a = experiments.monte_carlo(cfg)
+    b = experiments.monte_carlo(cfg)
     assert a.rows == b.rows
     assert a.summary == b.summary
-    c = experiments.monte_carlo(CFG, samples=20, seed=99)
+    c = experiments.monte_carlo(dataclasses.replace(cfg, seed=99))
     assert c.rows != a.rows
 
 
 def test_monte_carlo_bands_do_not_overlap():
-    res = experiments.monte_carlo(CFG, samples=50)
+    res = experiments.monte_carlo(dataclasses.replace(CFG, samples=50))
     assert not res.summary["band_overlap"]
     assert res.summary["min_on_off_ratio"] > 10
     assert len(res.rows) == 50 * 4
 
 
 def test_monte_carlo_counts_reads_against_i_ref():
-    assert experiments.monte_carlo(CFG, samples=5).summary["misreads"] == 0
+    cfg = dataclasses.replace(CFG, samples=5)
+    assert experiments.monte_carlo(cfg).summary["misreads"] == 0
     # in the AND array the 511-cell leak lifts every '0' above i_ref
-    res = experiments.monte_carlo(dataclasses.replace(CFG, topology="and"),
-                                  samples=5)
+    res = experiments.monte_carlo(dataclasses.replace(cfg, topology="and"))
     assert res.summary["misreads"] > 0
 
 
@@ -124,33 +135,50 @@ def test_power_sweep_flat_and_leak_dominated_by_cells():
 
 
 def test_power_sweep_leak_share_follows_topology():
-    shares = {t: experiments.power_sweep(dataclasses.replace(CFG, topology=t),
-                                         sizes=(4, 32)).summary["max_leak_share"]
-              for t in ("and", "cand")}
+    shares = {t: experiments.power_sweep(dataclasses.replace(
+        CFG, topology=t)).summary["max_leak_share"] for t in ("and", "cand")}
     assert shares["and"] > 100 * shares["cand"]
 
 
 def test_accumulative_disturb_monotone():
-    res = experiments.accumulative_disturb_sweep(CFG, max_pulses=100)
-    assert res.rows[0][0] == 1 and res.rows[-1][0] == 100
+    res = experiments.accumulative_disturb_sweep(CFG)
+    assert res.rows[0][0] == 1
+    assert res.rows[-1][0] == experiments.DISTURB_PULSES
     assert res.summary["monotone_drift"]
+
+
+def test_accumulative_disturb_stress_follows_topology():
+    # C-AND half-selects at exactly v_w1 / 2; the AND array's thirds
+    # program plan exposes an unselected cell to about v_w1 / 3
+    cand = experiments.accumulative_disturb_sweep(CFG)
+    fe, dev = cfgmod.make_ferro(CFG), cfgmod.make_device(CFG)
+    st = device.write_cell(dev, fe, ferro.negative_saturation(fe),
+                           CFG.v_w1, CFG.t_pulse)
+    st = device.write_cell(dev, fe, st, CFG.v_w0, CFG.t_pulse)
+    st, _ = engine.accumulate_disturb(dev, fe, st, CFG.v_w1 / 2.0,
+                                      experiments.DISTURB_PULSES, CFG.t_pulse)
+    assert cand.summary["final_vt"] == device.cell_vt(dev, fe, st)
+    and_ = experiments.accumulative_disturb_sweep(
+        dataclasses.replace(CFG, topology="and"))
+    assert and_.rows != cand.rows
+    assert 0.0 < and_.summary["final_delta_vt"] < cand.summary["final_delta_vt"]
 
 
 _TABLES = {
     "bitline": (lambda: experiments.long_bitline_sweep(CFG),
                 experiments.BitlineRow),
-    "disturb": (lambda: experiments.disturb_matrix(CFG, rows=4, cols=4),
+    "disturb": (lambda: experiments.disturb_matrix(
+        dataclasses.replace(CFG, rows=4, cols=4)),
                 experiments.DisturbEntry),
     "word_write": (lambda: experiments.word_write_demo(CFG, rows=2, cols=2),
                    experiments.WordWriteEntry),
-    "mc": (lambda: experiments.monte_carlo(CFG, samples=3), None),
-    "power": (lambda: experiments.power_sweep(CFG, sizes=(2, 4)), None),
+    "mc": (lambda: experiments.monte_carlo(
+        dataclasses.replace(CFG, samples=3)), None),
+    "power": (lambda: experiments.power_sweep(CFG), None),
     "disturb_accumulate": (
-        lambda: experiments.accumulative_disturb_sweep(CFG, max_pulses=10),
-        None),
-    "transfer": (lambda: experiments.device_transfer_sweep(CFG, vgs_points=5),
-                 None),
-    "hysteresis": (lambda: experiments.hysteresis_sweep(CFG, nsteps=20), None),
+        lambda: experiments.accumulative_disturb_sweep(CFG), None),
+    "transfer": (lambda: experiments.device_transfer_sweep(CFG), None),
+    "hysteresis": (lambda: experiments.hysteresis_sweep(CFG), None),
     "findings": (lambda: experiments.scheme_audit(
         CFG, biasing.SchemeKind.MIXED), None),
     "area": (experiments.area_comparison, None),
@@ -171,7 +199,7 @@ def test_every_table_is_well_formed(name):
 
 
 def test_device_transfer_sweep_window():
-    sweep = experiments.device_transfer_sweep(CFG, vgs_points=31)
+    sweep = experiments.device_transfer_sweep(CFG)
     header, rows = sweep.header, sweep.rows
     assert header == ["vgs_volts", "ids_amps_state0", "ids_amps_state1"]
     arr = np.array(rows)
@@ -180,7 +208,7 @@ def test_device_transfer_sweep_window():
 
 
 def test_hysteresis_sweep_is_a_closed_loop():
-    loop = experiments.hysteresis_sweep(CFG, nsteps=200)
+    loop = experiments.hysteresis_sweep(CFG)
     header, pts = loop.header, loop.rows
     assert header == ["v_volts", "p_c_per_m2"]
     v = np.array([p[0] for p in pts])

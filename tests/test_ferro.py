@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,15 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fefetsim import ferro
-from fefetsim.ferro import FerroParams
+from fefetsim.config import RunConfig, make_ferro
 
 
-PARAMS = FerroParams(ec_program=2.5e8)
+PARAMS = make_ferro(RunConfig())
 
 
 def test_delta_matches_remanence_construction():
     # delta is defined so the descending branch passes through (0, +Pr)
-    d = ferro.delta_of(PARAMS)
+    d = ferro.delta_of(PARAMS, PARAMS.ec)
     p0 = PARAMS.ps * math.tanh(PARAMS.ec / (2.0 * d))
     assert p0 == pytest.approx(PARAMS.pr, rel=1e-12)
 
@@ -89,7 +90,7 @@ def test_polarization_bounded(drive):
                 max_size=30))
 @settings(max_examples=150, deadline=None)
 def test_subloops_contained_in_major_loop_symmetric(drive):
-    params = FerroParams()   # symmetric coercive fields
+    params = dataclasses.replace(PARAMS, ec_program=PARAMS.ec)  # symmetric
     state = ferro.negative_saturation(params)
     for v in drive:
         e = v / params.t_fe
@@ -120,7 +121,7 @@ def test_subloops_within_outer_hull_asymmetric(drive):
        st.floats(min_value=1e-8, max_value=1e-4))
 @settings(max_examples=200, deadline=None)
 def test_advance_field_is_exact_exponential(e0_v, ev, dt, tau):
-    params = FerroParams(tau_eff=tau)
+    params = dataclasses.replace(PARAMS, tau_eff=tau)
     e0, e_ext = e0_v / params.t_fe, ev / params.t_fe
     got = ferro.advance_field(params, e0, e_ext, dt)
     want = e_ext + (e0 - e_ext) * math.exp(-dt / tau)
@@ -130,7 +131,7 @@ def test_advance_field_is_exact_exponential(e0_v, ev, dt, tau):
 def test_advance_field_against_ode_oracle():
     from scipy.integrate import solve_ivp
 
-    params = FerroParams()
+    params = PARAMS
     e0, e_ext, dt = 2.5e8, -0.7e8, 3.7e-7
     sol = solve_ivp(lambda t, y: (e_ext - y) / params.tau_eff, (0.0, dt),
                     [e0], rtol=1e-12, atol=1e-2)
@@ -158,10 +159,9 @@ def test_erase_pulse_from_positive_saturation():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        FerroParams(pr=0.25, ps=0.2)
-    with pytest.raises(ValueError):
-        FerroParams(ec=-1.0)
+    for bad in ({"pr": 0.25}, {"ec": -1.0}, {"ec_program": -1.0}):
+        with pytest.raises(ValueError):
+            dataclasses.replace(PARAMS, **bad)
 
 
 def test_transitions_leave_their_input_state_as_it_was():
