@@ -162,11 +162,11 @@ def load_config(path: str | None = None,
                               f"got v_w0={cfg.v_w0}, v_w1={cfg.v_w1}")
     if cfg.t_pulse <= 0.0:
         raise ValueRangeError("t_pulse must be positive")
-    for build in (make_ferro, make_device, make_parasitics):
+    for label, build in _BUILDERS:
         try:
             build(cfg)
         except ValueError as exc:
-            raise ValueRangeError(str(exc)) from exc
+            raise ValueRangeError(f"{label}: {exc}") from exc
     return cfg, provenance
 
 
@@ -181,6 +181,9 @@ def config_dict(cfg: RunConfig) -> dict:
 
 
 def make_ferro(cfg: RunConfig) -> FerroParams:
+    # the coercive fields divide by t_fe, so it is checked before them
+    if cfg.t_fe <= 0.0:
+        raise ValueError("t_fe must be positive")
     return FerroParams(
         ps=cfg.ps, pr=cfg.pr,
         ec=cfg.vc / cfg.t_fe,
@@ -203,6 +206,11 @@ def make_device(cfg: RunConfig) -> FeFetParams:
 def make_parasitics(cfg: RunConfig) -> Parasitics:
     return Parasitics(r_metal=cfg.r_metal, c_metal=cfg.c_metal,
                       r_poly=cfg.r_poly, c_poly=cfg.c_poly, lam=cfg.lam)
+
+
+_BUILDERS = (("ferroelectric parameters", make_ferro),
+             ("device parameters", make_device),
+             ("interconnect parameters", make_parasitics))
 
 
 def topology_of(cfg: RunConfig) -> Topology:

@@ -63,7 +63,8 @@ class FerroParams:
         if not (0.0 < self.pr < self.ps):
             raise ValueError("require 0 < pr < ps")
         if min(self.ec, self.ec_program, self.t_fe, self.tau_eff) <= 0.0:
-            raise ValueError("ec, ec_program, t_fe, tau_eff must be positive")
+            raise ValueError("coercive fields ec, ec_program (coercive voltage"
+                             " / t_fe), t_fe and tau_eff must be positive")
 
 
 def delta_of(params: FerroParams, ec: float) -> float:

@@ -170,7 +170,7 @@ def test_bad_config_value_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("gate_mode", "dividr"), ("swing", 0), ("vc_program", -1), ("g_min", -1),
-    ("vt_mid", math.nan), ("lam", math.inf),
+    ("t_fe", 0), ("vt_mid", math.nan), ("lam", math.inf),
 ])
 def test_rejected_model_value_exits_five(tmp_path, capsys, field, value):
     # each value is refused by the parameter class that holds it, or as a
@@ -182,19 +182,6 @@ def test_rejected_model_value_exits_five(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert not (tmp_path / "mc").exists()
-
-
-def test_disturb_accumulate_follows_the_topology(tmp_path):
-    csvs = {}
-    for topology in ("cand", "and"):
-        out = tmp_path / topology
-        assert _run(out, "run", "disturb-accumulate",
-                    "--topology", topology) == cli.EXIT_OK
-        folder = out / "disturb-accumulate"
-        csvs[topology] = (folder / "disturb_accumulate.csv").read_bytes()
-        manifest = json.loads((folder / "manifest.json").read_text())
-        assert manifest["config"]["topology"] == topology
-    assert csvs["and"] != csvs["cand"]
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
@@ -209,6 +196,7 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     (("run", "word-write", "--word", "0x0F", "--rows", "4", "--cols", "4"),
      "word-write", cli.EXIT_OK),
     (("mc", "--samples", "5"), "mc", cli.EXIT_CHECK_FAILED),
+    (("run", "disturb-accumulate"), "disturb-accumulate", cli.EXIT_OK),
 ])
 def test_commands_simulate_and_record_the_and_topology(tmp_path, argv,
                                                        command, status):

@@ -100,6 +100,7 @@ def test_missing_file_raises_file_not_found(tmp_path):
     {"lam": math.inf},
     {"r_metal": -math.inf},
     {"i_ref": 10 ** 400},  # too large for a float
+    {"t_fe": 0.0},        # the coercive fields divide by it
 ])
 def test_value_range_validation(overrides):
     with pytest.raises(ValueRangeError):
