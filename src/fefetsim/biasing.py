@@ -10,13 +10,14 @@ Two array flavors are supported:
   Writes use thirds for '0' and halves (V/2) for '1'; the halves scheme
   puts exactly 0 V on the diagonal (unselected row and column) cells.
 
-A bias plan assigns every line either a voltage or ``HIGH_Z`` (floating).
+A bias plan assigns every line either a voltage or ``HIGH_Z`` (floating),
+one tuple per line family, indexed by row or column.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Topology(enum.Enum):
@@ -34,23 +35,28 @@ class CellGroup(enum.Enum):
 HIGH_Z = None  # line assignment sentinel: floating / high impedance
 
 
-@dataclass
+@dataclass(frozen=True)
 class BiasPlan:
-    """Voltage assignment for every line of an array, one operation."""
+    """Voltage of every line of an array for one operation: `wl` per row,
+    `sl` per row (CAND) or per column (AND), `bl` per column and `bul` per
+    column (CAND; empty in AND).  A floating line holds ``HIGH_Z``."""
 
     topology: Topology
-    rows: int
-    cols: int
     op: str
     sel_row: int
     sel_cols: tuple[int, ...]
-    lines: dict[str, float | None] = field(default_factory=dict)
+    wl: tuple[float, ...]
+    sl: tuple[float | None, ...]
+    bl: tuple[float | None, ...]
+    bul: tuple[float, ...]
 
-    def driven(self, name: str) -> float:
-        val = self.lines[name]
-        if val is None:
-            raise ValueError(f"line {name} is HighZ but a driven value is required")
-        return val
+    @property
+    def rows(self) -> int:
+        return len(self.wl)
+
+    @property
+    def cols(self) -> int:
+        return len(self.bl)
 
 
 def _check_selection(rows: int, cols: int, sel_row: int, sel_cols) -> tuple[int, ...]:
@@ -75,18 +81,18 @@ def _inhibit_levels(style: str, v_w: float) -> tuple[float, float, float, float]
     raise ValueError(style)
 
 
+def _lines(n: int, sel, on, off) -> tuple:
+    """Voltages of n lines: `on` for the lines in `sel`, `off` elsewhere."""
+    return tuple(on if k in sel else off for k in range(n))
+
+
 def _cand_write(rows: int, cols: int, sel_row: int, sel_cols, op: str,
                 style: str, v_w: float) -> BiasPlan:
     sel = _check_selection(rows, cols, sel_row, sel_cols)
     wl_s, wl_u, col_s, col_u = _inhibit_levels(style, v_w)
-    lines: dict[str, float | None] = {}
-    for r in range(rows):
-        lines[f"WL{r}"] = wl_s if r == sel_row else wl_u
-        lines[f"SL{r}"] = 0.0
-    for c in range(cols):
-        lines[f"BuL{c}"] = col_s if c in sel else col_u
-        lines[f"BL{c}"] = 0.0
-    return BiasPlan(Topology.CAND, rows, cols, op, sel_row, sel, lines)
+    return BiasPlan(Topology.CAND, op, sel_row, sel,
+                    wl=_lines(rows, (sel_row,), wl_s, wl_u), sl=(0.0,) * rows,
+                    bl=(0.0,) * cols, bul=_lines(cols, sel, col_s, col_u))
 
 
 def cand_write0_bias(rows: int, cols: int, sel_row: int, sel_cols,
@@ -106,14 +112,10 @@ def cand_read_bias(rows: int, cols: int, sel_row: int, sel_cols,
     """Read selected cells: row source line driven, column bit lines sensed
     at virtual ground, everything unselected floating or off."""
     sel = _check_selection(rows, cols, sel_row, sel_cols)
-    lines: dict[str, float | None] = {}
-    for r in range(rows):
-        lines[f"WL{r}"] = v_wl if r == sel_row else 0.0
-        lines[f"SL{r}"] = v_sl if r == sel_row else HIGH_Z
-    for c in range(cols):
-        lines[f"BuL{c}"] = 0.0
-        lines[f"BL{c}"] = 0.0 if c in sel else HIGH_Z
-    return BiasPlan(Topology.CAND, rows, cols, "read", sel_row, sel, lines)
+    return BiasPlan(Topology.CAND, "read", sel_row, sel,
+                    wl=_lines(rows, (sel_row,), v_wl, 0.0),
+                    sl=_lines(rows, (sel_row,), v_sl, HIGH_Z),
+                    bl=_lines(cols, sel, 0.0, HIGH_Z), bul=(0.0,) * cols)
 
 
 def and_write_bias(rows: int, cols: int, sel_row: int, sel_cols,
@@ -122,27 +124,19 @@ def and_write_bias(rows: int, cols: int, sel_row: int, sel_cols,
     sel = _check_selection(rows, cols, sel_row, sel_cols)
     op = "write1" if v_w >= 0.0 else "write0"
     wl_s, wl_u, col_s, col_u = _inhibit_levels("vdd3", v_w)
-    lines: dict[str, float | None] = {}
-    for r in range(rows):
-        lines[f"WL{r}"] = wl_s if r == sel_row else wl_u
-    for c in range(cols):
-        col_v = col_s if c in sel else col_u
-        lines[f"BL{c}"] = col_v
-        lines[f"SL{c}"] = col_v
-    return BiasPlan(Topology.AND, rows, cols, op, sel_row, sel, lines)
+    col = _lines(cols, sel, col_s, col_u)
+    return BiasPlan(Topology.AND, op, sel_row, sel,
+                    wl=_lines(rows, (sel_row,), wl_s, wl_u), sl=col, bl=col,
+                    bul=())
 
 
 def and_read_bias(rows: int, cols: int, sel_row: int, sel_cols,
                   v_wl: float, v_sl: float) -> BiasPlan:
     """Read selected cells: column bit lines driven, source lines grounded."""
     sel = _check_selection(rows, cols, sel_row, sel_cols)
-    lines: dict[str, float | None] = {}
-    for r in range(rows):
-        lines[f"WL{r}"] = v_wl if r == sel_row else 0.0
-    for c in range(cols):
-        lines[f"BL{c}"] = v_sl if c in sel else HIGH_Z
-        lines[f"SL{c}"] = 0.0
-    return BiasPlan(Topology.AND, rows, cols, "read", sel_row, sel, lines)
+    return BiasPlan(Topology.AND, "read", sel_row, sel,
+                    wl=_lines(rows, (sel_row,), v_wl, 0.0), sl=(0.0,) * cols,
+                    bl=_lines(cols, sel, v_sl, HIGH_Z), bul=())
 
 
 def write_bias(topology: Topology, rows: int, cols: int, sel_row: int,
@@ -162,30 +156,32 @@ def read_bias(topology: Topology, rows: int, cols: int, sel_row: int,
     return build(rows, cols, sel_row, sel_cols, v_wl, v_sl)
 
 
-def cell_write_voltage(plan: BiasPlan, row: int, col: int) -> float:
-    """Gate-to-body voltage a cell sees under a write plan.
+def _write_body(plan: BiasPlan, col: int) -> float:
+    """The potential a write references column `col`'s gates to.
 
     CAND cells have their body on the column bulk line.  AND cells sit in
     a common bulk, but with drain and source inhibited to the same column
     voltage the effective gate drive is referenced to the channel, i.e.
     the mean of the two channel terminals.
     """
-    wl = plan.driven(f"WL{row}")
     if plan.topology is Topology.CAND:
-        return wl - plan.driven(f"BuL{col}")
-    return wl - 0.5 * (plan.driven(f"BL{col}") + plan.driven(f"SL{col}"))
+        return plan.bul[col]
+    bl, sl = plan.bl[col], plan.sl[col]
+    if bl is HIGH_Z or sl is HIGH_Z:
+        raise ValueError(f"column {col} floats, but a write needs it driven")
+    return 0.5 * (bl + sl)
+
+
+def cell_write_voltage(plan: BiasPlan, row: int, col: int) -> float:
+    """Gate-to-body voltage a cell sees under a write plan."""
+    return plan.wl[row] - _write_body(plan, col)
 
 
 def write_voltages(plan: BiasPlan) -> list[list[float]]:
     """`cell_write_voltage` of every cell as a rows x cols matrix, built
     from each line once with the same float operations."""
-    wl = [plan.driven(f"WL{r}") for r in range(plan.rows)]
-    if plan.topology is Topology.CAND:
-        body = [plan.driven(f"BuL{c}") for c in range(plan.cols)]
-    else:
-        body = [0.5 * (plan.driven(f"BL{c}") + plan.driven(f"SL{c}"))
-                for c in range(plan.cols)]
-    return [[w - b for b in body] for w in wl]
+    body = [_write_body(plan, c) for c in range(plan.cols)]
+    return [[w - b for b in body] for w in plan.wl]
 
 
 def classify_cell(plan: BiasPlan, row: int, col: int) -> CellGroup:

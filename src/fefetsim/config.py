@@ -162,6 +162,9 @@ def load_config(path: str | None = None,
                               f"got v_w0={cfg.v_w0}, v_w1={cfg.v_w1}")
     if cfg.t_pulse <= 0.0:
         raise ValueRangeError("t_pulse must be positive")
+    if min(cfg.sigma_v_w0, cfg.sigma_v_w1, cfg.sigma_wl) < 0.0:
+        raise ValueRangeError(
+            "sigma_v_w0, sigma_v_w1 and sigma_wl must be nonnegative")
     for label, build in _BUILDERS:
         try:
             build(cfg)

@@ -72,8 +72,9 @@ class FeFetParams:
     def __post_init__(self):
         if self.gate_mode not in (GATE_DIRECT, GATE_DIVIDER):
             raise ValueError(f"unknown gate_mode {self.gate_mode!r}")
-        if min(self.w, self.l, self.swing, self.i_spec) <= 0.0:
-            raise ValueError("width w, length l, swing and i_spec must be positive")
+        if min(self.w, self.l, self.swing, self.n_slope, self.i_spec) <= 0.0:
+            raise ValueError("width w, length l, swing, n_slope and i_spec "
+                             "must be positive")
         if self.g_min < 0.0:
             raise ValueError("g_min must be nonnegative")
 

@@ -59,6 +59,12 @@ class Parasitics:
     c_poly: float
     lam: float
 
+    def __post_init__(self):
+        if min(self.r_metal, self.r_poly, self.lam) <= 0.0:
+            raise ValueError("r_metal, r_poly and lam must be positive")
+        if min(self.c_metal, self.c_poly) < 0.0:
+            raise ValueError("c_metal and c_poly must be nonnegative")
+
     def seg_resistance(self, pitch_lam: float, poly: bool = False) -> float:
         length_um = pitch_lam * self.lam * 1e6
         return length_um * (self.r_poly if poly else self.r_metal)
@@ -111,6 +117,13 @@ class ArrayState:
         return device.vt_of_polarization(self.dev, self.fe, p)
 
 
+def _check_plan(array: ArrayState, plan: BiasPlan) -> None:
+    if plan.topology is not array.topology:
+        raise ValueError("bias plan topology does not match array")
+    if (plan.rows, plan.cols) != (array.rows, array.cols):
+        raise ValueError("bias plan shape does not match array")
+
+
 def apply_write(array: ArrayState, plan: BiasPlan, duration: float) -> None:
     """Run one write phase: every cell sees its plan-derived gate voltage.
 
@@ -119,10 +132,7 @@ def apply_write(array: ArrayState, plan: BiasPlan, duration: float) -> None:
     result.  The new grid replaces the old only once every write has
     succeeded, so a write that raises leaves the array as it was.
     """
-    if plan.topology is not array.topology:
-        raise ValueError("bias plan topology does not match array")
-    if (plan.rows, plan.cols) != (array.rows, array.cols):
-        raise ValueError("bias plan shape does not match array")
+    _check_plan(array, plan)
     written: dict[tuple[BranchState, float], BranchState] = {}
     cells = []
     for row, v_row in zip(array.cells, biasing.write_voltages(plan)):
@@ -139,7 +149,6 @@ def apply_write(array: ArrayState, plan: BiasPlan, duration: float) -> None:
 
 @dataclass
 class ReadResult:
-    plan: BiasPlan
     col_currents: dict[int, float]   # selected column -> sensed current, A
     iterations: int
     max_residual: float
@@ -148,44 +157,33 @@ class ReadResult:
         return self.col_currents[col]
 
 
-def _compressed(rows: np.ndarray, cols: np.ndarray, n: int):
-    """Sorted compressed-column layout of an n x n matrix with entries at
-    (rows, cols): each pair's slot among the distinct pairs, the row index
-    of every slot, and the column pointers."""
-    keys, slot = np.unique(cols * n + rows, return_inverse=True)
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    return slot, (keys % n).astype(np.intc), indptr.astype(np.intc)
-
-
 class _Layout(NamedTuple):
     """The part of a read network that no bias plan or cell state changes.
 
     Node k < rows*cols is the source-side channel terminal of cell
     divmod(k, cols) and node rows*cols + k its bit-line-side terminal
     (`sl`, `bl`).  Each line is a chain of wire segments over its nodes;
-    `names` lists the lines, `line_of` gives each node's line and `heads`
+    the source lines come first, then the bit lines, each family in the
+    order of its plan tuple.  `line_of` gives each node's line and `heads`
     each line's first node, where its driver or floating tie attaches
-    through one more conductance `g_head`.  The linear matrix is symmetric,
-    so its compressed columns (`lin_idx`, `lin_ptr`) are also its compressed
-    rows; `wire` holds its values without the head conductances, which go
-    to slots `head_slot`.  The Jacobian's compressed columns hold the
-    linear entries (slots `jac_slot[:lin_idx.size]`), then the four stamps
-    of every cell.
+    through one more conductance `g_head`.  The Jacobian's compressed
+    columns (row `idx` and column `col` of every slot, column pointers
+    `ptr`) hold the wire conductances (`wire`, without the head ones), the
+    head diagonals (slots `head_slot`) and the four stamps of every cell
+    (`cell_slot`).
     """
 
     sl: np.ndarray
     bl: np.ndarray
-    names: tuple[str, ...]
     line_of: np.ndarray
     heads: np.ndarray
     g_head: np.ndarray
     wire: np.ndarray
-    lin_idx: np.ndarray
-    lin_ptr: np.ndarray
     head_slot: np.ndarray
-    jac_slot: np.ndarray
-    jac_idx: np.ndarray
-    jac_ptr: np.ndarray
+    cell_slot: np.ndarray
+    idx: np.ndarray
+    col: np.ndarray
+    ptr: np.ndarray
     r_bl: float
 
 
@@ -200,38 +198,36 @@ def _layout(topology: Topology, rows: int, cols: int,
     bl = sl + n_cells
     r_bl = par.seg_resistance(PITCH_Y)
     if topology is Topology.CAND:
-        chains = (("SL", sl, par.seg_resistance(PITCH_X)),
-                  ("BL", bl.T, r_bl))
+        chains = ((sl, par.seg_resistance(PITCH_X)), (bl.T, r_bl))
     else:
-        chains = (("SL", sl.T, r_bl), ("BL", bl.T, r_bl))
-    # row k of a chain's node matrix is line k's nodes from its driven end on
-    names, heads, g_head, stamps = [], [], [], []
+        chains = ((sl.T, r_bl), (bl.T, r_bl))
+    # row k of a chain's node matrix is a line's nodes from its driven end on
+    heads, g_head, stamps = [], [], []
     line_of = np.empty(n, dtype=np.intp)
-    for prefix, nodes, r_seg in chains:
+    for nodes, r_seg in chains:
         g_seg = 1.0 / r_seg
-        line_of[nodes] = len(names) + np.arange(len(nodes))[:, None]
-        names += [f"{prefix}{k}" for k in range(len(nodes))]
-        heads.append(nodes[:, 0])
-        g_head.append(np.full(len(nodes), g_seg))
+        line_of[nodes] = len(heads) + np.arange(len(nodes))[:, None]
+        heads += nodes[:, 0].tolist()
+        g_head += [g_seg] * len(nodes)
         a, b = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
         g = np.full(a.size, g_seg)
         stamps += [(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)]
-    heads, g_head = np.concatenate(heads), np.concatenate(g_head)
+    heads, g_head = np.array(heads, dtype=np.intp), np.array(g_head)
     rows_w, cols_w, g_w = (np.concatenate(x) for x in zip(*stamps))
-    slot, lin_idx, lin_ptr = _compressed(np.concatenate([rows_w, heads]),
-                                         np.concatenate([cols_w, heads]), n)
+    bl_f, sl_f = bl.ravel(), sl.ravel()
+    keys, slot = np.unique(
+        np.concatenate([cols_w, heads, bl_f, sl_f, bl_f, sl_f]) * n
+        + np.concatenate([rows_w, heads, bl_f, bl_f, sl_f, sl_f]),
+        return_inverse=True)
     # a one-cell line has no segments, and bincount of nothing is integer
     wire = np.bincount(slot[:g_w.size], g_w,
-                       minlength=lin_idx.size).astype(float, copy=False)
-
-    bl_f, sl_f = bl.ravel(), sl.ravel()
-    jac_slot, jac_idx, jac_ptr = _compressed(
-        np.concatenate([lin_idx, bl_f, bl_f, sl_f, sl_f]),
-        np.concatenate([np.repeat(np.arange(n), np.diff(lin_ptr)),
-                        bl_f, sl_f, bl_f, sl_f]), n)
-    layout = _Layout(sl, bl, tuple(names), line_of, heads, g_head, wire,
-                     lin_idx, lin_ptr, slot[g_w.size:].copy(), jac_slot,
-                     jac_idx, jac_ptr, r_bl)
+                       minlength=keys.size).astype(float, copy=False)
+    head_end = g_w.size + heads.size
+    layout = _Layout(sl, bl, line_of, heads, g_head, wire,
+                     slot[g_w.size:head_end].copy(), slot[head_end:].copy(),
+                     (keys % n).astype(np.intc), keys // n,
+                     np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc),
+                     r_bl)
     for arr in layout:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -257,41 +253,38 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
 
     The nodes of each line form a chain of wire segments, driven at its
     first node or, when floating, tied to ground there by G_FLOAT.  The
-    layout of that network and of its Jacobian (`_layout`) is cached for
-    the last array shape read; per solve only the drives,
-    the head conductances and the initial guess come from the plan, and
-    each Newton assembly only evaluates the devices and refills the
-    Jacobian's values.
+    Jacobian's compressed-column layout (`_layout`) is cached for the last
+    array shape read; per solve only the drives (`plan.sl + plan.bl`), the
+    head conductances and the initial guess come from the plan, and each
+    Newton assembly only evaluates the devices and, from that one layout,
+    the residual and the Jacobian's values.
 
     Raises ConvergenceError if the max node residual does not reach
     RESIDUAL_TOL within MAX_NEWTON_ITER iterations, if no damped step lowers
     it (a stalled line search), or if the residual or a Newton step is not
     finite (a singular Jacobian).
     """
-    if plan.topology is not array.topology:
-        raise ValueError("bias plan topology does not match array")
+    _check_plan(array, plan)
     lay = _shared_layout(array.topology, array.rows, array.cols,
                          array.parasitics)
     n_nodes = lay.line_of.size
-    drive = np.array([plan.lines[name] for name in lay.names], dtype=float)
+    drive = np.array(plan.sl + plan.bl, dtype=float)
     floating = np.isnan(drive)
     drive[floating] = 0.0
     lin = lay.wire.copy()
     lin[lay.head_slot] += np.where(floating, G_FLOAT, lay.g_head)
-    g_lin = sp.csr_matrix((lin, lay.lin_idx, lay.lin_ptr),
-                          shape=(n_nodes, n_nodes))
     inj = np.zeros(n_nodes)
     inj[lay.heads] = lay.g_head * drive
     # every node starts at its line's drive (0 V when floating)
     v = drive[lay.line_of]
 
-    # Each node is the terminal of one cell and lies in one chain, so every
-    # Jacobian entry sums at most two terms and the summation order is moot.
-    jac = sp.csc_matrix((np.zeros(lay.jac_idx.size), lay.jac_idx, lay.jac_ptr),
+    # Each node is one cell's terminal on one chain, so a Jacobian entry sums
+    # at most one wire and one device term; bincount adds a row's linear
+    # terms from 0.0 in ascending column order, as a CSR product would.
+    jac = sp.csc_matrix((np.zeros(lay.idx.size), lay.idx, lay.ptr),
                         shape=(n_nodes, n_nodes))
     bl_f, sl_f = lay.bl.ravel(), lay.sl.ravel()
-    wl = [plan.driven(f"WL{r}") for r in range(array.rows)]
-    gates = [vg for vg in wl for _ in range(array.cols)]
+    gates = [vg for vg in plan.wl for _ in range(array.cols)]
     vts = array.vts().ravel().tolist()
     dev = array.dev
 
@@ -301,11 +294,12 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
             [device.drain_current_and_derivs(dev, vg, vd, vs, vt)
              for vg, vd, vs, vt in zip(gates, vv[bl_f].tolist(),
                                        vv[sl_f].tolist(), vts)]).T
-        f = g_lin.dot(vv) - inj
+        f = np.bincount(lay.idx, lin * vv[lay.col]) - inj
         f[bl_f] += i
         f[sl_f] -= i
-        jac.data[:] = np.bincount(
-            lay.jac_slot, np.concatenate([lin, di_da, di_db, -di_da, -di_db]))
+        jac.data[:] = lin + np.bincount(
+            lay.cell_slot, np.concatenate([di_da, di_db, -di_da, -di_db]),
+            minlength=lin.size)
         return f
 
     f = assemble(v)
@@ -335,9 +329,9 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
             f"read solve stalled at residual {res:.3e} A after {it} iterations")
 
     # sensed current: what flows out of each selected sense line driver
-    col_currents = {c: (v[lay.bl[0, c]] - plan.lines[f"BL{c}"]) / lay.r_bl
+    col_currents = {c: (v[lay.bl[0, c]] - plan.bl[c]) / lay.r_bl
                     for c in plan.sel_cols}
-    return ReadResult(plan, col_currents, it, float(res))
+    return ReadResult(col_currents, it, float(res))
 
 
 def read_cells(array: ArrayState, sel_row: int, sel_cols,
@@ -365,8 +359,10 @@ def column_readout_with_leak(dev: FeFetParams, topology: Topology,
     read point.  (A DC nodal solve of the unselected mesh instead lets the
     floating lines drift to the rail and the last closed device carry its
     full gate-grounded subthreshold current, which erases the isolation the
-    floating lines provide on read time scales; see solve_read for the
-    small-array cross-check.)
+    floating lines provide on read time scales.  Only the AND model is
+    cross-checked against solve_read, in tests/test_engine.py::
+    test_column_model_cross_checks_full_solver_and; the C-AND gap is open,
+    see ROADMAP item 3.)
     """
     i_cell = device.drain_current(dev, v_wl, v_sl, vt_selected)
     if topology is Topology.AND:

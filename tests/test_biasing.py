@@ -69,31 +69,29 @@ def test_cand_quiescent_channel_lines_grounded():
     # flows while the gate stack is being switched
     for plan in (cand_write0_bias(4, 4, 0, (1,), -1.5),
                  cand_write1_bias(4, 4, 0, (1,), 3.2)):
-        for r in range(4):
-            assert plan.lines[f"SL{r}"] == 0.0
-        for c in range(4):
-            assert plan.lines[f"BL{c}"] == 0.0
+        assert plan.sl == (0.0,) * 4 and plan.bl == (0.0,) * 4
 
 
 def test_and_write_inhibits_both_channel_terminals_equally():
     plan = and_write_bias(4, 4, 1, (2,), 3.2)
-    for c in range(4):
-        assert plan.lines[f"BL{c}"] == plan.lines[f"SL{c}"]
+    assert plan.bl == plan.sl and len(plan.bl) == 4 and plan.bul == ()
     assert cell_write_voltage(plan, 1, 2) == pytest.approx(3.2)
     assert abs(cell_write_voltage(plan, 0, 0)) == pytest.approx(3.2 / 3.0)
 
 
 def test_read_plans_drive_selected_lines_only():
-    plan = cand_read_bias(4, 4, 1, (2,), 1.0, 1.0)
-    assert plan.lines["WL1"] == 1.0 and plan.lines["SL1"] == 1.0
-    assert plan.lines["SL0"] is biasing.HIGH_Z
-    assert plan.lines["BL0"] is biasing.HIGH_Z
-    assert plan.lines["BL2"] == 0.0
+    z = biasing.HIGH_Z
+    plan = cand_read_bias(4, 4, 1, (2,), 1.0, 0.8)
+    assert plan.wl == (0.0, 1.0, 0.0, 0.0)
+    assert plan.sl == (z, 0.8, z, z)
+    assert plan.bl == (z, z, 0.0, z)
+    assert plan.bul == (0.0,) * 4
 
-    plan = and_read_bias(4, 4, 1, (2,), 1.0, 1.0)
-    assert plan.lines["WL1"] == 1.0 and plan.lines["BL2"] == 1.0
-    assert plan.lines["BL0"] is biasing.HIGH_Z
-    assert all(plan.lines[f"SL{c}"] == 0.0 for c in range(4))
+    plan = and_read_bias(4, 4, 1, (2,), 1.0, 0.8)
+    assert plan.wl == (0.0, 1.0, 0.0, 0.0)
+    assert plan.bl == (z, z, 0.8, z)
+    assert plan.sl == (0.0,) * 4
+    assert plan.bul == ()
 
 
 def test_selection_validation():
@@ -107,10 +105,13 @@ def test_selection_validation():
         and_write_bias(0, 4, 0, (0,), 3.2)
 
 
-def test_driven_raises_on_floating_line():
-    plan = cand_read_bias(4, 4, 1, (2,), 1.0, 1.0)
+def test_write_voltages_of_a_plan_with_floating_lines_raise():
+    # the AND read plan floats its unselected bit lines
+    plan = and_read_bias(4, 4, 1, (2,), 1.0, 1.0)
     with pytest.raises(ValueError):
-        plan.driven("SL0")
+        biasing.write_voltages(plan)
+    with pytest.raises(ValueError):
+        cell_write_voltage(plan, 0, 0)
 
 
 @given(rows=st.integers(1, 8), cols=st.integers(1, 8),
@@ -149,7 +150,9 @@ def test_write_voltage_matrix_equals_per_cell_voltages(rows, cols, v_w):
 def test_write_bias_is_the_named_plan(topology, v_w, named, op):
     plan = biasing.write_bias(topology, 4, 5, 1, (3, 0), v_w)
     want = named(4, 5, 1, (3, 0), v_w)
-    assert (plan.topology, plan.op, plan.lines) == (topology, op, want.lines)
+    assert (plan.topology, plan.op) == (topology, op)
+    assert (plan.wl, plan.sl, plan.bl, plan.bul) == \
+        (want.wl, want.sl, want.bl, want.bul)
     assert plan == want
 
 
@@ -160,7 +163,9 @@ def test_write_bias_is_the_named_plan(topology, v_w, named, op):
 def test_read_bias_is_the_named_plan(topology, named):
     plan = biasing.read_bias(topology, 4, 5, 2, (1, 4), 1.0, 0.8)
     want = named(4, 5, 2, (1, 4), 1.0, 0.8)
-    assert (plan.topology, plan.op, plan.lines) == (topology, "read", want.lines)
+    assert (plan.topology, plan.op) == (topology, "read")
+    assert (plan.wl, plan.sl, plan.bl, plan.bul) == \
+        (want.wl, want.sl, want.bl, want.bul)
     assert plan == want
 
 

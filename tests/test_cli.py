@@ -170,11 +170,13 @@ def test_bad_config_value_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("gate_mode", "dividr"), ("swing", 0), ("vc_program", -1), ("g_min", -1),
-    ("t_fe", 0), ("vt_mid", math.nan), ("lam", math.inf),
+    ("t_fe", 0), ("vt_mid", math.nan), ("lam", math.inf), ("r_metal", 0),
+    ("n_slope", 0), ("lam", -1), ("c_metal", -1), ("sigma_v_w0", -1),
 ])
 def test_rejected_model_value_exits_five(tmp_path, capsys, field, value):
-    # each value is refused by the parameter class that holds it, or as a
-    # non-finite number, before anything runs
+    # each value is refused by the parameter class that holds it, by
+    # load_config for the fields no class holds, or as a non-finite number,
+    # before anything runs
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"schema_version": 1, field: value}))
     status = _run(tmp_path, "mc", "--samples", "2", "--config", str(cfgfile))

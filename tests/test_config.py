@@ -101,6 +101,15 @@ def test_missing_file_raises_file_not_found(tmp_path):
     {"r_metal": -math.inf},
     {"i_ref": 10 ** 400},  # too large for a float
     {"t_fe": 0.0},        # the coercive fields divide by it
+    {"r_metal": 0.0},     # segment conductances divide by the resistances
+    {"r_poly": 0.0},
+    {"lam": -1e-9},
+    {"c_metal": -1e-15},
+    {"c_poly": -1e-15},
+    {"n_slope": 0.0},     # the channel's voltage scale divides by it
+    {"sigma_v_w0": -0.1},  # variability is a standard deviation
+    {"sigma_v_w1": -0.1},
+    {"sigma_wl": -1e-9},
 ])
 def test_value_range_validation(overrides):
     with pytest.raises(ValueRangeError):

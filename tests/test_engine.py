@@ -117,6 +117,17 @@ def test_plan_array_mismatch_rejected():
         engine.solve_read(arr, biasing.and_read_bias(4, 4, 0, (0,), 1.0, 1.0))
 
 
+@pytest.mark.parametrize("rows, cols", [(8, 8), (2, 2), (4, 5), (5, 4)])
+def test_read_plan_of_another_shape_rejected(rows, cols):
+    # unchecked, a larger plan would read part of the array and a smaller
+    # one would leave lines without a drive
+    for topology in Topology:
+        arr = _array(topology, 4, 4)
+        plan = biasing.read_bias(topology, rows, cols, 0, (0,), V_READ, V_READ)
+        with pytest.raises(ValueError, match="shape"):
+            engine.solve_read(arr, plan)
+
+
 def test_write_then_read_round_trip():
     arr = _array(Topology.CAND, 4, 4)
     engine.apply_write(arr, biasing.cand_write1_bias(4, 4, 0, range(4), 3.2),
@@ -309,21 +320,20 @@ def _oracle_read(arr, plan):
     sl = lambda r, c: r * cols + c
     bl = lambda r, c: rows * cols + r * cols + c
     r_col = par.seg_resistance(engine.PITCH_Y)
-    lines = {}   # line name -> (nodes from the driven end, segment resistance)
-    for c in range(cols):
-        lines[f"BL{c}"] = ([bl(r, c) for r in range(rows)], r_col)
+    # (nodes from the driven end, segment resistance, drive) of every line
+    lines = [([bl(r, c) for r in range(rows)], r_col, plan.bl[c])
+             for c in range(cols)]
     if arr.topology is Topology.CAND:
-        for r in range(rows):
-            lines[f"SL{r}"] = ([sl(r, c) for c in range(cols)],
-                               par.seg_resistance(engine.PITCH_X))
+        lines += [([sl(r, c) for c in range(cols)],
+                   par.seg_resistance(engine.PITCH_X), plan.sl[r])
+                  for r in range(rows)]
     else:
-        for c in range(cols):
-            lines[f"SL{c}"] = ([sl(r, c) for r in range(rows)], r_col)
+        lines += [([sl(r, c) for r in range(rows)], r_col, plan.sl[c])
+                  for c in range(cols)]
     g_lin, inj, v = np.zeros((n, n)), np.zeros(n), np.zeros(n)
-    for name, (nodes, r_seg) in lines.items():
+    for nodes, r_seg, drive in lines:
         for p, q in zip(nodes, nodes[1:]):
             g_lin[[p, q, p, q], [p, q, q, p]] += [1 / r_seg] * 2 + [-1 / r_seg] * 2
-        drive = plan.lines[name]
         if drive is None:
             g_lin[nodes[0], nodes[0]] += engine.G_FLOAT
         else:
@@ -337,7 +347,7 @@ def _oracle_read(arr, plan):
             for c in range(cols):
                 d, s = bl(r, c), sl(r, c)
                 i, di_dd, di_ds = device.drain_current_and_derivs(
-                    arr.dev, plan.lines[f"WL{r}"], v[d], v[s], vts[r, c])
+                    arr.dev, plan.wl[r], v[d], v[s], vts[r, c])
                 f[d] += i
                 f[s] -= i
                 jac[[d, d, s, s], [d, s, d, s]] += [di_dd, di_ds, -di_dd, -di_ds]
@@ -349,7 +359,7 @@ def _oracle_read(arr, plan):
     # read_cells reports the current through the cells towards the sensed
     # line: into the grounded bit line (C-AND), out of the driven one (AND)
     sign = 1.0 if arr.topology is Topology.CAND else -1.0
-    return {c: sign * (v[bl(0, c)] - plan.lines[f"BL{c}"]) / r_col
+    return {c: sign * (v[bl(0, c)] - plan.bl[c]) / r_col
             for c in plan.sel_cols}
 
 
