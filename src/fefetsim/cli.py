@@ -255,6 +255,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_VALUE
     try:
         return _COMMANDS[args.command](args, cfg, prov)
+    except config.ConfigError as exc:
+        # a configured value that this command cannot run with
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_VALUE
     except engine.ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

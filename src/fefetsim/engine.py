@@ -157,14 +157,66 @@ class ReadResult:
         return self.col_currents[col]
 
 
+#: a box of at most this many cells is listed whole rather than cut again
+LEAF_CELLS = 8
+
+
+def _numbering(topology: Topology, rows: int,
+               cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node ids of every cell's source-side and bit-line-side terminal, as
+    two rows x cols matrices, in nested-dissection order (A. George, SIAM J.
+    Numer. Anal. 10, 1973).
+
+    A box of cells is cut across an axis that no line crosses where it can
+    (the columns of an AND array, which falls apart into column ladders),
+    otherwise across its longer side.  The separator is the cut line's
+    nodes of each family whose lines cross the cut, so it is one-sided:
+    the first column's (row's) nodes of the half after the cut.  It comes
+    after both halves, so eliminating the halves fills nothing between
+    them.  A leaf box (at most LEAF_CELLS cells) or one-cell-wide strip
+    lists its cells in row-major order, each cell's two terminals together.
+    """
+    # the families (0 source, 1 bit line) whose lines cross a cut between
+    # columns, and between rows: no AND line crosses one between columns
+    cand = topology is Topology.CAND
+    across_cols = slice(0, 1) if cand else slice(0, 0)
+    across_rows = slice(1, 2) if cand else slice(0, 2)
+    # piece[r, c, k]: post-order rank of the leaf or separator holding
+    # terminal k of cell (r, c); a separator overwrites its halves' leaves
+    piece = np.empty((rows, cols, 2), dtype=np.intp)
+    count = iter(range(piece.size))
+
+    def visit(r0: int, r1: int, c0: int, c1: int) -> None:
+        h, w = r1 - r0, c1 - c0
+        free = w > 1 and not cand
+        if not free and (min(h, w) == 1 or h * w <= LEAF_CELLS):
+            piece[r0:r1, c0:c1] = next(count)
+        elif free or w >= h:
+            cut = c0 + w // 2
+            visit(r0, r1, c0, cut)
+            visit(r0, r1, cut, c1)
+            piece[r0:r1, cut, across_cols] = next(count)
+        else:
+            cut = r0 + h // 2
+            visit(r0, cut, c0, c1)
+            visit(cut, r1, c0, c1)
+            piece[cut, c0:c1, across_rows] = next(count)
+
+    visit(0, rows, 0, cols)
+    ids = np.empty(piece.size, dtype=np.intp)
+    ids[np.argsort(piece.ravel(), kind="stable")] = np.arange(piece.size)
+    sl, bl = ids.reshape(rows, cols, 2).transpose(2, 0, 1).copy()
+    return sl, bl
+
+
 class _Layout(NamedTuple):
     """The part of a read network that no bias plan or cell state changes.
 
-    Node k < rows*cols is the source-side channel terminal of cell
-    divmod(k, cols) and node rows*cols + k its bit-line-side terminal
-    (`sl`, `bl`).  Each line is a chain of wire segments over its nodes;
-    the source lines come first, then the bit lines, each family in the
-    order of its plan tuple.  `line_of` gives each node's line and `heads`
+    `sl[r, c]` and `bl[r, c]` are the node ids of cell (r, c)'s source-side
+    and bit-line-side channel terminals, in the nested-dissection order of
+    `_numbering`.  Each line is a chain of wire segments over its nodes;
+    the source lines are numbered first, then the bit lines, each family in
+    the order of its plan tuple.  `line_of` gives each node's line and `heads`
     each line's first node, where its driver or floating tie attaches
     through one more conductance `g_head`.  The Jacobian's compressed
     columns (row `idx` and column `col` of every slot, column pointers
@@ -192,10 +244,8 @@ def _layout(topology: Topology, rows: int, cols: int,
     """The read network's layout for one array shape, built from numpy index
     arrays in the style of modified nodal analysis; read-only, so that every
     read of that shape can share it."""
-    n_cells = rows * cols
-    n = 2 * n_cells
-    sl = np.arange(n_cells).reshape(rows, cols)
-    bl = sl + n_cells
+    n = 2 * rows * cols
+    sl, bl = _numbering(topology, rows, cols)
     r_bl = par.seg_resistance(PITCH_Y)
     if topology is Topology.CAND:
         chains = ((sl, par.seg_resistance(PITCH_X)), (bl.T, r_bl))
@@ -257,7 +307,10 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     array shape read; per solve only the drives (`plan.sl + plan.bl`), the
     head conductances and the initial guess come from the plan, and each
     Newton assembly only evaluates the devices and, from that one layout,
-    the residual and the Jacobian's values.
+    the residual and the Jacobian's values.  SuperLU factors the Jacobian
+    in its natural column order: the layout's nested-dissection numbering
+    is the fill-reducing order, found once per shape rather than on every
+    solve.
 
     Raises ConvergenceError if the max node residual does not reach
     RESIDUAL_TOL within MAX_NEWTON_ITER iterations, if no damped step lowers
@@ -308,7 +361,7 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     while res > RESIDUAL_TOL and it < MAX_NEWTON_ITER:
         it += 1
         # jac is always the Jacobian at v: the last assembly is the accepted one
-        step = spla.spsolve(jac, -f)
+        step = spla.spsolve(jac, -f, permc_spec="NATURAL")
         if not np.isfinite(step).all():
             raise ConvergenceError(
                 f"read solve met a singular Jacobian at iteration {it}")

@@ -142,7 +142,8 @@ def disturb_matrix(cfg: RunConfig) -> Table:
     """
     m, n = cfg.rows, cfg.cols
     if m < 2 or n < 2:
-        raise ValueError("disturb matrix needs at least a 2x2 array")
+        raise config.ValueRangeError(
+            f"disturb matrix needs at least a 2x2 array, got {m}x{n}")
     sel_r, sel_c = m // 2 - 1, n // 2 - 1
     observers = {
         biasing.CellGroup.SEL: (sel_r, sel_c),

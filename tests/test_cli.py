@@ -73,6 +73,19 @@ def test_word_write_refuses_what_does_not_fit_the_array(tmp_path, capsys,
     assert not (tmp_path / "word-write").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "disturb", "--rows", "1", "--cols", "3"),
+    ("run", "disturb", "--rows", "3", "--cols", "1"),
+    ("all", "--rows", "1"),
+])
+def test_disturb_on_a_one_line_array_exits_five(tmp_path, capsys, argv):
+    assert _run(tmp_path, *argv) == cli.EXIT_BAD_VALUE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "at least a 2x2 array" in err
+    assert not (tmp_path / "disturb").exists()
+
+
 def _readme_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     path = tmp_path / "example.json"

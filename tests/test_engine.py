@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
 from fefetsim import biasing, device, engine, ferro
@@ -373,8 +375,9 @@ OPEN_ZERO_DEV = dataclasses.replace(DEV, g_min=0.0, vt_mid=100.0,
 @st.composite
 def _reads(draw):
     topology = draw(st.sampled_from(Topology))
-    rows = draw(st.integers(1, 4))
-    cols = draw(st.integers(1, 4))
+    # up to 9 x 9, so that reads cross the separators of several cuts
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
     bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=cols,
                                   max_size=cols), min_size=rows, max_size=rows))
     row = draw(st.integers(0, rows - 1))
@@ -386,6 +389,10 @@ def _reads(draw):
 @settings(max_examples=150, deadline=None)
 @example((Topology.CAND, [[1, 0], [0, 0]], 0, {0}), OPEN_ZERO_DEV)
 @example((Topology.AND, [[1, 0], [0, 0]], 0, {0}), OPEN_ZERO_DEV)
+@example((Topology.CAND, np.eye(9, dtype=int).tolist(), 4, set(range(9))), DEV)
+@example((Topology.CAND, np.tri(9, 7, dtype=int).tolist(), 8, {0, 3, 6}),
+         OPEN_ZERO_DEV)
+@example((Topology.AND, np.eye(9, 8, dtype=int).tolist(), 5, {2, 5}), DEV)
 def test_read_currents_match_dense_network_oracle(read, dev):
     topology, bits, row, sel = read
     arr = ArrayState(topology, len(bits), len(bits[0]), FE, dev, PAR)
@@ -490,3 +497,95 @@ def test_drive_change_between_reads_of_one_shape(topology):
         got.append(res)
     # each read changes the drive of at least one line, and its currents
     assert all(a != b for a, b in zip(got, got[1:]))
+
+
+# --------------------------------------------------------------------------
+# Node numbering
+
+
+def _row_major(topology, rows, cols):
+    """The plain numbering: every source-side terminal in row-major cell
+    order, then every bit-line-side one."""
+    sl = np.arange(rows * cols).reshape(rows, cols)
+    return sl, sl + rows * cols
+
+
+def _terminals(lay):
+    """Node ids of (source terminals, then bit-line terminals) in row-major
+    cell order, the order `_row_major` numbers them in."""
+    return np.concatenate([lay.sl.ravel(), lay.bl.ravel()])
+
+
+def _linear_matrix(lay):
+    """The wire and head conductances of a layout as a dense matrix."""
+    lin = lay.wire.copy()
+    lin[lay.head_slot] += lay.g_head
+    n = lay.line_of.size
+    return sp.csc_matrix((lin, lay.idx, lay.ptr), shape=(n, n)).toarray()
+
+
+@pytest.mark.parametrize("topology", Topology)
+def test_numbering_renumbers_the_row_major_network(topology, monkeypatch):
+    for rows in range(1, 13):
+        for cols in range(1, 13):
+            lay = engine._layout(topology, rows, cols, PAR)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_numbering", _row_major)
+                plain = engine._layout(topology, rows, cols, PAR)
+            ids = _terminals(lay)
+            assert np.array_equal(np.sort(ids), np.arange(2 * rows * cols))
+            # node ids[j] here is node j of the row-major network
+            assert np.array_equal(lay.line_of[ids], plain.line_of)
+            assert np.array_equal(lay.heads, ids[plain.heads])
+            assert np.array_equal(lay.g_head, plain.g_head)
+            assert np.array_equal(_linear_matrix(lay)[np.ix_(ids, ids)],
+                                  _linear_matrix(plain))
+
+
+@pytest.mark.parametrize("topology, cols", [
+    (Topology.CAND, tuple(range(64))), (Topology.AND, (21,))])
+def test_read_matches_the_row_major_colamd_solve(monkeypatch, topology, cols):
+    arr = _array(topology, 64, 64,
+                 np.random.default_rng(64).integers(0, 2, (64, 64)).tolist())
+    monkeypatch.setattr(engine, "_last_layout", [])
+    got = engine.read_cells(arr, 32, cols, V_READ, V_READ)
+    solve = spla.spsolve
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_last_layout", [])
+        m.setattr(engine, "_numbering", _row_major)
+        m.setattr(spla, "spsolve", lambda jac, rhs, permc_spec:
+                  solve(jac, rhs, permc_spec="COLAMD"))
+        want = engine.read_cells(arr, 32, cols, V_READ, V_READ)
+    i_ref = RunConfig().i_ref
+    assert got.iterations == want.iterations
+    for c in cols:
+        i, j = got.current(c), want.current(c)
+        assert abs(i - j) <= 1e-9 * abs(j) + engine.RESIDUAL_TOL
+        assert (i > i_ref) == (j > i_ref)
+
+
+def _fill(monkeypatch, topology, n, seed):
+    """L+U nonzeros of one n x n read Jacobian: in NATURAL order under the
+    layout's numbering, and under COLAMD renumbered row-major."""
+    arr = _array(topology, n, n,
+                 np.random.default_rng(seed).integers(0, 2, (n, n)).tolist())
+    jacs = []
+    solve = spla.spsolve
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_last_layout", [])
+        m.setattr(spla, "spsolve", lambda jac, rhs, **kw:
+                  jacs.append(jac.copy()) or solve(jac, rhs, **kw))
+        engine.read_cells(arr, n // 2, range(n), V_READ, V_READ)
+        ids = _terminals(engine._last_layout[1])
+    return [lu.L.nnz + lu.U.nnz for lu in (
+        spla.splu(jacs[0], permc_spec="NATURAL"),
+        spla.splu(jacs[0][ids][:, ids], permc_spec="COLAMD"))]
+
+
+def test_dissection_cuts_the_fill_of_the_read_jacobian(monkeypatch):
+    # about 1.1 M against 2.4 M nonzeros
+    nested, colamd = _fill(monkeypatch, Topology.CAND, 128, 7)
+    assert nested <= 0.6 * colamd
+    # the AND array falls apart into column ladders
+    nested, colamd = _fill(monkeypatch, Topology.AND, 128, 7)
+    assert nested <= colamd
