@@ -216,6 +216,8 @@ def cmd_area(args, cfg, prov) -> int:
 
 
 def cmd_all(args, cfg, prov) -> int:
+    # refuse a size the disturb step cannot run before any step writes
+    experiments.check_disturb_size(cfg)
     status = EXIT_OK
     status = max(status, cmd_device_sweep(args, cfg, prov))
     args.scheme = "mixed"

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import ferro
 from .ferro import BranchState, FerroParams
 
@@ -144,6 +146,36 @@ def drain_current_and_derivs(dev: FeFetParams, vg: float, vd: float, vs: float,
     di_dvd = pref * (2.0 * s2 * g2) / vtl + dev.g_min
     di_dvs = -pref * (2.0 * s1 * g1) / vtl - dev.g_min
     return i, di_dvd, di_dvs
+
+
+def drain_current_and_derivs_array(dev: FeFetParams, vg: np.ndarray,
+                                   vd: np.ndarray, vs: np.ndarray,
+                                   vt: np.ndarray):
+    """`drain_current_and_derivs` elementwise over arrays, with the same
+    formulas; numpy's exp and log1p may differ from math's by an ulp, so
+    the results may too."""
+    flip = vd < vs
+    hi, lo = np.where(flip, vs, vd), np.where(flip, vd, vs)
+    vtl = dev.v_tilde
+    pref = dev.i_spec * (dev.w / dev.l)
+    vgs, vds = vg - lo, hi - lo
+    x1 = (vgs - vt) / vtl
+    x2 = (vgs - vt - vds) / vtl
+    # _softplus and _sigmoid with one exp(-|x|) each, never overflowing
+    e1, e2 = np.exp(-np.abs(x1)), np.exp(-np.abs(x2))
+    s1 = np.maximum(x1, 0.0) + np.log1p(e1)
+    s2 = np.maximum(x2, 0.0) + np.log1p(e2)
+    g1 = np.where(x1 >= 0.0, 1.0, e1) / (1.0 + e1)
+    g2 = np.where(x2 >= 0.0, 1.0, e2) / (1.0 + e2)
+    d = vds / vtl
+    diff = np.where(d < _EXPM1_MAX,
+                    np.log1p(g2 * np.expm1(np.minimum(d, _EXPM1_MAX))),
+                    s1 - s2)
+    i = pref * diff * (s1 + s2) + dev.g_min * vds
+    di_dhi = pref * (2.0 * s2 * g2) / vtl + dev.g_min
+    di_dlo = -pref * (2.0 * s1 * g1) / vtl - dev.g_min
+    return (np.where(flip, -i, i), np.where(flip, -di_dlo, di_dhi),
+            np.where(flip, -di_dhi, di_dlo))
 
 
 def gate_drive(dev: FeFetParams, fe: FerroParams, state: BranchState,

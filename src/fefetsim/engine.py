@@ -298,6 +298,74 @@ def _shared_layout(*key) -> _Layout:
     return _last_layout[1]
 
 
+#: grid the predicted line potentials are rounded to, V: far coarser than an
+#: ulp, so that numpy's exp and log1p, which may differ from math's and from
+#: one CPU to the next by an ulp, do not reach the start of the fine solve
+PREDICTOR_GRID = 2.0 ** -30
+
+
+def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
+                     dev: FeFetParams, gates: np.ndarray,
+                     vts: np.ndarray) -> np.ndarray:
+    """Each line's potential with every wire shorted: a driven line at its
+    drive, a floating line at the root of its KCL, one unknown per line (the
+    coarse level of nested iteration: A. Brandt, Math. Comp. 31, 1977).
+
+    Damped Newton on the dense Jacobian of the numpy device terms runs until
+    a step moves no potential by more than PREDICTOR_GRID, to which the
+    potentials are then rounded.  It raises ConvergenceError if a step is
+    not finite; if its line search stalls or its iterations run out, it
+    returns the potentials it reached, since the fine solve decides
+    convergence.
+    """
+    m = np.count_nonzero(floating)
+    # each line's unknown, with all driven lines lumped into unknown m
+    unknown = np.full(drive.size, m)
+    unknown[floating] = np.arange(m)
+    line_d, line_s = lay.line_of[lay.bl.ravel()], lay.line_of[lay.sl.ravel()]
+    kd, ks = unknown[line_d], unknown[line_s]
+    slots = (np.concatenate([kd, kd, ks, ks]) * (m + 1)
+             + np.concatenate([kd, ks, kd, ks]))
+    pot = drive.copy()
+
+    def assemble(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pot[floating] = u
+        i, di_dd, di_ds = device.drain_current_and_derivs_array(
+            dev, gates, pot[line_d], pot[line_s], vts)
+        f = np.bincount(kd, i, minlength=m + 1) - np.bincount(
+            ks, i, minlength=m + 1)
+        jac = np.bincount(slots, np.concatenate([di_dd, di_ds, -di_dd, -di_ds]),
+                          minlength=(m + 1) ** 2).reshape(m + 1, m + 1)[:m, :m]
+        jac[np.diag_indices(m)] += G_FLOAT
+        return f[:m] + G_FLOAT * u, jac
+
+    u = np.zeros(m)
+    f, jac = assemble(u)
+    res = np.max(np.abs(f))
+    for it in range(1, MAX_NEWTON_ITER + 1):
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            step = np.full(m, np.nan)
+        if not np.isfinite(step).all():
+            raise ConvergenceError(
+                f"read predictor met a singular Jacobian at iteration {it}")
+        if np.max(np.abs(step)) <= PREDICTOR_GRID:
+            break
+        scale = 1.0
+        while scale >= 1e-8:
+            f_new, jac_new = assemble(u + scale * step)
+            res_new = np.max(np.abs(f_new))
+            if res_new < res:
+                break
+            scale *= DAMPING
+        else:
+            break   # stalled: start from the potentials reached
+        u, f, jac, res = u + scale * step, f_new, jac_new, res_new
+    pot[floating] = np.round(u / PREDICTOR_GRID) * PREDICTOR_GRID
+    return pot
+
+
 def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     """Damped-Newton DC solve of the read network.
 
@@ -312,10 +380,22 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     is the fill-reducing order, found once per shape rather than on every
     solve.
 
+    Every node starts at its line's drive, a floating line at 0 V.  Its
+    wires then carry nothing, so the first assembly's residual summed over
+    a line is that line's KCL imbalance.  If a floating line's imbalance
+    exceeds RESIDUAL_TOL, as in a C-AND single-cell read, whose floating
+    bit lines meet the driven source line through the selected row's
+    cells, Newton would climb the exponential device current one `v_tilde`
+    per step from 0 V; the start is instead the line potentials of
+    `_line_potentials`, from which a disturb read converges in one
+    iteration.  A C-AND full-row read and every AND read float their lines
+    among 0 V lines, so their imbalance is 0 and they start, and solve,
+    exactly as without the predictor.
+
     Raises ConvergenceError if the max node residual does not reach
     RESIDUAL_TOL within MAX_NEWTON_ITER iterations, if no damped step lowers
-    it (a stalled line search), or if the residual or a Newton step is not
-    finite (a singular Jacobian).
+    it (a stalled line search), or if the residual or a Newton step, of the
+    fine solve or the predictor, is not finite (a singular Jacobian).
     """
     _check_plan(array, plan)
     lay = _shared_layout(array.topology, array.rows, array.cols,
@@ -328,7 +408,6 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     lin[lay.head_slot] += np.where(floating, G_FLOAT, lay.g_head)
     inj = np.zeros(n_nodes)
     inj[lay.heads] = lay.g_head * drive
-    # every node starts at its line's drive (0 V when floating)
     v = drive[lay.line_of]
 
     # Each node is one cell's terminal on one chain, so a Jacobian entry sums
@@ -356,6 +435,11 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
         return f
 
     f = assemble(v)
+    imbalance = np.bincount(lay.line_of, f)[floating]
+    if (np.abs(imbalance) > RESIDUAL_TOL).any():
+        v = _line_potentials(lay, drive, floating, dev, np.array(gates),
+                             np.array(vts))[lay.line_of]
+        f = assemble(v)
     res = np.max(np.abs(f))
     it = 0
     while res > RESIDUAL_TOL and it < MAX_NEWTON_ITER:
@@ -415,7 +499,7 @@ def column_readout_with_leak(dev: FeFetParams, topology: Topology,
     floating lines provide on read time scales.  Only the AND model is
     cross-checked against solve_read, in tests/test_engine.py::
     test_column_model_cross_checks_full_solver_and; the C-AND gap is open,
-    see ROADMAP item 3.)
+    see ROADMAP item 5.)
     """
     i_cell = device.drain_current(dev, v_wl, v_sl, vt_selected)
     if topology is Topology.AND:

@@ -132,18 +132,25 @@ def _read_cell(cfg: RunConfig, array: engine.ArrayState, r: int, c: int) -> floa
     return engine.read_cells(array, r, [c], cfg.v_wl, cfg.v_sl).current(c)
 
 
+def check_disturb_size(cfg: RunConfig) -> None:
+    """Raise ValueRangeError unless the disturb matrix's cfg.rows x cfg.cols
+    array has a neighbour row and column around its center cell."""
+    if cfg.rows < 2 or cfg.cols < 2:
+        raise config.ValueRangeError(f"disturb matrix needs at least a 2x2 "
+                                     f"array, got {cfg.rows}x{cfg.cols}")
+
+
 def disturb_matrix(cfg: RunConfig) -> Table:
     """All (cell group) x (initial state) x (write op) single-shot cases on
     a cfg.rows x cfg.cols array.
 
     For each case a copy of the uniformly initialized array gets one write
-    at the center cell and the observed cell (at the group position
-    relative to it) is read before and after.
+    at the center cell, and the observed cell (at the group position
+    relative to it) is read before, on the uniform array, and after, on
+    the copy.
     """
+    check_disturb_size(cfg)
     m, n = cfg.rows, cfg.cols
-    if m < 2 or n < 2:
-        raise config.ValueRangeError(
-            f"disturb matrix needs at least a 2x2 array, got {m}x{n}")
     sel_r, sel_c = m // 2 - 1, n // 2 - 1
     observers = {
         biasing.CellGroup.SEL: (sel_r, sel_c),
@@ -158,9 +165,10 @@ def disturb_matrix(cfg: RunConfig) -> Table:
     entries = []
     for group, (obs_r, obs_c) in observers.items():
         for state in (0, 1):
+            # a read leaves the array as it was: one i_before serves both ops
+            i_before = _read_cell(cfg, uniform[state], obs_r, obs_c)
             for op in ("write0", "write1"):
                 array = uniform[state].copy()
-                i_before = _read_cell(cfg, array, obs_r, obs_c)
                 _write_rows(cfg, array, [sel_r], [sel_c],
                             cfg.v_w0 if op == "write0" else cfg.v_w1)
                 i_after = _read_cell(cfg, array, obs_r, obs_c)

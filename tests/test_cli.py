@@ -83,7 +83,8 @@ def test_disturb_on_a_one_line_array_exits_five(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "at least a 2x2 array" in err
-    assert not (tmp_path / "disturb").exists()
+    # refused before its first step: no experiment wrote anything
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
 
 
 def _readme_config(tmp_path):

@@ -95,6 +95,25 @@ def test_solver_current_is_the_drain_current(vg, vd, vs, vt):
         assert i == -device.drain_current(DEV, vg - vd, vs - vd, vt)
 
 
+_LINE_VOLTS = st.one_of(st.floats(-1.5, 1.5), st.floats(-120.0, 120.0))
+
+
+@given(st.lists(st.tuples(st.floats(-0.5, 3.0), _LINE_VOLTS, _LINE_VOLTS,
+                          st.floats(0.4, 1.8)), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+@example([(3.0, 1e-15, 0.0, 0.40625), (3.0, 0.0, 1e-15, 0.40625)])
+@example([(1.0, 100.0, 0.0, 0.7), (1.0, 0.0, 100.0, 0.7), (0.5, 0.3, 0.9, 1.0)])
+def test_array_device_matches_the_scalar_device(cells):
+    # both orientations, both sides of _EXPM1_MAX (vds past 92 V here), all
+    # in one call; numpy's exp and log1p may differ from math's by an ulp
+    assert 92.0 < DEV.v_tilde * device._EXPM1_MAX < 100.0
+    got = device.drain_current_and_derivs_array(DEV, *np.array(cells).T)
+    for k, cell in enumerate(cells):
+        want = device.drain_current_and_derivs(DEV, *cell)
+        for g, w in zip(got, want):
+            assert abs(g[k] - w) <= 8 * np.finfo(float).eps * abs(w) + 1e-30
+
+
 def test_solver_current_rises_with_gate_at_tiny_drain_bias():
     # s1^2 - s2^2 formed directly cancels to noise here and fell with the gate
     lo = device.drain_current_and_derivs(DEV, 3.0, 1e-15, 0.0, 0.40625)[0]

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from fefetsim import biasing, device, engine, ferro
+from fefetsim import biasing, device, engine, experiments, ferro
 from fefetsim.biasing import Topology
 from fefetsim.config import (RunConfig, make_device, make_ferro,
                              make_parasitics)
@@ -589,3 +589,72 @@ def test_dissection_cuts_the_fill_of_the_read_jacobian(monkeypatch):
     # the AND array falls apart into column ladders
     nested, colamd = _fill(monkeypatch, Topology.AND, 128, 7)
     assert nested <= colamd
+
+
+# --------------------------------------------------------------------------
+# Line-potential predictor
+
+
+def test_predicted_disturb_reads_take_one_iteration_to_the_tight_solve(
+        monkeypatch):
+    reads = []
+    solve = engine.solve_read
+
+    def record(array, plan):
+        res = solve(array, plan)
+        reads.append((array.copy(), plan, res))
+        return res
+
+    monkeypatch.setattr(engine, "solve_read", record)
+    cfg = dataclasses.replace(RunConfig(), rows=16, cols=16)
+    experiments.disturb_matrix(cfg)
+    monkeypatch.undo()
+    assert len(reads) == 24
+    assert all(res.iterations == 1 for _, _, res in reads)
+    # the same reads from the drive start, to a residual that roundoff
+    # still reaches: the default start's currents lie up to 3.9e-14 A away
+    monkeypatch.setattr(engine, "_line_potentials",
+                        lambda lay, drive, *args: drive)
+    monkeypatch.setattr(engine, "RESIDUAL_TOL", 1e-15)
+    for array, plan, res in reads:
+        tight = engine.solve_read(array, plan)
+        assert tight.iterations > 1
+        for c, i in res.col_currents.items():
+            assert abs(i - tight.current(c)) <= 5e-15
+
+
+def test_reads_with_balanced_floating_lines_never_predict(monkeypatch):
+    def no_predictor(*args):
+        raise AssertionError("predictor called")
+
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2, (12, 10)).tolist()
+    monkeypatch.setattr(engine, "_line_potentials", no_predictor)
+    # a C-AND full row floats its source lines at the sensed bit lines'
+    # 0 V, and an AND read floats bit lines among grounded source lines
+    engine.read_cells(_array(Topology.CAND, 12, 10, bits), 5, range(10),
+                      V_READ, V_READ)
+    engine.read_cells(_array(Topology.AND, 12, 10, bits), 5, [3],
+                      V_READ, V_READ)
+    with pytest.raises(AssertionError, match="predictor called"):
+        engine.read_cells(_array(Topology.CAND, 12, 10, bits), 5, [3],
+                          V_READ, V_READ)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("slope", [float("nan"), 0.0])
+def test_predictor_with_a_non_finite_step_raises(monkeypatch, slope):
+    array_device = device.drain_current_and_derivs_array
+
+    def flat(*args):
+        i, did, dis = array_device(*args)
+        return i, np.full_like(did, slope), np.full_like(dis, slope)
+
+    monkeypatch.setattr(device, "drain_current_and_derivs_array", flat)
+    # with zero slopes and no tie the coarse Jacobian is exactly singular
+    monkeypatch.setattr(engine, "G_FLOAT", 0.0)
+    with pytest.raises(engine.ConvergenceError,
+                       match="read predictor met a singular Jacobian at "
+                             "iteration 1"):
+        engine.read_cells(_array(Topology.CAND, 4, 4, np.ones((4, 4))), 1,
+                          [2], V_READ, V_READ)
