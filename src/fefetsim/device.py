@@ -100,20 +100,6 @@ def vt_of_polarization(dev: FeFetParams, fe: FerroParams, p):
     return dev.vt_mid - (p / fe.ps) * 0.5 * dev.mem_window
 
 
-def _softplus(x: float) -> float:
-    # overflow-safe log(1 + exp(x))
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    ex = math.exp(x)
-    return ex / (1.0 + ex)
-
-
 def drain_current(dev: FeFetParams, vgs: float, vds: float, vt: float) -> float:
     """Drain current, A.  Symmetric under source/drain exchange."""
     return drain_current_and_derivs(dev, vgs, vds, 0.0, vt)[0]
@@ -129,13 +115,22 @@ def drain_current_and_derivs(dev: FeFetParams, vg: float, vd: float, vs: float,
     if vd < vs:
         i, di_dd, di_ds = drain_current_and_derivs(dev, vg, vs, vd, vt)
         return -i, -di_ds, -di_dd
-    vtl = dev.v_tilde
+    vtl = dev.swing * dev.n_slope / _LN10
     pref = dev.i_spec * (dev.w / dev.l)
     vgs, vds = vg - vs, vd - vs
     x1 = (vgs - vt) / vtl
     x2 = (vgs - vt - vds) / vtl
-    s1, s2 = _softplus(x1), _softplus(x2)
-    g1, g2 = _sigmoid(x1), _sigmoid(x2)
+    # softplus s = log(1 + exp(x)) and sigmoid g = 1 / (1 + exp(-x)), both
+    # from one e = exp(-|x|), which never overflows
+    e1, e2 = math.exp(-abs(x1)), math.exp(-abs(x2))
+    if x1 > 0.0:
+        s1, g1 = x1 + math.log1p(e1), 1.0 / (1.0 + e1)
+    else:
+        s1, g1 = math.log1p(e1), e1 / (1.0 + e1)
+    if x2 > 0.0:
+        s2, g2 = x2 + math.log1p(e2), 1.0 / (1.0 + e2)
+    else:
+        s2, g2 = math.log1p(e2), e2 / (1.0 + e2)
     # s1^2 - s2^2 = (s1 - s2)(s1 + s2), with the difference taken without
     # cancellation: s1 - s2 = log1p(sigmoid(x2) * expm1(x1 - x2)), and
     # x1 - x2 taken as vds / vtl rather than from the rounded x1 and x2.
@@ -161,7 +156,7 @@ def drain_current_and_derivs_array(dev: FeFetParams, vg: np.ndarray,
     vgs, vds = vg - lo, hi - lo
     x1 = (vgs - vt) / vtl
     x2 = (vgs - vt - vds) / vtl
-    # _softplus and _sigmoid with one exp(-|x|) each, never overflowing
+    # softplus and sigmoid with one exp(-|x|) each, never overflowing
     e1, e2 = np.exp(-np.abs(x1)), np.exp(-np.abs(x2))
     s1 = np.maximum(x1, 0.0) + np.log1p(e1)
     s2 = np.maximum(x2, 0.0) + np.log1p(e2)

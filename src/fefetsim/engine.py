@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import analytics, biasing, device, ferro
 from .biasing import BiasPlan, Topology
@@ -157,145 +155,165 @@ class ReadResult:
         return self.col_currents[col]
 
 
-#: a box of at most this many cells is listed whole rather than cut again
-LEAF_CELLS = 8
-
-
-def _numbering(topology: Topology, rows: int,
-               cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node ids of every cell's source-side and bit-line-side terminal, as
-    two rows x cols matrices, in nested-dissection order (A. George, SIAM J.
-    Numer. Anal. 10, 1973).
-
-    A box of cells is cut across an axis that no line crosses where it can
-    (the columns of an AND array, which falls apart into column ladders),
-    otherwise across its longer side.  The separator is the cut line's
-    nodes of each family whose lines cross the cut, so it is one-sided:
-    the first column's (row's) nodes of the half after the cut.  It comes
-    after both halves, so eliminating the halves fills nothing between
-    them.  A leaf box (at most LEAF_CELLS cells) or one-cell-wide strip
-    lists its cells in row-major order, each cell's two terminals together.
-    """
-    # the families (0 source, 1 bit line) whose lines cross a cut between
-    # columns, and between rows: no AND line crosses one between columns
-    cand = topology is Topology.CAND
-    across_cols = slice(0, 1) if cand else slice(0, 0)
-    across_rows = slice(1, 2) if cand else slice(0, 2)
-    # piece[r, c, k]: post-order rank of the leaf or separator holding
-    # terminal k of cell (r, c); a separator overwrites its halves' leaves
-    piece = np.empty((rows, cols, 2), dtype=np.intp)
-    count = iter(range(piece.size))
-
-    def visit(r0: int, r1: int, c0: int, c1: int) -> None:
-        h, w = r1 - r0, c1 - c0
-        free = w > 1 and not cand
-        if not free and (min(h, w) == 1 or h * w <= LEAF_CELLS):
-            piece[r0:r1, c0:c1] = next(count)
-        elif free or w >= h:
-            cut = c0 + w // 2
-            visit(r0, r1, c0, cut)
-            visit(r0, r1, cut, c1)
-            piece[r0:r1, cut, across_cols] = next(count)
-        else:
-            cut = r0 + h // 2
-            visit(r0, cut, c0, c1)
-            visit(cut, r1, c0, c1)
-            piece[cut, c0:c1, across_rows] = next(count)
-
-    visit(0, rows, 0, cols)
-    ids = np.empty(piece.size, dtype=np.intp)
-    ids[np.argsort(piece.ravel(), kind="stable")] = np.arange(piece.size)
-    sl, bl = ids.reshape(rows, cols, 2).transpose(2, 0, 1).copy()
-    return sl, bl
-
-
 class _Layout(NamedTuple):
-    """The part of a read network that no bias plan or cell state changes.
+    """The read network of one array shape, numbered line-major.
 
-    `sl[r, c]` and `bl[r, c]` are the node ids of cell (r, c)'s source-side
-    and bit-line-side channel terminals, in the nested-dissection order of
-    `_numbering`.  Each line is a chain of wire segments over its nodes;
-    the source lines are numbered first, then the bit lines, each family in
-    the order of its plan tuple.  `line_of` gives each node's line and `heads`
-    each line's first node, where its driver or floating tie attaches
-    through one more conductance `g_head`.  The Jacobian's compressed
-    columns (row `idx` and column `col` of every slot, column pointers
-    `ptr`) hold the wire conductances (`wire`, without the head ones), the
-    head diagonals (slots `head_slot`) and the four stamps of every cell
-    (`cell_slot`).
+    The source lines come first, then the bit lines, each family in the
+    order of its plan tuple, and each line's nodes are contiguous from its
+    driven end, where its driver or floating tie attaches through one more
+    conductance `g_head`.  `sl` and `bl` are the node ids of every cell's
+    source-side and bit-line-side channel terminal, in row-major cell order.
+    `partner` gives each node the other terminal of its cell, `line_of` its
+    line and `g_prev` the conductance of the segment joining it to the node
+    before it (0 at a line's first node, in `heads`).  `blocks` splits the
+    nodes into runs [start, stop) of equally long lines, one run when both
+    families' lines are equally long, else one per family; each comes with
+    its `g_prev` as a (length, lines) view, row j holding node j of every
+    line of the run.
     """
 
     sl: np.ndarray
     bl: np.ndarray
+    partner: np.ndarray
     line_of: np.ndarray
     heads: np.ndarray
     g_head: np.ndarray
-    wire: np.ndarray
-    head_slot: np.ndarray
-    cell_slot: np.ndarray
-    idx: np.ndarray
-    col: np.ndarray
-    ptr: np.ndarray
+    g_prev: np.ndarray
+    blocks: tuple
     r_bl: float
 
 
 def _layout(topology: Topology, rows: int, cols: int,
             par: Parasitics) -> _Layout:
-    """The read network's layout for one array shape, built from numpy index
-    arrays in the style of modified nodal analysis; read-only, so that every
-    read of that shape can share it."""
-    n = 2 * rows * cols
-    sl, bl = _numbering(topology, rows, cols)
+    """The line-major read network of one array shape, from index arithmetic
+    on the node ids."""
+    cells = rows * cols
+    ids = np.arange(2 * cells)
     r_bl = par.seg_resistance(PITCH_Y)
+    # bit line c holds nodes cells + c * rows ..., from row 0 on
+    bl = ids[cells:].reshape(cols, rows).T.ravel()
     if topology is Topology.CAND:
-        chains = ((sl, par.seg_resistance(PITCH_X)), (bl.T, r_bl))
+        # source line r holds nodes r * cols ..., from column 0 on
+        sl = ids[:cells]
+        n_sl, len_sl, r_sl = rows, cols, par.seg_resistance(PITCH_X)
     else:
-        chains = ((sl.T, r_bl), (bl.T, r_bl))
-    # row k of a chain's node matrix is a line's nodes from its driven end on
-    heads, g_head, stamps = [], [], []
-    line_of = np.empty(n, dtype=np.intp)
-    for nodes, r_seg in chains:
-        g_seg = 1.0 / r_seg
-        line_of[nodes] = len(heads) + np.arange(len(nodes))[:, None]
-        heads += nodes[:, 0].tolist()
-        g_head += [g_seg] * len(nodes)
-        a, b = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
-        g = np.full(a.size, g_seg)
-        stamps += [(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)]
-    heads, g_head = np.array(heads, dtype=np.intp), np.array(g_head)
-    rows_w, cols_w, g_w = (np.concatenate(x) for x in zip(*stamps))
-    bl_f, sl_f = bl.ravel(), sl.ravel()
-    keys, slot = np.unique(
-        np.concatenate([cols_w, heads, bl_f, sl_f, bl_f, sl_f]) * n
-        + np.concatenate([rows_w, heads, bl_f, bl_f, sl_f, sl_f]),
-        return_inverse=True)
-    # a one-cell line has no segments, and bincount of nothing is integer
-    wire = np.bincount(slot[:g_w.size], g_w,
-                       minlength=keys.size).astype(float, copy=False)
-    head_end = g_w.size + heads.size
-    layout = _Layout(sl, bl, line_of, heads, g_head, wire,
-                     slot[g_w.size:head_end].copy(), slot[head_end:].copy(),
-                     (keys % n).astype(np.intc), keys // n,
-                     np.searchsorted(keys, np.arange(n + 1) * n).astype(np.intc),
-                     r_bl)
-    for arr in layout:
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return layout
+        # source line c holds nodes c * rows ..., from row 0 on
+        sl = bl - cells
+        n_sl, len_sl, r_sl = cols, rows, r_bl
+    heads = np.concatenate([ids[:cells:len_sl], ids[cells::rows]])
+    line_of = np.concatenate([ids[:cells] // len_sl, ids[:cells] // rows + n_sl])
+    g_head = np.full(n_sl + cols, 1.0 / r_bl)
+    g_head[:n_sl] = 1.0 / r_sl
+    g_prev = g_head[line_of]
+    g_prev[heads] = 0.0
+    partner = np.empty_like(ids)
+    partner[bl], partner[sl] = sl, bl
+    if len_sl == rows:
+        runs = ((0, 2 * cells, n_sl + cols, rows),)
+    else:
+        runs = ((0, cells, n_sl, len_sl), (cells, 2 * cells, cols, rows))
+    blocks = tuple((start, stop, g_prev[start:stop].reshape(lines, length).T)
+                   for start, stop, lines, length in runs)
+    return _Layout(sl, bl, partner, line_of, heads, g_head, g_prev, blocks,
+                   r_bl)
 
 
-#: [key, layout] of the last array shape read; every caller reads one shape
-#: at a time.  Kept by hand because an lru_cache builds the new layout before
-#: it drops the old one: two 256 x 256 layouts alive at once raised the peak
-#: memory of a 64-256 read sweep by 4.5 %.
-_last_layout: list = []
+def _wire_currents(lay: _Layout, v: np.ndarray) -> np.ndarray:
+    """The current each node sends into its line's wire segments at v."""
+    # q[j]: the current node j sends back to node j - 1
+    q = np.zeros(v.size + 1)
+    q[1:-1] = lay.g_prev[1:] * (v[1:] - v[:-1])
+    return q[:-1] - q[1:]
 
 
-def _shared_layout(*key) -> _Layout:
-    if not _last_layout or _last_layout[0] != key:
-        _last_layout.clear()
-        _last_layout.extend((key, _layout(*key)))
-    return _last_layout[1]
+def _line_stamps(kd: np.ndarray, ks: np.ndarray, m: int, di_dd: np.ndarray,
+                 di_ds: np.ndarray) -> np.ndarray:
+    """The cells' derivative stamps summed by line, as an m x m matrix; each
+    cell joins line kd on its bit-line side to line ks on its source side."""
+    slots = np.concatenate([kd, kd, ks, ks]) * m + np.concatenate([kd, ks, kd, ks])
+    return np.bincount(slots, np.concatenate([di_dd, di_ds, -di_dd, -di_ds]),
+                       minlength=m * m).reshape(m, m)
+
+
+def _factor_lines(lay: _Layout, shunt: np.ndarray) -> list:
+    """Each line's tridiagonal block, its segments plus the per-node
+    `shunt`, eliminated from the far end towards the head.
+
+    A node's pivot is its segment towards the head plus y, the conductance
+    to ground of everything beyond it: y is its shunt plus the next node's y
+    in series with the segment between them.  Summed this way no pivot
+    cancels, however weakly a floating line is tied.  Returns per block its
+    extent, the reciprocal pivots and the segment-to-pivot ratios, the last
+    two with row j holding node j of every line.
+    """
+    out = []
+    for start, stop, g in lay.blocks:
+        y = shunt[start:stop].reshape(g.shape[::-1]).T.copy()
+        for j in range(len(y) - 1, 0, -1):
+            y[j - 1] += g[j] * y[j] / (g[j] + y[j])
+        y += g
+        inv = 1.0 / y
+        out.append((start, stop, inv, g * inv))
+    return out
+
+
+def _solve_lines(factors: list, r: np.ndarray) -> np.ndarray:
+    """Every line's tridiagonal block solved at right-hand side r (Thomas'
+    algorithm, vectorised across the lines of each block)."""
+    x = np.empty_like(r)
+    for start, stop, inv, ratio in factors:
+        z = r[start:stop].reshape(inv.shape[::-1]).T.copy()
+        for j in range(len(z) - 1, 0, -1):
+            z[j - 1] += ratio[j] * z[j]
+        z *= inv
+        for j in range(1, len(z)):
+            z[j] += ratio[j] * z[j - 1]
+        x[start:stop] = z.T.ravel()
+    return x
+
+
+def _newton_step(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
+                 line_s: np.ndarray, di_dd: np.ndarray, di_ds: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
+    """x with J x = rhs, for the read Jacobian J of the cells' derivatives
+    (di_dd, di_ds), the lines (line_d, line_s) each cell joins and the line
+    heads' conductances g_tie.
+
+    Each cycle of a two-level solver (line aggregation: P. Vaněk, J. Mandel
+    and M. Brezina, Computing 56, 1996) first corrects x by one unknown per
+    line, the residual summed over each line solved against the cells'
+    stamps summed by line plus the head conductances, then solves every
+    line's tridiagonal block against the residual left.  A wire segment
+    (about 0.24 S) outweighs the cells on it (at most about 4e-7 S) by six
+    decades, so what a line solve leaves is nearly constant along each line,
+    which the next coarse correction removes.  Cycles repeat until the
+    residual falls below 1e-3 RESIDUAL_TOL or stops halving.  A singular
+    coarse or line matrix gives a non-finite x.
+    """
+    m = g_tie.size
+    shunt, cross = np.empty_like(rhs), np.empty_like(rhs)
+    shunt[lay.bl], shunt[lay.sl] = di_dd, -di_ds
+    cross[lay.bl], cross[lay.sl] = di_ds, -di_dd
+    shunt[lay.heads] += g_tie
+    coarse = _line_stamps(line_d, line_s, m, di_dd, di_ds)
+    coarse.flat[::m + 1] += g_tie
+    x, r, res = np.zeros_like(rhs), rhs, np.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lines = _factor_lines(lay, shunt)
+        while True:
+            try:
+                dx = np.linalg.solve(coarse, np.bincount(
+                    lay.line_of, r, minlength=m))[lay.line_of]
+            except np.linalg.LinAlgError:
+                return np.full_like(rhs, np.nan)
+            # a correction constant along each line sends nothing into wires
+            r = r - shunt * dx - cross * dx[lay.partner]
+            x += dx + _solve_lines(lines, r)
+            r = rhs - _wire_currents(lay, x) - shunt * x - cross * x[lay.partner]
+            new = np.abs(r).max()
+            if not (new > 1e-3 * RESIDUAL_TOL and new <= 0.5 * res):
+                return x
+            res = new
 
 
 #: grid the predicted line potentials are rounded to, V: far coarser than an
@@ -322,10 +340,8 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
     # each line's unknown, with all driven lines lumped into unknown m
     unknown = np.full(drive.size, m)
     unknown[floating] = np.arange(m)
-    line_d, line_s = lay.line_of[lay.bl.ravel()], lay.line_of[lay.sl.ravel()]
+    line_d, line_s = lay.line_of[lay.bl], lay.line_of[lay.sl]
     kd, ks = unknown[line_d], unknown[line_s]
-    slots = (np.concatenate([kd, kd, ks, ks]) * (m + 1)
-             + np.concatenate([kd, ks, kd, ks]))
     pot = drive.copy()
 
     def assemble(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +350,7 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
             dev, gates, pot[line_d], pot[line_s], vts)
         f = np.bincount(kd, i, minlength=m + 1) - np.bincount(
             ks, i, minlength=m + 1)
-        jac = np.bincount(slots, np.concatenate([di_dd, di_ds, -di_dd, -di_ds]),
-                          minlength=(m + 1) ** 2).reshape(m + 1, m + 1)[:m, :m]
+        jac = _line_stamps(kd, ks, m + 1, di_dd, di_ds)[:m, :m]
         jac[np.diag_indices(m)] += G_FLOAT
         return f[:m] + G_FLOAT * u, jac
 
@@ -369,28 +384,25 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
 def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     """Damped-Newton DC solve of the read network.
 
-    The nodes of each line form a chain of wire segments, driven at its
-    first node or, when floating, tied to ground there by G_FLOAT.  The
-    Jacobian's compressed-column layout (`_layout`) is cached for the last
-    array shape read; per solve only the drives (`plan.sl + plan.bl`), the
-    head conductances and the initial guess come from the plan, and each
-    Newton assembly only evaluates the devices and, from that one layout,
-    the residual and the Jacobian's values.  SuperLU factors the Jacobian
-    in its natural column order: the layout's nested-dissection numbering
-    is the fill-reducing order, found once per shape rather than on every
-    solve.
+    The network is numbered line-major (`_layout`): the nodes of each line
+    form a chain of wire segments, driven at its first node or, when
+    floating, tied to ground there by G_FLOAT.  Per solve only the drives
+    (`plan.sl + plan.bl`), the head conductances and the start come from the
+    plan.  Each Newton assembly evaluates the scalar device once per cell
+    and forms the residual; each Newton step is solved by `_newton_step`'s
+    two-level cycles, one unknown per line and then a tridiagonal solve of
+    every line, from the derivatives of the last accepted assembly.
 
     Every node starts at its line's drive, a floating line at 0 V.  Its
-    wires then carry nothing, so the first assembly's residual summed over
-    a line is that line's KCL imbalance.  If a floating line's imbalance
-    exceeds RESIDUAL_TOL, as in a C-AND single-cell read, whose floating
-    bit lines meet the driven source line through the selected row's
-    cells, Newton would climb the exponential device current one `v_tilde`
-    per step from 0 V; the start is instead the line potentials of
-    `_line_potentials`, from which a disturb read converges in one
-    iteration.  A C-AND full-row read and every AND read float their lines
-    among 0 V lines, so their imbalance is 0 and they start, and solve,
-    exactly as without the predictor.
+    wires then carry nothing, and a floating line is out of KCL balance
+    exactly when one of its cells joins it to a line driven away from 0 V,
+    as in a C-AND single-cell read, whose floating bit lines meet the
+    driven source line through the selected row's cells.  Newton would then
+    climb the exponential device current one `v_tilde` per step from 0 V;
+    the start is instead the line potentials of `_line_potentials`, from
+    which a disturb read converges in one iteration.  A C-AND full-row read
+    and every AND read float their lines among 0 V lines, so they start
+    from the drives.
 
     Raises ConvergenceError if the max node residual does not reach
     RESIDUAL_TOL within MAX_NEWTON_ITER iterations, if no damped step lowers
@@ -398,75 +410,63 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     fine solve or the predictor, is not finite (a singular Jacobian).
     """
     _check_plan(array, plan)
-    lay = _shared_layout(array.topology, array.rows, array.cols,
-                         array.parasitics)
-    n_nodes = lay.line_of.size
+    lay = _layout(array.topology, array.rows, array.cols, array.parasitics)
+    line_d, line_s = lay.line_of[lay.bl], lay.line_of[lay.sl]
     drive = np.array(plan.sl + plan.bl, dtype=float)
     floating = np.isnan(drive)
     drive[floating] = 0.0
-    lin = lay.wire.copy()
-    lin[lay.head_slot] += np.where(floating, G_FLOAT, lay.g_head)
-    inj = np.zeros(n_nodes)
-    inj[lay.heads] = lay.g_head * drive
-    v = drive[lay.line_of]
-
-    # Each node is one cell's terminal on one chain, so a Jacobian entry sums
-    # at most one wire and one device term; bincount adds a row's linear
-    # terms from 0.0 in ascending column order, as a CSR product would.
-    jac = sp.csc_matrix((np.zeros(lay.idx.size), lay.idx, lay.ptr),
-                        shape=(n_nodes, n_nodes))
-    bl_f, sl_f = lay.bl.ravel(), lay.sl.ravel()
+    g_tie = np.where(floating, G_FLOAT, lay.g_head)
     gates = [vg for vg in plan.wl for _ in range(array.cols)]
     vts = array.vts().ravel().tolist()
     dev = array.dev
 
-    def assemble(vv: np.ndarray) -> np.ndarray:
-        """The node residual at vv; refills jac with its Jacobian."""
-        i, di_da, di_db = np.array(
+    def assemble(vv: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The node residual at vv, and every cell's (di_dd, di_ds)."""
+        i, di_dd, di_ds = np.array(
             [device.drain_current_and_derivs(dev, vg, vd, vs, vt)
-             for vg, vd, vs, vt in zip(gates, vv[bl_f].tolist(),
-                                       vv[sl_f].tolist(), vts)]).T
-        f = np.bincount(lay.idx, lin * vv[lay.col]) - inj
-        f[bl_f] += i
-        f[sl_f] -= i
-        jac.data[:] = lin + np.bincount(
-            lay.cell_slot, np.concatenate([di_da, di_db, -di_da, -di_db]),
-            minlength=lin.size)
-        return f
+             for vg, vd, vs, vt in zip(gates, vv[lay.bl].tolist(),
+                                       vv[lay.sl].tolist(), vts)]).T
+        f = _wire_currents(lay, vv)
+        f[lay.heads] += g_tie * (vv[lay.heads] - drive)
+        f[lay.bl] += i
+        f[lay.sl] -= i
+        return f, (di_dd, di_ds)
 
-    f = assemble(v)
-    imbalance = np.bincount(lay.line_of, f)[floating]
-    if (np.abs(imbalance) > RESIDUAL_TOL).any():
+    away = drive != 0.0
+    if (floating[line_d] & away[line_s] | floating[line_s] & away[line_d]).any():
         v = _line_potentials(lay, drive, floating, dev, np.array(gates),
                              np.array(vts))[lay.line_of]
-        f = assemble(v)
-    res = np.max(np.abs(f))
+    else:
+        v = drive[lay.line_of]
+    f, derivs = assemble(v)
+    res = np.abs(f).max()
     it = 0
     while res > RESIDUAL_TOL and it < MAX_NEWTON_ITER:
         it += 1
-        # jac is always the Jacobian at v: the last assembly is the accepted one
-        step = spla.spsolve(jac, -f, permc_spec="NATURAL")
+        # derivs are always those at v: the last assembly is the accepted one
+        step = _newton_step(lay, g_tie, line_d, line_s, *derivs, -f)
         if not np.isfinite(step).all():
             raise ConvergenceError(
                 f"read solve met a singular Jacobian at iteration {it}")
         scale = 1.0
         while True:
             v_new = v + scale * step
-            f_new = assemble(v_new)
-            res_new = np.max(np.abs(f_new))
+            f_new, derivs_new = assemble(v_new)
+            res_new = np.abs(f_new).max()
             if res_new < res:
                 break
             if scale < 1e-8:
                 raise ConvergenceError(
                     f"line search stalled at iteration {it}")
             scale *= DAMPING
-        v, f, res = v_new, f_new, res_new
+        v, f, derivs, res = v_new, f_new, derivs_new, res_new
     if not res <= RESIDUAL_TOL:
         raise ConvergenceError(
             f"read solve stalled at residual {res:.3e} A after {it} iterations")
 
-    # sensed current: what flows out of each selected sense line driver
-    col_currents = {c: (v[lay.bl[0, c]] - plan.bl[c]) / lay.r_bl
+    # sensed current: what flows out of each selected sense line driver, from
+    # row 0's cell c, the bit line's first node
+    col_currents = {c: (v[lay.bl[c]] - plan.bl[c]) / lay.r_bl
                     for c in plan.sel_cols}
     return ReadResult(col_currents, it, float(res))
 

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,3 +257,14 @@ def test_verify_scheme_wrong_sign_write_voltage_exit_code(tmp_path, capsys,
     assert _run(tmp_path, "verify-scheme", flag, value) == cli.EXIT_BAD_VALUE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "v_w0 < 0 < v_w1" in err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only the manifest asks scipy for its version, when a run writes one
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, fefetsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

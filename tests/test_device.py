@@ -114,6 +114,53 @@ def test_array_device_matches_the_scalar_device(cells):
             assert abs(g[k] - w) <= 8 * np.finfo(float).eps * abs(w) + 1e-30
 
 
+def _softplus(x):
+    if x > 0.0:
+        return x + math.log1p(math.exp(-x))
+    return math.log1p(math.exp(x))
+
+
+def _sigmoid(x):
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    ex = math.exp(x)
+    return ex / (1.0 + ex)
+
+
+def _reference_drain_current_and_derivs(dev, vg, vd, vs, vt):
+    """The scalar device kernel with a softplus and a sigmoid call per
+    argument, each taking its own exp: the oracle of the inlined kernel."""
+    if vd < vs:
+        i, di_dd, di_ds = _reference_drain_current_and_derivs(dev, vg, vs, vd, vt)
+        return -i, -di_ds, -di_dd
+    vtl = dev.v_tilde
+    pref = dev.i_spec * (dev.w / dev.l)
+    vgs, vds = vg - vs, vd - vs
+    x1 = (vgs - vt) / vtl
+    x2 = (vgs - vt - vds) / vtl
+    s1, s2 = _softplus(x1), _softplus(x2)
+    g1, g2 = _sigmoid(x1), _sigmoid(x2)
+    d = vds / vtl
+    diff = math.log1p(g2 * math.expm1(d)) if d < device._EXPM1_MAX else s1 - s2
+    i = pref * diff * (s1 + s2) + dev.g_min * vds
+    di_dvd = pref * (2.0 * s2 * g2) / vtl + dev.g_min
+    di_dvs = -pref * (2.0 * s1 * g1) / vtl - dev.g_min
+    return i, di_dvd, di_dvs
+
+
+@given(st.floats(-0.5, 3.0), _LINE_VOLTS, _LINE_VOLTS, st.floats(0.4, 1.8),
+       st.sampled_from((DEV, dataclasses.replace(DEV, g_min=0.0))))
+@settings(max_examples=500, deadline=None)
+@example(3.0, 1e-15, 0.0, 0.40625, DEV)
+@example(1.0, 0.5, 0.5, 0.5, DEV)
+@example(1.0, 0.0, 0.5, 0.5, DEV)
+@example(1.0, 100.0, 0.0, 0.7, DEV)
+def test_device_kernel_is_bitwise_the_reference_kernel(vg, vd, vs, vt, dev):
+    # x1 = 0 and x2 = 0 exactly in the second and third examples
+    got = device.drain_current_and_derivs(dev, vg, vd, vs, vt)
+    assert got == _reference_drain_current_and_derivs(dev, vg, vd, vs, vt)
+
+
 def test_solver_current_rises_with_gate_at_tiny_drain_bias():
     # s1^2 - s2^2 formed directly cancels to noise here and fell with the gate
     lo = device.drain_current_and_derivs(DEV, 3.0, 1e-15, 0.0, 0.40625)[0]
