@@ -147,8 +147,9 @@ def drain_current_and_derivs_array(dev: FeFetParams, vg: np.ndarray,
                                    vd: np.ndarray, vs: np.ndarray,
                                    vt: np.ndarray):
     """`drain_current_and_derivs` elementwise over arrays, with the same
-    formulas; numpy's exp and log1p may differ from math's by an ulp, so
-    the results may too."""
+    formulas; numpy's exp, log1p and expm1 may differ from math's by an ulp,
+    so the results may too.  The read predictor and every read of at least
+    `engine.VECTOR_CELLS` cells use it; the scalar routine stays the oracle."""
     flip = vd < vs
     hi, lo = np.where(flip, vs, vd), np.where(flip, vd, vs)
     vtl = dev.v_tilde

@@ -32,6 +32,12 @@ RESIDUAL_TOL = 1e-13       # A, max node current residual
 MAX_NEWTON_ITER = 200
 DAMPING = 0.5
 
+#: cells from which a read evaluates its device terms in one numpy call
+#: (`device.drain_current_and_derivs_array`) rather than one scalar call per
+#: cell: below about 32 cells numpy's per-call overhead costs more than the
+#: scalar loop it replaces (timed assemblies in CHANGES.md)
+VECTOR_CELLS = 32
+
 
 class ConvergenceError(RuntimeError):
     pass
@@ -318,7 +324,10 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
 
 #: grid the predicted line potentials are rounded to, V: far coarser than an
 #: ulp, so that numpy's exp and log1p, which may differ from math's and from
-#: one CPU to the next by an ulp, do not reach the start of the fine solve
+#: one CPU to the next by an ulp, do not reach the start of the fine solve.
+#: From VECTOR_CELLS cells on the fine solve also uses numpy's exp, log1p and
+#: expm1, so there such an ulp may move the currents (by at most 3.3e-16
+#: relative on random 256-row C-AND reads)
 PREDICTOR_GRID = 2.0 ** -30
 
 
@@ -388,10 +397,14 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     form a chain of wire segments, driven at its first node or, when
     floating, tied to ground there by G_FLOAT.  Per solve only the drives
     (`plan.sl + plan.bl`), the head conductances and the start come from the
-    plan.  Each Newton assembly evaluates the scalar device once per cell
-    and forms the residual; each Newton step is solved by `_newton_step`'s
-    two-level cycles, one unknown per line and then a tridiagonal solve of
-    every line, from the derivatives of the last accepted assembly.
+    plan.  Each Newton assembly evaluates every cell's device terms and forms
+    the residual: in one `device.drain_current_and_derivs_array` call on the
+    node-voltage arrays from VECTOR_CELLS cells on, else by one scalar
+    `device.drain_current_and_derivs` call per cell, which keeps small
+    reads' bytes and is cheaper there.  Each Newton step is solved by
+    `_newton_step`'s two-level cycles, one unknown per line and then a
+    tridiagonal solve of every line, from the derivatives of the last
+    accepted assembly.
 
     Every node starts at its line's drive, a floating line at 0 V.  Its
     wires then carry nothing, and a floating line is out of KCL balance
@@ -416,16 +429,20 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     floating = np.isnan(drive)
     drive[floating] = 0.0
     g_tie = np.where(floating, G_FLOAT, lay.g_head)
-    gates = [vg for vg in plan.wl for _ in range(array.cols)]
-    vts = array.vts().ravel().tolist()
+    gates = np.repeat(np.array(plan.wl, dtype=float), array.cols)
+    vts = array.vts().ravel()
     dev = array.dev
 
     def assemble(vv: np.ndarray) -> tuple[np.ndarray, tuple]:
         """The node residual at vv, and every cell's (di_dd, di_ds)."""
-        i, di_dd, di_ds = np.array(
-            [device.drain_current_and_derivs(dev, vg, vd, vs, vt)
-             for vg, vd, vs, vt in zip(gates, vv[lay.bl].tolist(),
-                                       vv[lay.sl].tolist(), vts)]).T
+        vd, vs = vv[lay.bl], vv[lay.sl]
+        if vts.size >= VECTOR_CELLS:
+            i, di_dd, di_ds = device.drain_current_and_derivs_array(
+                dev, gates, vd, vs, vts)
+        else:
+            i, di_dd, di_ds = np.array(
+                [device.drain_current_and_derivs(dev, *cell) for cell in zip(
+                    gates.tolist(), vd.tolist(), vs.tolist(), vts.tolist())]).T
         f = _wire_currents(lay, vv)
         f[lay.heads] += g_tie * (vv[lay.heads] - drive)
         f[lay.bl] += i
@@ -434,8 +451,7 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
 
     away = drive != 0.0
     if (floating[line_d] & away[line_s] | floating[line_s] & away[line_d]).any():
-        v = _line_potentials(lay, drive, floating, dev, np.array(gates),
-                             np.array(vts))[lay.line_of]
+        v = _line_potentials(lay, drive, floating, dev, gates, vts)[lay.line_of]
     else:
         v = drive[lay.line_of]
     f, derivs = assemble(v)

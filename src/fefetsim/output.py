@@ -54,9 +54,9 @@ def write_manifest(out_dir: str, command: str, config: dict,
                    provenance: dict, files: list[str]) -> str:
     """Record what produced the artifacts in a directory."""
     import platform
+    from importlib.metadata import version
 
     import numpy
-    import scipy
 
     from . import __version__
 
@@ -70,7 +70,9 @@ def write_manifest(out_dir: str, command: str, config: dict,
         "versions": {
             "fefetsim": __version__,
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            # from the installed metadata: the program itself never imports
+            # scipy
+            "scipy": version("scipy"),
             "python": platform.python_version(),
         },
         "artifacts": [

@@ -259,12 +259,19 @@ def test_verify_scheme_wrong_sign_write_voltage_exit_code(tmp_path, capsys,
     assert err.count("\n") == 1 and "v_w0 < 0 < v_w1" in err
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # only the manifest asks scipy for its version, when a run writes one
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # nor does a run that writes a manifest, which records scipy's version
     src = Path(cli.__file__).resolve().parents[1]
-    code = ("import sys, fefetsim.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, fefetsim.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            f"status = fefetsim.cli.main(['mc', '--samples', '2', '--out', {str(tmp_path)!r}])\n"
+            "print(status, loaded())")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", f"{cli.EXIT_OK} []")
+    manifest = json.loads((tmp_path / "mc" / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"]

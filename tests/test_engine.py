@@ -107,6 +107,24 @@ def test_read_whose_steps_all_go_uphill_raises_at_once(monkeypatch):
     assert len(calls) == 1 + 28
 
 
+def test_numpy_read_whose_steps_all_go_uphill_raises_at_once(monkeypatch):
+    # the same -1 S cells on a network above the crossover, where every
+    # assembly is one call of the numpy device
+    calls = []
+
+    def uphill(dev, vg, vd, vs, vt):
+        calls.append(vd.size)
+        return 4e-7 * (vd - vs), np.full_like(vd, -1.0), np.full_like(vd, 1.0)
+
+    monkeypatch.setattr(device, "drain_current_and_derivs_array", uphill)
+    arr = _array(Topology.CAND, 8, 8, np.ones((8, 8)))
+    assert arr.rows * arr.cols >= engine.VECTOR_CELLS
+    with pytest.raises(engine.ConvergenceError,
+                       match="line search stalled at iteration 1"):
+        engine.read_cells(arr, 0, range(8), V_READ, V_READ)
+    assert calls == [64] * (1 + 28)
+
+
 def test_plan_array_mismatch_rejected():
     arr = _array(Topology.CAND, 4, 4)
     wrong_shape = biasing.cand_write1_bias(4, 5, 0, (0,), 3.2)
@@ -431,6 +449,17 @@ def test_read_with_a_non_finite_residual_raises(monkeypatch):
         engine.read_cells(arr, 0, (0, 1), V_READ, V_READ)
 
 
+def test_numpy_read_with_a_non_finite_residual_raises(monkeypatch):
+    # a full-row read never predicts, so only the fine solve sees the nan
+    arr = _array(Topology.CAND, 8, 8, np.eye(8))
+    assert arr.rows * arr.cols >= engine.VECTOR_CELLS
+    monkeypatch.setattr(device, "drain_current_and_derivs_array",
+                        lambda dev, vg, vd, vs, vt: (np.full_like(vd, np.nan),
+                                                     vd * 0.0, vd * 0.0))
+    with pytest.raises(engine.ConvergenceError, match="residual nan"):
+        engine.read_cells(arr, 0, range(8), V_READ, V_READ)
+
+
 @pytest.mark.parametrize("topology", Topology)
 def test_drive_change_between_reads_of_one_shape(topology):
     arr = _array(topology, 3, 3, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
@@ -607,3 +636,72 @@ def test_predictor_with_a_non_finite_step_raises(monkeypatch, slope):
                              "iteration 1"):
         engine.read_cells(_array(Topology.CAND, 4, 4, np.ones((4, 4))), 1,
                           [2], V_READ, V_READ)
+
+
+# --------------------------------------------------------------------------
+# Scalar device below VECTOR_CELLS cells, numpy device from there on
+
+
+@pytest.mark.parametrize("topology, n, row, sel", [
+    (Topology.CAND, 64, 31, tuple(range(64))),   # full row
+    (Topology.AND, 64, 40, (17,)),                # single column
+    (Topology.CAND, 24, 5, (9,)),                 # single cell, predicted
+])
+def test_scalar_and_numpy_device_paths_give_the_same_read(monkeypatch,
+                                                          topology, n, row,
+                                                          sel):
+    arr = _array(topology, n, n, np.random.default_rng(n + row)
+                 .integers(0, 2, (n, n)).tolist())
+    scalar, calls = device.drain_current_and_derivs, []
+
+    def counted(*args):
+        calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(device, "drain_current_and_derivs", counted)
+    reads = []
+    for threshold in (n * n, n * n + 1):
+        monkeypatch.setattr(engine, "VECTOR_CELLS", threshold)
+        reads.append(engine.read_cells(arr, row, sel, V_READ, V_READ))
+        # the numpy path at the threshold itself, the scalar one below it
+        assert bool(calls) == (threshold > n * n)
+    got, want = reads
+    assert got.iterations == want.iterations
+    for c in sel:
+        i, j = got.current(c), want.current(c)
+        assert abs(i - j) <= 1e-9 * abs(j) + engine.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("topology, rows, cols, sel", [
+    (Topology.CAND, 2, 2, (0, 1)),     # a Monte Carlo read
+    (Topology.AND, 5, 6, (3,)),
+])
+def test_reads_below_the_crossover_call_the_scalar_device_per_cell(
+        monkeypatch, topology, rows, cols, sel):
+    assert rows * cols < engine.VECTOR_CELLS
+    scalar, calls, depth = device.drain_current_and_derivs, [], []
+
+    def counted(*args):
+        # the device calls itself once more for a cell with vd < vs
+        if not depth:
+            calls.append(args)
+        depth.append(args)
+        try:
+            return scalar(*args)
+        finally:
+            depth.pop()
+
+    def no_array(*args):
+        raise AssertionError("numpy device called")
+
+    monkeypatch.setattr(device, "drain_current_and_derivs", counted)
+    monkeypatch.setattr(device, "drain_current_and_derivs_array", no_array)
+    arr = _array(topology, rows, cols, np.random.default_rng(rows * cols)
+                 .integers(0, 2, (rows, cols)).tolist())
+    res = engine.read_cells(arr, 1, sel, V_READ, V_READ)
+    # every assembly calls the device once per cell, in row-major order
+    plan = biasing.read_bias(topology, rows, cols, 1, sel, V_READ, V_READ)
+    cells = [(vg, vt) for vg, row in zip(plan.wl, arr.vts()) for vt in row]
+    assemblies = len(calls) // len(cells)
+    assert assemblies >= 1 + res.iterations
+    assert [(vg, vt) for _, vg, _, _, vt in calls] == cells * assemblies
