@@ -1,16 +1,13 @@
 """Closed-form readout analytics: sneak resistance, power, cell area.
 
-The sneak-resistance estimate and its brute-force network oracle are kept
-as two independent routes on purpose: the closed form assumes the floating
-lines split into two equipotential groups, while the oracle solves the
+The sneak-resistance estimate assumes the floating lines split into two
+equipotential groups; the tests check it against an exact solve of the
 full linear node equations of the leak graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 # --------------------------------------------------------------------------
@@ -28,45 +25,6 @@ def sneak_resistance_formula(r_on: float, r_off: float, rows: int, cols: int) ->
         raise ValueError("need at least a 2x2 array for a sneak path")
     m1, n1 = rows - 1, cols - 1
     return r_on / n1 + r_off / (m1 * n1) + r_off / m1
-
-
-def sneak_resistance_bound(r_off: float, rows: int) -> float:
-    """Limit of the estimate for wide arrays: the return leg alone."""
-    if rows < 2:
-        raise ValueError("need at least two rows")
-    return r_off / (rows - 1)
-
-
-def sneak_resistance_network(r_on: float, r_off: float, rows: int, cols: int) -> float:
-    """Exact two-terminal resistance of the sneak-path graph.
-
-    Nodes: (cols-1) floating bit lines and (rows-1) floating source lines.
-    Edges: driven line -> each floating bit line through r_on; complete
-    bipartite floating-bit-line -> floating-source-line grid through r_off;
-    each floating source line -> sensed line through r_off.  Solves the
-    node equations with the driven line at 1 V and the sensed line at 0 V.
-    """
-    if rows < 2 or cols < 2:
-        raise ValueError("need at least a 2x2 array for a sneak path")
-    m1, n1 = rows - 1, cols - 1
-    g_on, g_off = 1.0 / r_on, 1.0 / r_off
-    n_unk = n1 + m1                   # bit-line nodes first, then source lines
-    g = np.zeros((n_unk, n_unk))
-    rhs = np.zeros(n_unk)
-    for j in range(n1):               # floating bit lines
-        g[j, j] += g_on               # to driven line (1 V)
-        rhs[j] += g_on * 1.0
-        for i in range(m1):
-            s = n1 + i
-            g[j, j] += g_off
-            g[s, s] += g_off
-            g[j, s] -= g_off
-            g[s, j] -= g_off
-    for i in range(m1):               # floating source lines to sensed line
-        g[n1 + i, n1 + i] += g_off
-    v = np.linalg.solve(g, rhs)
-    i_total = float(np.sum(g_on * (1.0 - v[:n1])))
-    return 1.0 / i_total
 
 
 # --------------------------------------------------------------------------

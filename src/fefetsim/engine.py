@@ -14,6 +14,8 @@ potentials.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -78,15 +80,17 @@ class Parasitics:
         return length_um * (self.c_poly if poly else self.c_metal)
 
 
-@dataclass
+@dataclass(eq=False)
 class ArrayState:
     """A rows x cols memory array with per-cell hysteresis state.
 
-    ``cells[r][c]`` is the cell's `BranchState`, an immutable value, so a
-    write replaces it and cells may share one state.  By return-point
-    memory and wipe-out, two cells with equal state evolve identically
-    under the same pulse, which lets `apply_write` pulse each distinct
-    (state, gate voltage) pair once.
+    `states` is a table of distinct `BranchState` values, each an immutable
+    value held once, and `index` a read-only rows x cols integer grid of
+    each cell's entry in it, so cells with equal state share one entry.  By
+    return-point memory and wipe-out, two cells with equal state evolve
+    identically under the same pulse, which lets `apply_write` pulse each
+    distinct (state, gate voltage) pair once.  A write swaps in a new table
+    and index rather than changing either, so a copy shares both.
     """
 
     topology: Topology
@@ -95,30 +99,51 @@ class ArrayState:
     fe: FerroParams
     dev: FeFetParams
     parasitics: Parasitics
-    cells: list[list[BranchState]] = field(default_factory=list)
+    states: tuple[BranchState, ...] = field(init=False)
+    index: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.cells:
-            rest = ferro.negative_saturation(self.fe)
-            self.cells = [[rest] * self.cols for _ in range(self.rows)]
+        self._swap((ferro.negative_saturation(self.fe),),
+                   np.zeros((self.rows, self.cols), dtype=np.intp))
+
+    @functools.cached_property
+    def cells(self) -> list[list[BranchState]]:
+        """``cells[r][c]`` is cell (r, c)'s state: a view built once per
+        table or index, not to be changed."""
+        table = np.fromiter(self.states, object, len(self.states))
+        return table[self.index].tolist()
+
+    def _swap(self, states: tuple[BranchState, ...], index: np.ndarray) -> None:
+        """Replace the table and the index, which only this does, and drop
+        the `cells` view they outdate."""
+        index.flags.writeable = False
+        self.states, self.index = states, index
+        self.__dict__.pop("cells", None)
 
     def copy(self) -> "ArrayState":
-        """An independent array in the same state; only the grid is copied."""
-        return replace(self, cells=[row[:] for row in self.cells])
+        """An independent array in the same state; it shares the table and
+        the index, since neither is ever changed."""
+        twin = replace(self)
+        twin._swap(self.states, self.index)
+        return twin
 
     def set_pattern(self, bits) -> None:
-        """Force saturated rest states from a 0/1 matrix (no transient)."""
-        zero = ferro.make_state(self.fe, False)
-        one = ferro.make_state(self.fe, True)
-        self.cells = [[one if row[c] else zero for c in range(self.cols)]
-                      for row in (bits[r] for r in range(self.rows))]
+        """Force saturated rest states from a rows x cols 0/1 matrix (no
+        transient)."""
+        bits = np.asarray(bits)
+        if bits.shape != (self.rows, self.cols):
+            raise ValueError(f"pattern of shape {bits.shape} on a "
+                             f"{self.rows}x{self.cols} array")
+        self._swap((ferro.make_state(self.fe, False),
+                    ferro.make_state(self.fe, True)),
+                   (bits != 0).astype(np.intp))
 
     def vt(self, r: int, c: int) -> float:
-        return device.cell_vt(self.dev, self.fe, self.cells[r][c])
+        return device.cell_vt(self.dev, self.fe, self.states[self.index[r, c]])
 
     def vts(self) -> np.ndarray:
-        p = np.array([[st.p for st in row] for row in self.cells])
-        return device.vt_of_polarization(self.dev, self.fe, p)
+        p = np.array([st.p for st in self.states])
+        return device.vt_of_polarization(self.dev, self.fe, p)[self.index]
 
 
 def _check_plan(array: ArrayState, plan: BiasPlan) -> None:
@@ -131,24 +156,23 @@ def _check_plan(array: ArrayState, plan: BiasPlan) -> None:
 def apply_write(array: ArrayState, plan: BiasPlan, duration: float) -> None:
     """Run one write phase: every cell sees its plan-derived gate voltage.
 
-    Cells with equal state and gate voltage form one group; the scalar
-    write runs once per group, and every cell of the group then holds its
-    result.  The new grid replaces the old only once every write has
+    Cells with equal table entry and gate voltage form one group; the
+    scalar write runs once per group, and every cell of the group then
+    holds its result.  Equal results share one entry of the new table.  The
+    new table and index replace the old only once every write has
     succeeded, so a write that raises leaves the array as it was.
     """
     _check_plan(array, plan)
-    written: dict[tuple[BranchState, float], BranchState] = {}
-    cells = []
-    for row, v_row in zip(array.cells, biasing.write_voltages(plan)):
-        new_row = []
-        for key in zip(row, v_row):
-            new = written.get(key)
-            if new is None:
-                new = written[key] = device.write_cell(
-                    array.dev, array.fe, *key, duration)
-            new_row.append(new)
-        cells.append(new_row)
-    array.cells = cells
+    voltages = itertools.chain.from_iterable(biasing.write_voltages(plan))
+    keys = list(zip(array.index.ravel().tolist(), voltages))
+    table: dict[BranchState, int] = {}
+    entry: dict[tuple[int, float], int] = {}
+    for i, v_gb in dict.fromkeys(keys):
+        new = device.write_cell(array.dev, array.fe, array.states[i], v_gb,
+                                duration)
+        entry[i, v_gb] = table.setdefault(new, len(table))
+    index = np.array([entry[k] for k in keys], dtype=np.intp)
+    array._swap(tuple(table), index.reshape(array.rows, array.cols))
 
 
 @dataclass

@@ -46,12 +46,10 @@ class Table(NamedTuple):
     summary: dict | None
 
 
-def _make_array(cfg: RunConfig, rows: int, cols: int,
-                dev=None, fe=None) -> engine.ArrayState:
+def _make_array(cfg: RunConfig, rows: int, cols: int) -> engine.ArrayState:
     return engine.ArrayState(
         topology=config.topology_of(cfg), rows=rows, cols=cols,
-        fe=fe if fe is not None else config.make_ferro(cfg),
-        dev=dev if dev is not None else config.make_device(cfg),
+        fe=config.make_ferro(cfg), dev=config.make_device(cfg),
         parasitics=config.make_parasitics(cfg),
     )
 
@@ -285,12 +283,12 @@ def monte_carlo(cfg: RunConfig) -> Table:
     dv1 = rng.normal(0.0, cfg.sigma_v_w1, n)
     dwl = rng.normal(0.0, cfg.sigma_wl, n)
 
-    dev_nom = config.make_device(cfg)
+    topology, dev_nom = config.topology_of(cfg), config.make_device(cfg)
     _, i_leak_large = engine.column_readout_with_leak(
-        dev_nom, config.topology_of(cfg), MC_LEAK_SIZE, MC_LEAK_SIZE,
+        dev_nom, topology, MC_LEAK_SIZE, MC_LEAK_SIZE,
         dev_nom.vt_high, dev_nom.vt_low, cfg.v_wl, cfg.v_sl)
 
-    fe = config.make_ferro(cfg)
+    fe, par = config.make_ferro(cfg), config.make_parasitics(cfg)
     rows_out = []
     trial_ratios = []
     ones_all, zeros_all = [], []
@@ -300,7 +298,7 @@ def monte_carlo(cfg: RunConfig) -> Table:
         v_w1 = cfg.v_w1 + dv1[t]
         dev = dataclasses.replace(dev_nom, w=cfg.width + dwl[t],
                                   l=cfg.length + dwl[t])
-        array = _make_array(cfg, 2, 2, dev=dev, fe=fe)
+        array = engine.ArrayState(topology, 2, 2, fe, dev, par)
         _init_uniform(cfg, array, v_w0, v_w1)
         _write_rows(cfg, array, [0], [0], v_w1)
 

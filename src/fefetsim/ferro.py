@@ -167,16 +167,6 @@ def _fit_branch(params: FerroParams, d: int,
     return k, p_top - k * ps * t_top
 
 
-def reverse_branch(state: BranchState, params: FerroParams) -> BranchState:
-    """The state with its sweep direction reversed at the current
-    (E_eff, P) point: the turning point is pushed and the new branch fitted
-    through it."""
-    d = -state.direction
-    history = state.history + ((state.e_eff, state.p),)
-    k, p_off = _fit_branch(params, d, history)
-    return BranchState(d, k, p_off, state.e_eff, state.p, history)
-
-
 def _move_to(params: FerroParams, state: BranchState,
              e_target: float) -> BranchState:
     """The state after E_eff advances monotonically to `e_target`, with
@@ -248,13 +238,6 @@ def trace_loop(params: FerroParams, v_amplitude: float, nsteps: int = 400):
         state = _move_to(params, state, e)
         points.append((e * params.t_fe, state.p))
     return points
-
-
-def major_loop_envelope(params: FerroParams, e: float) -> tuple[float, float]:
-    """(lower, upper) polarization bounds of the full major loop at field `e`."""
-    lo = params.ps * _branch_tanh(params, ASCENDING, e)
-    hi = params.ps * _branch_tanh(params, DESCENDING, e)
-    return lo, hi
 
 
 def make_state(params: FerroParams, stored_one: bool) -> BranchState:

@@ -17,6 +17,8 @@ from fefetsim.biasing import CellGroup, SchemeKind
 from fefetsim.config import (load_config, make_device, make_ferro,
                              make_parasitics)
 from fefetsim.engine import ArrayState
+from oracles import (reverse_branch, sneak_resistance_bound,
+                     sneak_resistance_network)
 
 CFG, _ = load_config()
 FE = make_ferro(CFG)
@@ -44,7 +46,7 @@ def test_a01_hysteresis_identities_and_continuity():
     for e in rng.uniform(-3.0 * FE.ec_program, 3.0 * FE.ec_program, 10_000):
         state = ferro._move_to(FE, state, float(e))
         p_here = state.p
-        state = ferro.reverse_branch(state, FE)
+        state = reverse_branch(state, FE)
         assert abs(state.p - p_here) < 1e-12
     assert time.monotonic() - t0 < 10.0
 
@@ -140,9 +142,9 @@ def test_a07_sneak_resistance_formula_oracles():
         assert est == r_on / (n - 1) + r_off / ((m - 1) * (n - 1)) \
             + r_off / (m - 1)
         # return-leg lower bound holds in every evaluation
-        assert est >= analytics.sneak_resistance_bound(r_off, m)
+        assert est >= sneak_resistance_bound(r_off, m)
         # exact linear-network oracle agrees within a factor of two
-        exact = analytics.sneak_resistance_network(r_on, r_off, m, n)
+        exact = sneak_resistance_network(r_on, r_off, m, n)
         assert exact / 2.0 <= est <= exact * 2.0
     assert time.monotonic() - t0 < 10.0
 

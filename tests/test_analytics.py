@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fefetsim import analytics
+from oracles import sneak_resistance_bound, sneak_resistance_network
 
 
 def test_sneak_formula_hand_values():
@@ -20,7 +21,7 @@ def test_sneak_formula_square_array_scaling():
     r_off = 1e8
     for n in (16, 256, 2048):
         r = analytics.sneak_resistance_formula(1.0, r_off, n, n)
-        bound = analytics.sneak_resistance_bound(r_off, n)
+        bound = sneak_resistance_bound(r_off, n)
         assert r >= bound
         # the mid-grid term decays as 1/(n-1) relative to the return leg
         assert r == pytest.approx(bound, rel=1.1 / (n - 1))
@@ -28,7 +29,7 @@ def test_sneak_formula_square_array_scaling():
 
 def test_sneak_network_2x2_is_plain_series():
     # one floating bit line, one floating source line: a single series path
-    r = analytics.sneak_resistance_network(1e3, 1e6, 2, 2)
+    r = sneak_resistance_network(1e3, 1e6, 2, 2)
     assert r == pytest.approx(1e3 + 1e6 + 1e6)
 
 
@@ -41,7 +42,7 @@ def test_sneak_formula_tracks_network_within_2x(rows, cols, log_ratio):
     r_on = 1.0
     r_off = 10.0 ** log_ratio
     est = analytics.sneak_resistance_formula(r_on, r_off, rows, cols)
-    exact = analytics.sneak_resistance_network(r_on, r_off, rows, cols)
+    exact = sneak_resistance_network(r_on, r_off, rows, cols)
     assert exact / 2.0 <= est <= exact * 2.0
 
 
@@ -50,17 +51,17 @@ def test_sneak_formula_tracks_network_within_2x(rows, cols, log_ratio):
 def test_network_resistance_exceeds_half_return_leg(rows, cols, log_ratio):
     # the return leg alone lower-bounds the whole path to within 2x
     r_off = 10.0 ** log_ratio
-    exact = analytics.sneak_resistance_network(1.0, r_off, rows, cols)
-    assert exact > analytics.sneak_resistance_bound(r_off, rows) / 2.0
+    exact = sneak_resistance_network(1.0, r_off, rows, cols)
+    assert exact > sneak_resistance_bound(r_off, rows) / 2.0
 
 
 def test_sneak_validation():
     with pytest.raises(ValueError):
         analytics.sneak_resistance_formula(1.0, 1.0, 1, 4)
     with pytest.raises(ValueError):
-        analytics.sneak_resistance_network(1.0, 1.0, 4, 1)
+        sneak_resistance_network(1.0, 1.0, 4, 1)
     with pytest.raises(ValueError):
-        analytics.sneak_resistance_bound(1.0, 1)
+        sneak_resistance_bound(1.0, 1)
 
 
 # --------------------------------------------------------------------------

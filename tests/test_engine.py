@@ -243,6 +243,82 @@ def test_set_pattern_hits_saturated_rest_states():
     assert arr.vt(0, 0) == pytest.approx(vt0)
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (5, 4), (4, 3), (4, 5), (16,)])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_set_pattern_of_another_shape_is_rejected(shape, as_array):
+    # callers pass nested lists and numpy matrices; a 4x4 one of either is
+    # taken, and one of any other shape leaves the array as it was
+    bits = np.random.default_rng(5).integers(0, 2, size=(4, 4))
+    arr = _array(Topology.CAND, 4, 4, bits if as_array else bits.tolist())
+    assert arr.cells == [[ferro.make_state(FE, bool(b)) for b in row]
+                         for row in bits]
+    states, index = arr.states, arr.index
+    wrong = np.ones(shape, dtype=int)
+    with pytest.raises(ValueError, match="pattern of shape"):
+        arr.set_pattern(wrong if as_array else wrong.tolist())
+    assert arr.states is states and arr.index is index
+
+
+# --------------------------------------------------------------------------
+# The state table and its index grid
+
+
+def _assert_table_invariants(arr):
+    """Every state is held once and every cell points at one."""
+    assert len(set(arr.states)) == len(arr.states)
+    assert arr.index.shape == (arr.rows, arr.cols)
+    assert np.issubdtype(arr.index.dtype, np.integer)
+    assert 0 <= arr.index.min() and arr.index.max() < len(arr.states)
+    assert not arr.index.flags.writeable
+
+
+def _count_writes(monkeypatch):
+    real, calls = device.write_cell, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(device, "write_cell", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pattern", ["uniform", "random"])
+def test_each_distinct_state_and_gate_voltage_is_written_once(monkeypatch,
+                                                               pattern):
+    n = 24
+    arr = _array(Topology.CAND, n, n)
+    if pattern == "random":
+        arr.set_pattern(np.random.default_rng(3).integers(0, 2, size=(n, n)))
+    calls = _count_writes(monkeypatch)
+    # a program sweep, an erase sweep and single-cell writes: the cells part
+    # into few (state, v_gb) pairs, and the later phases start from states
+    # the earlier ones left
+    plans = [biasing.write_bias(Topology.CAND, n, n, r, range(n), v)
+             for v in (3.2, -1.5) for r in (0, 11, 23)]
+    plans += [biasing.write_bias(Topology.CAND, n, n, 11, (11,), v)
+              for v in (3.2, -1.5)]
+    for plan in plans:
+        groups = {(arr.cells[r][c], biasing.cell_write_voltage(plan, r, c))
+                  for r in range(n) for c in range(n)}
+        before = len(calls)
+        engine.apply_write(arr, plan, T_PULSE)
+        assert len(calls) - before == len(groups)
+        assert {(st, v) for _, _, st, v, _ in calls[before:]} == groups
+        _assert_table_invariants(arr)
+    assert len(arr.states) > 2
+
+
+def test_random_pattern_vts_has_the_bytes_of_per_cell_vt():
+    n = 256
+    arr = _array(Topology.CAND, n, n,
+                 np.random.default_rng(11).integers(0, 2, size=(n, n)))
+    _assert_table_invariants(arr)
+    ref = np.array([[device.cell_vt(DEV, FE, st) for st in row]
+                    for row in arr.cells])
+    assert arr.vts().tobytes() == ref.tobytes()
+
+
 # --------------------------------------------------------------------------
 # Grouped write path against a per-cell oracle
 
@@ -287,6 +363,7 @@ def test_interned_writes_match_per_cell_oracle(run, gate_mode):
         engine.apply_write(arr, plan, duration)
         _oracle_write(dev, ref, plan, duration)
         assert arr.cells == ref
+        _assert_table_invariants(arr)
         ref_vts = np.array([[device.cell_vt(dev, FE, s) for s in row]
                             for row in ref])
         assert np.array_equal(arr.vts(), ref_vts)

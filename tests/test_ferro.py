@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fefetsim import ferro
 from fefetsim.config import RunConfig, make_ferro
+from oracles import major_loop_envelope, reverse_branch
 
 
 PARAMS = make_ferro(RunConfig())
@@ -45,7 +46,7 @@ def test_reversal_is_continuous():
     state = ferro.negative_saturation(PARAMS)
     state = ferro._move_to(PARAMS, state, 1.5 * PARAMS.ec)
     p_before = state.p
-    state = ferro.reverse_branch(state, PARAMS)
+    state = reverse_branch(state, PARAMS)
     assert abs(state.p - p_before) < 1e-12
 
 
@@ -95,7 +96,7 @@ def test_subloops_contained_in_major_loop_symmetric(drive):
     for v in drive:
         e = v / params.t_fe
         state = ferro._move_to(params, state, e)
-        lo, hi = ferro.major_loop_envelope(params, e)
+        lo, hi = major_loop_envelope(params, e)
         assert lo - 1e-9 <= state.p <= hi + 1e-9
 
 
@@ -111,7 +112,7 @@ def test_subloops_within_outer_hull_asymmetric(drive):
     for v in drive:
         e = v / PARAMS.t_fe
         state = ferro._move_to(PARAMS, state, e)
-        _, hi = ferro.major_loop_envelope(PARAMS, e)
+        _, hi = major_loop_envelope(PARAMS, e)
         assert -PARAMS.ps - 1e-15 <= state.p <= hi + 1e-9
 
 
@@ -172,7 +173,7 @@ def test_transitions_leave_their_input_state_as_it_was():
     assert a.p == pytest.approx(-PARAMS.pr, rel=1e-9)
     assert b.p > 0.0 and b.history == ()
     assert len(c.history) == 1 and c != b
-    d = ferro.reverse_branch(c, PARAMS)
+    d = reverse_branch(c, PARAMS)
     assert len(c.history) == 1 and len(d.history) == 2
     e = ferro.apply_pulse(PARAMS, d, -1.5, 10e-6)
     assert ferro.settle(PARAMS, e) != e and len(d.history) == 2
