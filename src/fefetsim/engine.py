@@ -199,9 +199,10 @@ class _Layout(NamedTuple):
     nodes into runs [start, stop) of equally long lines, one run when both
     families' lines are equally long, else one per family; each comes with
     its `g_prev` as a (length, lines) view, row j holding node j of every
-    line of the run.
+    line of the run.  `n_sl` counts the source lines, lines 0 to n_sl - 1.
     """
 
+    n_sl: int
     sl: np.ndarray
     bl: np.ndarray
     partner: np.ndarray
@@ -213,10 +214,13 @@ class _Layout(NamedTuple):
     r_bl: float
 
 
+@functools.lru_cache(maxsize=1)
 def _layout(topology: Topology, rows: int, cols: int,
             par: Parasitics) -> _Layout:
     """The line-major read network of one array shape, from index arithmetic
-    on the node ids."""
+    on the node ids, as read-only arrays.  The last shape's layout is kept,
+    which spares the many equal reads of a Monte Carlo run rebuilding it;
+    keeping more would hold large layouts alive."""
     cells = rows * cols
     ids = np.arange(2 * cells)
     r_bl = par.seg_resistance(PITCH_Y)
@@ -238,14 +242,16 @@ def _layout(topology: Topology, rows: int, cols: int,
     g_prev[heads] = 0.0
     partner = np.empty_like(ids)
     partner[bl], partner[sl] = sl, bl
+    for a in (sl, bl, partner, line_of, heads, g_head, g_prev):
+        a.flags.writeable = False
     if len_sl == rows:
         runs = ((0, 2 * cells, n_sl + cols, rows),)
     else:
         runs = ((0, cells, n_sl, len_sl), (cells, 2 * cells, cols, rows))
     blocks = tuple((start, stop, g_prev[start:stop].reshape(lines, length).T)
                    for start, stop, lines, length in runs)
-    return _Layout(sl, bl, partner, line_of, heads, g_head, g_prev, blocks,
-                   r_bl)
+    return _Layout(n_sl, sl, bl, partner, line_of, heads, g_head, g_prev,
+                   blocks, r_bl)
 
 
 def _wire_currents(lay: _Layout, v: np.ndarray) -> np.ndarray:
@@ -302,6 +308,46 @@ def _solve_lines(factors: list, r: np.ndarray) -> np.ndarray:
     return x
 
 
+def _coarse_solver(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
+                   line_s: np.ndarray, di_dd: np.ndarray, di_ds: np.ndarray):
+    """A solve of the coarse matrix, one unknown per line: the cells'
+    derivative stamps summed by line (`_line_stamps`) plus the head
+    conductances g_tie on its diagonal.
+
+    No cell joins two lines of one family, so the matrix's source-line and
+    bit-line blocks are diagonal.  The source lines are eliminated onto the
+    bit lines here, once; each solve then solves the bit lines' Schur
+    complement and finds the source lines by one division.  Each column of
+    the matrix sums to its head conductance, with a positive diagonal and no
+    positive entry off it: it is column diagonally dominant, so this
+    elimination is stable without pivoting (G. H. Golub and C. F. Van Loan,
+    Matrix Computations, sec. 3.4).  A zero pivot or a singular Schur
+    complement gives a non-finite solution; callers keep numpy's
+    floating-point warnings off around both the build and the solves.
+    """
+    n_sl = lay.n_sl
+    # the diagonals a_s and a_d, and the couplings c[d, s] = sum di_ds and
+    # -c[s, d] = sum di_dd, bit line d and source line s counted from 0
+    d = line_d - n_sl
+    a_s = g_tie[:n_sl] - np.bincount(line_s, di_ds, minlength=n_sl)
+    a_d = g_tie[n_sl:] + np.bincount(d, di_dd, minlength=g_tie.size - n_sl)
+    slot, size = d * n_sl + line_s, a_d.size * n_sl
+    w = np.bincount(slot, di_ds, minlength=size).reshape(a_d.size, n_sl)
+    c_dd = np.bincount(slot, di_dd, minlength=size).reshape(a_d.size, n_sl)
+    w /= a_s   # c[d, s] / a_s
+    schur = w @ c_dd.T
+    schur.flat[::a_d.size + 1] += a_d
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        try:
+            x_d = np.linalg.solve(schur, b[n_sl:] - w @ b[:n_sl])
+        except np.linalg.LinAlgError:
+            return np.full_like(b, np.nan)
+        return np.concatenate([(b[:n_sl] + x_d @ c_dd) / a_s, x_d])
+
+    return solve
+
+
 def _newton_step(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
                  line_s: np.ndarray, di_dd: np.ndarray, di_ds: np.ndarray,
                  rhs: np.ndarray) -> np.ndarray:
@@ -312,30 +358,26 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
     Each cycle of a two-level solver (line aggregation: P. Vaněk, J. Mandel
     and M. Brezina, Computing 56, 1996) first corrects x by one unknown per
     line, the residual summed over each line solved against the cells'
-    stamps summed by line plus the head conductances, then solves every
-    line's tridiagonal block against the residual left.  A wire segment
-    (about 0.24 S) outweighs the cells on it (at most about 4e-7 S) by six
-    decades, so what a line solve leaves is nearly constant along each line,
-    which the next coarse correction removes.  Cycles repeat until the
-    residual falls below 1e-3 RESIDUAL_TOL or stops halving.  A singular
-    coarse or line matrix gives a non-finite x.
+    stamps summed by line plus the head conductances (`_coarse_solver`, by
+    block elimination onto the bit lines: no matrix of lines x lines is
+    formed), then solves every line's tridiagonal block against the residual
+    left.  A wire segment (about 0.24 S) outweighs the cells on it (at most
+    about 4e-7 S) by six decades, so what a line solve leaves is nearly
+    constant along each line, which the next coarse correction removes.
+    Cycles repeat until the residual falls below 1e-3 RESIDUAL_TOL or stops
+    halving.  A singular coarse or line matrix gives a non-finite x.
     """
-    m = g_tie.size
     shunt, cross = np.empty_like(rhs), np.empty_like(rhs)
     shunt[lay.bl], shunt[lay.sl] = di_dd, -di_ds
     cross[lay.bl], cross[lay.sl] = di_ds, -di_dd
     shunt[lay.heads] += g_tie
-    coarse = _line_stamps(line_d, line_s, m, di_dd, di_ds)
-    coarse.flat[::m + 1] += g_tie
     x, r, res = np.zeros_like(rhs), rhs, np.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coarse = _coarse_solver(lay, g_tie, line_d, line_s, di_dd, di_ds)
         lines = _factor_lines(lay, shunt)
         while True:
-            try:
-                dx = np.linalg.solve(coarse, np.bincount(
-                    lay.line_of, r, minlength=m))[lay.line_of]
-            except np.linalg.LinAlgError:
-                return np.full_like(rhs, np.nan)
+            b = np.bincount(lay.line_of, r, minlength=g_tie.size)
+            dx = coarse(b)[lay.line_of]
             # a correction constant along each line sends nothing into wires
             r = r - shunt * dx - cross * dx[lay.partner]
             x += dx + _solve_lines(lines, r)
@@ -554,11 +596,9 @@ def column_readout_with_leak(dev: FeFetParams, topology: Topology,
 
 
 def accumulate_disturb(dev: FeFetParams, fe: FerroParams, state: BranchState,
-                       v_gb: float, n_pulses: int, duration: float):
-    """Repeatedly apply a half-select pulse; return the final state and vt
-    after each pulse."""
-    out = []
+                       v_gb: float, n_pulses: int,
+                       duration: float) -> BranchState:
+    """Repeatedly apply a half-select pulse; return the final state."""
     for _ in range(n_pulses):
         state = device.write_cell(dev, fe, state, v_gb, duration)
-        out.append(device.cell_vt(dev, fe, state))
-    return state, out
+    return state

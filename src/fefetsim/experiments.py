@@ -399,8 +399,8 @@ def accumulative_disturb_sweep(cfg: RunConfig) -> Table:
     rows = []
     pulses_done = 0
     for target in checkpoints:
-        st, _ = engine.accumulate_disturb(dev, fe, st, v_stress,
-                                          target - pulses_done, cfg.t_pulse)
+        st = engine.accumulate_disturb(dev, fe, st, v_stress,
+                                       target - pulses_done, cfg.t_pulse)
         pulses_done = target
         vt = device.cell_vt(dev, fe, st)
         delta = vt0 - vt

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fefetsim import analytics, biasing, device, engine, experiments, ferro
+from fefetsim import analytics, biasing, experiments, ferro
 from fefetsim.biasing import CellGroup, SchemeKind
 from fefetsim.config import (load_config, make_device, make_ferro,
                              make_parasitics)

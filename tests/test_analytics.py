@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

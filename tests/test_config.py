@@ -9,7 +9,6 @@ from fefetsim.biasing import Topology
 from fefetsim.config import (
     SCHEMA_VERSION,
     ConfigError,
-    RunConfig,
     UnknownKeyError,
     ValueRangeError,
     load_config,

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -228,9 +229,14 @@ def test_column_model_leak_grows_with_rows():
 def test_accumulate_disturb_reports_every_pulse():
     state = device.write_cell(DEV, FE, ferro.negative_saturation(FE), -1.5,
                               T_PULSE)
-    final, vts = engine.accumulate_disturb(DEV, FE, state, 1.6, 50, T_PULSE)
+    final = engine.accumulate_disturb(DEV, FE, state, 1.6, 50, T_PULSE)
+    states = [state]
+    for _ in range(50):
+        states.append(engine.accumulate_disturb(DEV, FE, states[-1], 1.6, 1,
+                                                T_PULSE))
+    vts = [device.cell_vt(DEV, FE, st) for st in states[1:]]
     assert len(vts) == 50
-    assert vts[-1] == device.cell_vt(DEV, FE, final)
+    assert states[-1] == final
     # half-select stress can only program, never erase further
     assert all(b <= a + 1e-12 for a, b in zip(vts, vts[1:]))
 
@@ -644,6 +650,79 @@ def test_fine_solve_with_a_singular_jacobian_raises(monkeypatch):
     with pytest.raises(engine.ConvergenceError,
                        match="read solve met a singular Jacobian at iteration 1"):
         engine.read_cells(arr, 0, [0, 1], V_READ, V_READ)
+
+
+# --------------------------------------------------------------------------
+# Coarse solve by elimination of the source lines, against the dense matrix
+
+
+def _record_newton_steps(monkeypatch):
+    """A list that gathers the arguments of every Newton step from here on."""
+    steps, step = [], engine._newton_step
+
+    def record(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(engine, "_newton_step", record)
+    return steps
+
+
+def _dense_line_matrix(g_tie, line_d, line_s, di_dd, di_ds):
+    """The coarse matrix with one unknown per line, lines x lines."""
+    return (engine._line_stamps(line_d, line_s, g_tie.size, di_dd, di_ds)
+            + np.diag(g_tie))
+
+
+@pytest.mark.parametrize("topology", Topology)
+@pytest.mark.parametrize("dev", [DEV, OPEN_ZERO_DEV], ids=["g_min", "no_g_min"])
+@pytest.mark.parametrize("rows, cols", [(1, 7), (7, 1), (5, 9), (9, 4), (8, 8)])
+def test_coarse_solve_matches_the_dense_line_matrix(monkeypatch, topology, dev,
+                                                    rows, cols):
+    rng = np.random.default_rng(rows * 16 + cols)
+    bits = rng.integers(0, 2, (rows, cols))
+    # a '1' read cell conducts, so that no read starts converged
+    bits[rows // 2, 0] = bits[rows - 1, 0] = 1
+    arr = ArrayState(topology, rows, cols, FE, dev, PAR)
+    arr.set_pattern(bits)
+    steps = _record_newton_steps(monkeypatch)
+    # full-row and single-cell reads float lines of either family
+    engine.read_cells(arr, rows // 2, range(cols), V_READ, V_READ)
+    engine.read_cells(arr, rows - 1, (0,), V_READ, V_READ)
+    assert steps
+    for lay, g_tie, line_d, line_s, di_dd, di_ds, _ in steps:
+        b = rng.normal(0.0, 1e-9, g_tie.size)
+        want = np.linalg.solve(_dense_line_matrix(
+            g_tie, line_d, line_s, di_dd, di_ds), b)
+        got = engine._coarse_solver(lay, g_tie, line_d, line_s, di_dd,
+                                    di_ds)(b)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_a_zero_source_line_pivot_raises_without_a_warning(monkeypatch):
+    # untied, the floating source line of row 1's non-conducting cells has
+    # a zero diagonal, a pivot the elimination divides by
+    arr = ArrayState(Topology.CAND, 3, 2, FE, OPEN_ZERO_DEV, PAR)
+    arr.set_pattern([[1, 0], [0, 0], [1, 1]])
+    monkeypatch.setattr(engine, "G_FLOAT", 0.0)
+    steps = _record_newton_steps(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(engine.ConvergenceError,
+                           match="read solve met a singular Jacobian"):
+            engine.read_cells(arr, 0, [0, 1], V_READ, V_READ)
+    _, *coarse, _ = steps[0]
+    assert np.diag(_dense_line_matrix(*coarse))[1] == 0.0
+
+
+@pytest.mark.parametrize("topology", Topology)
+def test_full_row_reads_of_512_rows_read_back_every_bit(topology):
+    bits = np.random.default_rng(512).integers(0, 2, (512, 512))
+    arr = _array(topology, 512, 512, bits)
+    res = engine.read_cells(arr, 200, range(512), V_READ, V_READ)
+    i_ref = RunConfig().i_ref
+    assert [res.current(c) > i_ref for c in range(512)] == \
+        (bits[200] == 1).tolist()
 
 
 # --------------------------------------------------------------------------

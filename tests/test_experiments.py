@@ -155,8 +155,8 @@ def test_accumulative_disturb_stress_follows_topology():
     st = device.write_cell(dev, fe, ferro.negative_saturation(fe),
                            CFG.v_w1, CFG.t_pulse)
     st = device.write_cell(dev, fe, st, CFG.v_w0, CFG.t_pulse)
-    st, _ = engine.accumulate_disturb(dev, fe, st, CFG.v_w1 / 2.0,
-                                      experiments.DISTURB_PULSES, CFG.t_pulse)
+    st = engine.accumulate_disturb(dev, fe, st, CFG.v_w1 / 2.0,
+                                   experiments.DISTURB_PULSES, CFG.t_pulse)
     assert cand.summary["final_vt"] == device.cell_vt(dev, fe, st)
     and_ = experiments.accumulative_disturb_sweep(
         dataclasses.replace(CFG, topology="and"))
