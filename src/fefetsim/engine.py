@@ -262,15 +262,6 @@ def _wire_currents(lay: _Layout, v: np.ndarray) -> np.ndarray:
     return q[:-1] - q[1:]
 
 
-def _line_stamps(kd: np.ndarray, ks: np.ndarray, m: int, di_dd: np.ndarray,
-                 di_ds: np.ndarray) -> np.ndarray:
-    """The cells' derivative stamps summed by line, as an m x m matrix; each
-    cell joins line kd on its bit-line side to line ks on its source side."""
-    slots = np.concatenate([kd, kd, ks, ks]) * m + np.concatenate([kd, ks, kd, ks])
-    return np.bincount(slots, np.concatenate([di_dd, di_ds, -di_dd, -di_ds]),
-                       minlength=m * m).reshape(m, m)
-
-
 def _factor_lines(lay: _Layout, shunt: np.ndarray) -> list:
     """Each line's tridiagonal block, its segments plus the per-node
     `shunt`, eliminated from the far end towards the head.
@@ -309,16 +300,18 @@ def _solve_lines(factors: list, r: np.ndarray) -> np.ndarray:
 
 
 def _coarse_solver(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
-                   line_s: np.ndarray, di_dd: np.ndarray, di_ds: np.ndarray):
+                   line_s: np.ndarray, di_dd: np.ndarray, di_ds: np.ndarray,
+                   held: np.ndarray | None = None):
     """A solve of the coarse matrix, one unknown per line: the cells'
-    derivative stamps summed by line (`_line_stamps`) plus the head
-    conductances g_tie on its diagonal.
+    derivative stamps summed by line plus the ties g_tie on its diagonal.
+    A line in `held` stays at its right-hand side, which must be 0: it gets
+    a unit diagonal, and a cell on it adds only to its other line's diagonal.
 
     No cell joins two lines of one family, so the matrix's source-line and
     bit-line blocks are diagonal.  The source lines are eliminated onto the
     bit lines here, once; each solve then solves the bit lines' Schur
     complement and finds the source lines by one division.  Each column of
-    the matrix sums to its head conductance, with a positive diagonal and no
+    the matrix sums to at least its tie, with a positive diagonal and no
     positive entry off it: it is column diagonally dominant, so this
     elimination is stable without pivoting (G. H. Golub and C. F. Van Loan,
     Matrix Computations, sec. 3.4).  A zero pivot or a singular Schur
@@ -331,6 +324,9 @@ def _coarse_solver(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
     d = line_d - n_sl
     a_s = g_tie[:n_sl] - np.bincount(line_s, di_ds, minlength=n_sl)
     a_d = g_tie[n_sl:] + np.bincount(d, di_dd, minlength=g_tie.size - n_sl)
+    if held is not None:
+        a_s[held[:n_sl]], a_d[held[n_sl:]] = 1.0, 1.0
+        di_dd, di_ds = np.where(held[line_d] | held[line_s], 0, (di_dd, di_ds))
     slot, size = d * n_sl + line_s, a_d.size * n_sl
     w = np.bincount(slot, di_ds, minlength=size).reshape(a_d.size, n_sl)
     c_dd = np.bincount(slot, di_dd, minlength=size).reshape(a_d.size, n_sl)
@@ -355,17 +351,16 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
     (di_dd, di_ds), the lines (line_d, line_s) each cell joins and the line
     heads' conductances g_tie.
 
-    Each cycle of a two-level solver (line aggregation: P. Vaněk, J. Mandel
-    and M. Brezina, Computing 56, 1996) first corrects x by one unknown per
-    line, the residual summed over each line solved against the cells'
-    stamps summed by line plus the head conductances (`_coarse_solver`, by
-    block elimination onto the bit lines: no matrix of lines x lines is
-    formed), then solves every line's tridiagonal block against the residual
-    left.  A wire segment (about 0.24 S) outweighs the cells on it (at most
-    about 4e-7 S) by six decades, so what a line solve leaves is nearly
-    constant along each line, which the next coarse correction removes.
-    Cycles repeat until the residual falls below 1e-3 RESIDUAL_TOL or stops
-    halving.  A singular coarse or line matrix gives a non-finite x.
+    Each cycle of a two-level solver (line aggregation: P. Vaněk, J. Mandel and
+    M. Brezina, Computing 56, 1996) first corrects x by one unknown per line,
+    the residual summed over each line solved against the cells' stamps summed
+    by line plus the head conductances (`_coarse_solver`, by block elimination
+    onto the bit lines), then solves every line's tridiagonal block against the
+    residual left.  A wire segment (about 0.24 S) outweighs the cells on it (at
+    most about 4e-7 S) by six decades, so what a line solve leaves is nearly
+    constant along each line, which the next coarse correction removes.  Cycles
+    repeat until the residual falls below 1e-3 RESIDUAL_TOL or stops halving.
+    A singular coarse or line matrix gives a non-finite x.
     """
     shunt, cross = np.empty_like(rhs), np.empty_like(rhs)
     shunt[lay.bl], shunt[lay.sl] = di_dd, -di_ds
@@ -388,13 +383,28 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
             res = new
 
 
-#: grid the predicted line potentials are rounded to, V: far coarser than an
-#: ulp, so that numpy's exp and log1p, which may differ from math's and from
-#: one CPU to the next by an ulp, do not reach the start of the fine solve.
-#: From VECTOR_CELLS cells on the fine solve also uses numpy's exp, log1p and
-#: expm1, so there such an ulp may move the currents (by at most 3.3e-16
-#: relative on random 256-row C-AND reads)
+#: grid the predicted line potentials are rounded to, V.  The predictor
+#: rounds after its last step, so neither its start, its linear algebra nor
+#: an ulp of numpy's exp and log1p (which may differ from math's and between
+#: CPUs) reaches the fine solve.  From VECTOR_CELLS cells on the fine solve
+#: also uses numpy's exp, log1p and expm1, so there such an ulp may move the
+#: currents (by at most 3.3e-16 relative on random 256-row C-AND reads)
 PREDICTOR_GRID = 2.0 ** -30
+
+
+def _predictor_start(line_d: np.ndarray, line_s: np.ndarray,
+                     drive: np.ndarray, floating: np.ndarray,
+                     gates: np.ndarray, vts: np.ndarray) -> np.ndarray:
+    """The drives, with each floating line at the drive of the driven line
+    its most strongly gated cell (highest gate - vt) joins it to, else 0 V."""
+    pot = np.where(floating, 0.0, drive)
+    for near, far in ((line_d, line_s), (line_s, line_d)):
+        tie = np.flatnonzero(floating[near] & ~floating[far])
+        # by line, then by gate - vt: each line's last tie is its strongest
+        tie = tie[np.lexsort(((gates - vts)[tie], near[tie]))]
+        last = tie[np.diff(near[tie], append=-1) != 0]
+        pot[near[last]] = drive[far[last]]
+    return pot
 
 
 def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
@@ -404,56 +414,46 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
     drive, a floating line at the root of its KCL, one unknown per line (the
     coarse level of nested iteration: A. Brandt, Math. Comp. 31, 1977).
 
-    Damped Newton on the dense Jacobian of the numpy device terms runs until
-    a step moves no potential by more than PREDICTOR_GRID, to which the
-    potentials are then rounded.  It raises ConvergenceError if a step is
-    not finite; if its line search stalls or its iterations run out, it
-    returns the potentials it reached, since the fine solve decides
-    convergence.
+    Damped Newton on the numpy device terms from `_predictor_start`, each
+    step by `_coarse_solver` with the driven lines held, runs until a step
+    moves no potential by more than PREDICTOR_GRID, applies it and rounds
+    to the grid.  A non-finite step raises ConvergenceError; a stalled line
+    search or the last iteration returns the potentials reached.
     """
-    m = np.count_nonzero(floating)
-    # each line's unknown, with all driven lines lumped into unknown m
-    unknown = np.full(drive.size, m)
-    unknown[floating] = np.arange(m)
     line_d, line_s = lay.line_of[lay.bl], lay.line_of[lay.sl]
-    kd, ks = unknown[line_d], unknown[line_s]
-    pot = drive.copy()
 
-    def assemble(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pot[floating] = u
-        i, di_dd, di_ds = device.drain_current_and_derivs_array(
+    def assemble(pot: np.ndarray) -> tuple[np.ndarray, list, float]:
+        # the floating lines' KCL residual, 0 on the driven lines
+        i, *derivs = device.drain_current_and_derivs_array(
             dev, gates, pot[line_d], pot[line_s], vts)
-        f = np.bincount(kd, i, minlength=m + 1) - np.bincount(
-            ks, i, minlength=m + 1)
-        jac = _line_stamps(kd, ks, m + 1, di_dd, di_ds)[:m, :m]
-        jac[np.diag_indices(m)] += G_FLOAT
-        return f[:m] + G_FLOAT * u, jac
+        f = np.bincount(line_d, i, minlength=pot.size) - np.bincount(
+            line_s, i, minlength=pot.size)
+        f = np.where(floating, f + G_FLOAT * pot, 0.0)
+        return f, derivs, np.abs(f).max()
 
-    u = np.zeros(m)
-    f, jac = assemble(u)
-    res = np.max(np.abs(f))
+    pot = _predictor_start(line_d, line_s, drive, floating, gates, vts)
+    f, derivs, res = assemble(pot)
     for it in range(1, MAX_NEWTON_ITER + 1):
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            step = np.full(m, np.nan)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = _coarse_solver(lay, G_FLOAT * floating, line_d, line_s,
+                                  *derivs, held=~floating)(-f)
         if not np.isfinite(step).all():
             raise ConvergenceError(
                 f"read predictor met a singular Jacobian at iteration {it}")
-        if np.max(np.abs(step)) <= PREDICTOR_GRID:
+        if np.abs(step).max() <= PREDICTOR_GRID:
+            pot = pot + step
             break
         scale = 1.0
         while scale >= 1e-8:
-            f_new, jac_new = assemble(u + scale * step)
-            res_new = np.max(np.abs(f_new))
+            f_new, derivs_new, res_new = assemble(pot + scale * step)
             if res_new < res:
                 break
             scale *= DAMPING
         else:
             break   # stalled: start from the potentials reached
-        u, f, jac, res = u + scale * step, f_new, jac_new, res_new
-    pot[floating] = np.round(u / PREDICTOR_GRID) * PREDICTOR_GRID
-    return pot
+        pot, f, derivs, res = pot + scale * step, f_new, derivs_new, res_new
+    return np.where(floating, np.round(pot / PREDICTOR_GRID) * PREDICTOR_GRID,
+                    drive)
 
 
 def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
@@ -581,7 +581,7 @@ def column_readout_with_leak(dev: FeFetParams, topology: Topology,
     floating lines provide on read time scales.  Only the AND model is
     cross-checked against solve_read, in tests/test_engine.py::
     test_column_model_cross_checks_full_solver_and; the C-AND gap is open,
-    see ROADMAP item 5.)
+    see ROADMAP item 3.)
     """
     i_cell = device.drain_current(dev, v_wl, v_sl, vt_selected)
     if topology is Topology.AND:

@@ -1,7 +1,8 @@
 """Test oracles with no caller in the program: an exact network solve of
 the sneak-path graph with its return-leg bound, against which the closed
-form in `fefetsim.analytics` is checked, and the hysteresis helpers the
-ferro tests drive the branch model with.
+form in `fefetsim.analytics` is checked, the hysteresis helpers the
+ferro tests drive the branch model with, and the dense line matrix against
+which the read solve's elimination of the source lines is checked.
 """
 
 import numpy as np
@@ -47,6 +48,16 @@ def sneak_resistance_network(r_on: float, r_off: float, rows: int, cols: int) ->
     v = np.linalg.solve(g, rhs)
     i_total = float(np.sum(g_on * (1.0 - v[:n1])))
     return 1.0 / i_total
+
+
+def line_stamps(kd: np.ndarray, ks: np.ndarray, m: int, di_dd: np.ndarray,
+                di_ds: np.ndarray) -> np.ndarray:
+    """The cells' derivative stamps summed by line, as a dense m x m matrix;
+    each cell joins line kd on its bit-line side to line ks on its source
+    side."""
+    slots = np.concatenate([kd, kd, ks, ks]) * m + np.concatenate([kd, ks, kd, ks])
+    return np.bincount(slots, np.concatenate([di_dd, di_ds, -di_dd, -di_ds]),
+                       minlength=m * m).reshape(m, m)
 
 
 def reverse_branch(state: BranchState, params: FerroParams) -> BranchState:

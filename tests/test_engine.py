@@ -13,6 +13,7 @@ from fefetsim.config import (RunConfig, make_device, make_ferro,
                              make_parasitics)
 from fefetsim.device import GATE_DIRECT, GATE_DIVIDER
 from fefetsim.engine import ArrayState
+from oracles import line_stamps
 
 FE = make_ferro(RunConfig())
 DEV = make_device(RunConfig())
@@ -670,8 +671,7 @@ def _record_newton_steps(monkeypatch):
 
 def _dense_line_matrix(g_tie, line_d, line_s, di_dd, di_ds):
     """The coarse matrix with one unknown per line, lines x lines."""
-    return (engine._line_stamps(line_d, line_s, g_tie.size, di_dd, di_ds)
-            + np.diag(g_tie))
+    return line_stamps(line_d, line_s, g_tie.size, di_dd, di_ds) + np.diag(g_tie)
 
 
 @pytest.mark.parametrize("topology", Topology)
@@ -725,6 +725,22 @@ def test_full_row_reads_of_512_rows_read_back_every_bit(topology):
         (bits[200] == 1).tolist()
 
 
+def test_single_cell_read_of_512_random_rows_reads_back_its_bit():
+    bits = np.random.default_rng(7).integers(0, 2, (512, 512))
+    arr = _array(Topology.CAND, 512, 512, bits)
+    res = engine.read_cells(arr, 256, [170], V_READ, V_READ)
+    assert (res.current(170) > RunConfig().i_ref) == (bits[256, 170] == 1)
+
+
+def test_worst_case_single_cell_read_of_256_rows_reads_zero():
+    # all but the read cell store '1', so every sneak path conducts
+    bits = np.ones((256, 256))
+    bits[0, 0] = 0
+    res = engine.read_cells(_array(Topology.CAND, 256, 256, bits), 0, [0],
+                            V_READ, V_READ)
+    assert res.current(0) < RunConfig().i_ref
+
+
 # --------------------------------------------------------------------------
 # Line-potential predictor
 
@@ -746,7 +762,7 @@ def test_predicted_disturb_reads_take_one_iteration_to_the_tight_solve(
     assert len(reads) == 24
     assert all(res.iterations == 1 for _, _, res in reads)
     # the same reads from the drive start, to a residual that roundoff
-    # still reaches: the default start's currents lie up to 3.9e-14 A away
+    # still reaches: the default start's currents lie up to 2.3e-15 A away
     monkeypatch.setattr(engine, "_line_potentials",
                         lambda lay, drive, *args: drive)
     monkeypatch.setattr(engine, "RESIDUAL_TOL", 1e-15)
@@ -773,6 +789,112 @@ def test_reads_with_balanced_floating_lines_never_predict(monkeypatch):
     with pytest.raises(AssertionError, match="predictor called"):
         engine.read_cells(_array(Topology.CAND, 12, 10, bits), 5, [3],
                           V_READ, V_READ)
+
+
+def _record_predictor_steps(monkeypatch):
+    """A list that gathers every predictor step from here on: the arguments
+    of its coarse solver, with the lines it holds, and its right-hand side."""
+    steps, solver = [], engine._coarse_solver
+
+    def record(*args, held=None):
+        solve = solver(*args, held=held)
+        if held is None:
+            return solve   # a step of the fine solve
+
+        def recorded(b):
+            steps.append((args, held, b))
+            return solve(b)
+
+        return recorded
+
+    monkeypatch.setattr(engine, "_coarse_solver", record)
+    return steps
+
+
+@pytest.mark.parametrize("dev", [DEV, OPEN_ZERO_DEV], ids=["g_min", "no_g_min"])
+@pytest.mark.parametrize("rows, cols", [(1, 7), (7, 1), (5, 9), (9, 4), (8, 8)])
+def test_predictor_step_matches_the_dense_line_matrix(monkeypatch, dev, rows,
+                                                      cols):
+    rng = np.random.default_rng(rows * 16 + cols)
+    bits = rng.integers(0, 2, (rows, cols))
+    bits[rows // 2] = 1   # conducting read cells, so that no read starts converged
+    arr = ArrayState(Topology.CAND, rows, cols, FE, dev, PAR)
+    arr.set_pattern(bits)
+    # single-cell and partial-row reads; one column is all a read can
+    # select, so there the predictor problem floats it as well
+    steps = _record_predictor_steps(monkeypatch)
+    for sel in ((0,), range(0, cols, 2)):
+        plan = biasing.read_bias(Topology.CAND, rows, cols, rows // 2, sel,
+                                 V_READ, V_READ)
+        if cols == 1:
+            plan = dataclasses.replace(plan, sel_cols=(), bl=(biasing.HIGH_Z,))
+        engine.solve_read(arr, plan)
+    monkeypatch.undo()
+    assert steps
+    for (lay, g_tie, line_d, line_s, di_dd, di_ds), held, rhs in steps:
+        fl = ~held
+        jac = line_stamps(line_d, line_s, held.size, di_dd, di_ds)[
+            np.ix_(fl, fl)] + np.diag(np.full(np.count_nonzero(fl), engine.G_FLOAT))
+        want = np.linalg.solve(jac, rhs[fl])
+        got = engine._coarse_solver(lay, g_tie, line_d, line_s, di_dd, di_ds,
+                                    held=held)(rhs)
+        assert np.abs(got[fl] - want).max() <= 1e-12 * np.abs(want).max()
+        assert not got[held].any()
+
+
+def _zero_start(line_d, line_s, drive, floating, gates, vts):
+    return np.where(floating, 0.0, drive)
+
+
+@pytest.mark.parametrize("rows", [24, 64])
+@pytest.mark.parametrize("pattern", ["zeros", "ones", "worst", "random"])
+def test_predicted_potentials_do_not_depend_on_the_start(monkeypatch, rows,
+                                                         pattern):
+    bits = {"zeros": np.zeros((rows, rows)), "ones": np.ones((rows, rows)),
+            "worst": np.ones((rows, rows)),
+            "random": np.random.default_rng(rows).integers(0, 2, (rows, rows))
+            }[pattern]
+    if pattern == "worst":
+        bits[0, 0] = 0   # a '0' read among '1's
+    arr = _array(Topology.CAND, rows, rows, bits)
+    predicted, predict = [], engine._line_potentials
+
+    def record(*args):
+        predicted.append(predict(*args))
+        return predicted[-1]
+
+    monkeypatch.setattr(engine, "_line_potentials", record)
+    reads = [engine.read_cells(arr, 0, [0], V_READ, V_READ)]
+    monkeypatch.setattr(engine, "_predictor_start", _zero_start)
+    reads.append(engine.read_cells(arr, 0, [0], V_READ, V_READ))
+    assert len(predicted) == 2
+    assert np.array_equal(*predicted)
+    assert reads[0].col_currents == reads[1].col_currents
+
+
+def test_predictor_starts_floating_lines_at_their_strongest_tie():
+    # '1' cells have vt 0.58 V and '0' cells 1.72 V
+    arr = _array(Topology.CAND, 3, 4, [[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 0]])
+    lay = engine._layout(Topology.CAND, 3, 4, PAR)
+    line_d, line_s = lay.line_of[lay.bl], lay.line_of[lay.sl]
+    gates, vts = np.repeat([0.0, 0.3, 0.6], 4), arr.vts().ravel()
+
+    def start(drive):
+        drive = np.array(drive)
+        floating = np.isnan(drive)
+        return engine._predictor_start(line_d, line_s, np.nan_to_num(drive),
+                                       floating, gates, vts).tolist()
+
+    nan = float("nan")
+    # source lines 0 and 2 driven: each bit line takes the drive of its
+    # highest gate - vt cell among rows 0 and 2, and source line 1, which
+    # meets no driven line, starts at 0 V
+    assert start([1.0, nan, 0.25, nan, nan, nan, nan]) == \
+        [1.0, 0.0, 0.25, 0.25, 0.25, 1.0, 0.25]
+    # bit lines 1 and 2 driven: each source line takes the drive of its '1'
+    # cell among columns 1 and 2, and bit lines 0 and 3 start at 0 V
+    assert start([nan, nan, nan, nan, 0.5, 0.25, nan]) == \
+        [0.25, 0.5, 0.5, 0.0, 0.5, 0.25, 0.0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
