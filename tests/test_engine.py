@@ -793,7 +793,8 @@ def test_reads_with_balanced_floating_lines_never_predict(monkeypatch):
 
 def _record_predictor_steps(monkeypatch):
     """A list that gathers every predictor step from here on: the arguments
-    of its coarse solver, with the lines it holds, and its right-hand side."""
+    of its coarse solver, the lines it holds, its right-hand side and the
+    step."""
     steps, solver = [], engine._coarse_solver
 
     def record(*args, held=None):
@@ -802,8 +803,8 @@ def _record_predictor_steps(monkeypatch):
             return solve   # a step of the fine solve
 
         def recorded(b):
-            steps.append((args, held, b))
-            return solve(b)
+            steps.append((args, held, b, solve(b)))
+            return steps[-1][-1]
 
         return recorded
 
@@ -831,13 +832,11 @@ def test_predictor_step_matches_the_dense_line_matrix(monkeypatch, dev, rows,
         engine.solve_read(arr, plan)
     monkeypatch.undo()
     assert steps
-    for (lay, g_tie, line_d, line_s, di_dd, di_ds), held, rhs in steps:
+    for (_, _, line_d, line_s, di_dd, di_ds), held, rhs, got in steps:
         fl = ~held
-        jac = line_stamps(line_d, line_s, held.size, di_dd, di_ds)[
-            np.ix_(fl, fl)] + np.diag(np.full(np.count_nonzero(fl), engine.G_FLOAT))
+        jac = line_stamps(line_d, line_s, held.size, di_dd, di_ds)[np.ix_(fl, fl)]
+        jac[np.diag_indices_from(jac)] += engine.G_FLOAT
         want = np.linalg.solve(jac, rhs[fl])
-        got = engine._coarse_solver(lay, g_tie, line_d, line_s, di_dd, di_ds,
-                                    held=held)(rhs)
         assert np.abs(got[fl] - want).max() <= 1e-12 * np.abs(want).max()
         assert not got[held].any()
 
