@@ -555,11 +555,31 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
 
 def read_cells(array: ArrayState, sel_row: int, sel_cols,
                v_wl: float, v_sl: float) -> ReadResult:
-    res = solve_read(array, biasing.read_bias(
-        array.topology, array.rows, array.cols, sel_row, sel_cols, v_wl, v_sl))
-    if array.topology is Topology.AND:
-        # sensing happens at the driven bit line; current flows into the array
-        res.col_currents = {c: -i for c, i in res.col_currents.items()}
+    """Read row `sel_row` at columns `sel_cols`: each column's sensed current.
+
+    A C-AND read solves the whole array, since each of its lines meets every
+    line of the other family.  An AND read solves its read columns alone.
+    Each AND column owns its source line and bit line, and no cell joins two
+    columns; the read grounds every source line and ties every unread bit
+    line to ground.  An unread column's cells then see vds = 0 and carry
+    exactly nothing, so its residual and every Newton step on it are exactly
+    0, and the coarse Schur complement is diagonal, so the read columns'
+    arithmetic is the same either way: on the same device path (VECTOR_CELLS
+    counts the cells solved) the currents, `iterations` and `max_residual`
+    equal those of the full array's solve.  AND senses at the driven bit
+    line, into which the current flows, so its sign is flipped.
+    """
+    plan = biasing.read_bias(array.topology, array.rows, array.cols, sel_row,
+                             sel_cols, v_wl, v_sl)
+    if array.topology is Topology.CAND:
+        return solve_read(array, plan)
+    keep = plan.sel_cols
+    part = replace(array, cols=len(keep))
+    part._swap(array.states, array.index[:, list(keep)])
+    res = solve_read(part, biasing.read_bias(
+        Topology.AND, array.rows, len(keep), sel_row, range(len(keep)),
+        v_wl, v_sl))
+    res.col_currents = {c: -res.col_currents[k] for k, c in enumerate(keep)}
     return res
 
 
@@ -570,7 +590,12 @@ def column_readout_with_leak(dev: FeFetParams, topology: Topology,
     """Scalable worst-case single-column read: (cell current, leak current).
 
     AND: every unselected cell on the bit line sees the full read voltage,
-    so leakage is the sum of their off-state currents.  CAND: leakage must
+    so leakage is the sum of their off-state currents.  On square worst
+    cases (every cell '1' but the read '0' at (0, 0)) the network's read
+    over this model is 1.000000 at 16 and 256 rows, 0.999896 at 1024 and
+    0.999585 at 2048, where the stored '0' reads 4.54e-9 and 9.08e-9 A,
+    above the default i_ref of 2e-9 A (tests/test_engine.py::
+    test_column_model_cross_checks_full_solver_and).  CAND: leakage must
     thread series paths of an on-device into a floating column followed by
     two gate-closed devices; the path aggregate is composed from the
     series/parallel resistance estimate with closed channels taken at their
@@ -578,10 +603,8 @@ def column_readout_with_leak(dev: FeFetParams, topology: Topology,
     read point.  (A DC nodal solve of the unselected mesh instead lets the
     floating lines drift to the rail and the last closed device carry its
     full gate-grounded subthreshold current, which erases the isolation the
-    floating lines provide on read time scales.  Only the AND model is
-    cross-checked against solve_read, in tests/test_engine.py::
-    test_column_model_cross_checks_full_solver_and; the C-AND gap is open,
-    see ROADMAP item 3.)
+    floating lines provide on read time scales.  That gap is open, see
+    ROADMAP item 3.)
     """
     i_cell = device.drain_current(dev, v_wl, v_sl, vt_selected)
     if topology is Topology.AND:

@@ -203,6 +203,20 @@ def test_column_model_cross_checks_full_solver_and():
         DEV, Topology.AND, rows, 2, arr.vt(0, 0), arr.vt(1, 0),
         V_READ, V_READ)
     assert i_solver == pytest.approx(i_cell + i_leak, rel=0.05)
+    # square worst cases, every cell '1' but the read (0, 0): network / model
+    # is 1.000000 at 16 and 256 rows, 0.999896 at 1024 and 0.999585 at 2048
+    i_ref = RunConfig().i_ref
+    for rows in (16, 256, 1024, 2048):
+        bits = np.ones((rows, rows), dtype=np.uint8); bits[0, 0] = 0
+        arr = _array(Topology.AND, rows, rows, bits)
+        i_solver = engine.read_cells(arr, 0, (0,), V_READ, V_READ).current(0)
+        i_cell, i_leak = engine.column_readout_with_leak(
+            DEV, Topology.AND, rows, rows, arr.vt(0, 0), arr.vt(1, 0),
+            V_READ, V_READ)
+        assert i_solver == pytest.approx(i_cell + i_leak, rel=1e-3)
+        # AND's long-bitline read error: from 1024 rows on the leak lifts the
+        # stored '0' above i_ref (4.54e-9 A at 1024 rows, 9.08e-9 A at 2048)
+        assert (i_solver > i_ref) == (rows >= 1024)
 
 
 def test_cand_leak_stays_below_and_leak():
@@ -936,12 +950,14 @@ def test_scalar_and_numpy_device_paths_give_the_same_read(monkeypatch,
         return scalar(*args)
 
     monkeypatch.setattr(device, "drain_current_and_derivs", counted)
+    # an AND read solves its read columns alone
+    solved = n * (len(sel) if topology is Topology.AND else n)
     reads = []
-    for threshold in (n * n, n * n + 1):
+    for threshold in (solved, solved + 1):
         monkeypatch.setattr(engine, "VECTOR_CELLS", threshold)
         reads.append(engine.read_cells(arr, row, sel, V_READ, V_READ))
         # the numpy path at the threshold itself, the scalar one below it
-        assert bool(calls) == (threshold > n * n)
+        assert bool(calls) == (threshold > solved)
     got, want = reads
     assert got.iterations == want.iterations
     for c in sel:
@@ -976,9 +992,60 @@ def test_reads_below_the_crossover_call_the_scalar_device_per_cell(
     arr = _array(topology, rows, cols, np.random.default_rng(rows * cols)
                  .integers(0, 2, (rows, cols)).tolist())
     res = engine.read_cells(arr, 1, sel, V_READ, V_READ)
-    # every assembly calls the device once per cell, in row-major order
+    # every assembly calls the device once per solved cell, in row-major
+    # order; an AND read solves its read columns alone
     plan = biasing.read_bias(topology, rows, cols, 1, sel, V_READ, V_READ)
-    cells = [(vg, vt) for vg, row in zip(plan.wl, arr.vts()) for vt in row]
+    solved = list(sel if topology is Topology.AND else range(cols))
+    cells = [(vg, vt) for vg, row in zip(plan.wl, arr.vts())
+             for vt in row[solved]]
     assemblies = len(calls) // len(cells)
     assert assemblies >= 1 + res.iterations
     assert [(vg, vt) for _, vg, _, _, vt in calls] == cells * assemblies
+
+
+# --------------------------------------------------------------------------
+# AND reads solve their read columns alone
+
+
+def _and_selections(cols):
+    """One column, two non-adjacent columns where the array has them, and
+    every column."""
+    sels = [(cols // 2,), tuple(range(cols))]
+    if cols > 2:
+        sels.append((0, cols - 1))
+    return sels
+
+
+# one device path for both solves, so that only the columns solved differ
+@pytest.mark.parametrize("vector_cells", [1, 10 ** 9], ids=["numpy", "scalar"])
+@pytest.mark.parametrize("dev", [DEV, OPEN_ZERO_DEV], ids=["g_min", "no_g_min"])
+@pytest.mark.parametrize("rows, cols", [(12, 10), (1, 6), (6, 1), (64, 64)])
+def test_and_read_of_its_columns_is_the_full_array_solve(monkeypatch,
+                                                         vector_cells, dev,
+                                                         rows, cols):
+    monkeypatch.setattr(engine, "VECTOR_CELLS", vector_cells)
+    arr = ArrayState(Topology.AND, rows, cols, FE, dev, PAR)
+    arr.set_pattern(np.random.default_rng(rows * cols).integers(
+        0, 2, (rows, cols)))
+    row = rows // 2
+    for sel in _and_selections(cols):
+        got = engine.read_cells(arr, row, sel, V_READ, V_READ)
+        full = engine.solve_read(arr, biasing.and_read_bias(
+            rows, cols, row, sel, V_READ, V_READ))
+        assert list(got.col_currents.items()) == [
+            (c, -i) for c, i in full.col_currents.items()]
+        assert got.iterations == full.iterations
+        assert got.max_residual == full.max_residual
+
+
+@pytest.mark.parametrize("sel, message", [
+    ((-1,), "selected column outside array"),
+    ((0, -1), "selected column outside array"),
+    ((6,), "selected column outside array"),
+    ((), "selected column set must be nonempty"),
+])
+def test_and_read_of_no_column_or_one_outside_the_array_raises(sel, message):
+    # numpy would read column -1 as the last column
+    arr = _array(Topology.AND, 4, 6, np.ones((4, 6)))
+    with pytest.raises(ValueError, match=message):
+        engine.read_cells(arr, 1, sel, V_READ, V_READ)

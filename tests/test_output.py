@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from fefetsim import output
 
@@ -7,9 +8,9 @@ def test_csv_formatting_and_determinism(tmp_path):
     rows = [(1, "cand", 1.25e-9, True), (2, "and", 3.0, False)]
     p1 = output.write_csv(str(tmp_path / "a.csv"), ["n", "t", "i", "ok"], rows)
     p2 = output.write_csv(str(tmp_path / "b.csv"), ["n", "t", "i", "ok"], rows)
-    body = open(p1).read()
+    body = Path(p1).read_text()
     assert body.splitlines()[0] == "n,t,i,ok"
-    assert body == open(p2).read()
+    assert body == Path(p2).read_text()
     assert "1.250000000000e-09" in body   # fixed-width float formatting
     assert ",1\n" in body and ",0\n" in body  # booleans written as 1/0
 
@@ -29,6 +30,6 @@ def test_svg_plot_is_wellformed(tmp_path):
     p = output.svg_line_plot(str(tmp_path / "p.svg"),
                              {"a": [(1, 1), (10, 100)]},
                              "t", "x", "y", log_x=True, log_y=True)
-    body = open(p).read()
+    body = Path(p).read_text()
     assert body.startswith("<svg") or "<svg" in body
     assert "polyline" in body and "</svg>" in body
