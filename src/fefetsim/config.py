@@ -157,6 +157,8 @@ def load_config(path: str | None = None,
         raise ValueRangeError("topology must be 'and' or 'cand'")
     if cfg.rows < 1 or cfg.cols < 1 or cfg.samples < 1:
         raise ValueRangeError("rows, cols, samples must be positive")
+    if cfg.seed < 0:
+        raise ValueRangeError(f"seed must be nonnegative, got {cfg.seed}")
     if not cfg.v_w0 < 0.0 < cfg.v_w1:
         raise ValueRangeError("write voltages must satisfy v_w0 < 0 < v_w1, "
                               f"got v_w0={cfg.v_w0}, v_w1={cfg.v_w1}")

@@ -35,9 +35,8 @@ MAX_NEWTON_ITER = 200
 DAMPING = 0.5
 
 #: cells from which a read evaluates its device terms in one numpy call
-#: (`device.drain_current_and_derivs_array`) rather than one scalar call per
-#: cell: below about 32 cells numpy's per-call overhead costs more than the
-#: scalar loop it replaces (timed assemblies in CHANGES.md)
+#: (`device.drain_current_and_derivs_array`), not one scalar call per cell:
+#: below it numpy's per-call overhead costs more (timed in CHANGES.md)
 VECTOR_CELLS = 32
 
 
@@ -186,150 +185,160 @@ class ReadResult:
 
 
 class _Layout(NamedTuple):
-    """The read network of one array shape, numbered line-major.
-
-    The source lines come first, then the bit lines, each family in the
-    order of its plan tuple, and each line's nodes are contiguous from its
-    driven end, where its driver or floating tie attaches through one more
-    conductance `g_head`.  `sl` and `bl` are the node ids of every cell's
-    source-side and bit-line-side channel terminal, in row-major cell order.
-    `partner` gives each node the other terminal of its cell, `line_of` its
-    line and `g_prev` the conductance of the segment joining it to the node
-    before it (0 at a line's first node, in `heads`).  `blocks` splits the
-    nodes into runs [start, stop) of equally long lines, one run when both
-    families' lines are equally long, else one per family; each comes with
-    its `g_prev` as a (length, lines) view, row j holding node j of every
-    line of the run.  `n_sl` counts the source lines, lines 0 to n_sl - 1.
-    """
+    """The read network of one array shape, held position-major: a node
+    array is one flat buffer of `blocks` (nodes, lines, shape, segment
+    conductances), a C-contiguous (length, lines) array per run of equally
+    long lines, row j holding node j of every line from its driven end,
+    where its driver or floating tie joins through one more `g_line`.  The
+    `n_sl` source lines precede the bit lines, in plan-tuple order.  A C-AND
+    (`cand`) source line r holds cell (r, j) at [j, r], a bit line c cell
+    (j, c) at [j, c], and in AND both at [j, c]: a cell's other terminal is
+    at the other family's transposed (C-AND) or same (AND) position."""
 
     n_sl: int
-    sl: np.ndarray
-    bl: np.ndarray
-    partner: np.ndarray
-    line_of: np.ndarray
-    heads: np.ndarray
-    g_head: np.ndarray
-    g_prev: np.ndarray
+    cand: bool
     blocks: tuple
+    g_line: np.ndarray
     r_bl: float
 
 
 @functools.lru_cache(maxsize=1)
 def _layout(topology: Topology, rows: int, cols: int,
             par: Parasitics) -> _Layout:
-    """The line-major read network of one array shape, from index arithmetic
-    on the node ids, as read-only arrays.  The last shape's layout is kept,
-    which spares the many equal reads of a Monte Carlo run rebuilding it;
-    keeping more would hold large layouts alive."""
-    cells = rows * cols
-    ids = np.arange(2 * cells)
-    r_bl = par.seg_resistance(PITCH_Y)
-    # bit line c holds nodes cells + c * rows ..., from row 0 on
-    bl = ids[cells:].reshape(cols, rows).T.ravel()
-    if topology is Topology.CAND:
-        # source line r holds nodes r * cols ..., from column 0 on
-        sl = ids[:cells]
-        n_sl, len_sl, r_sl = rows, cols, par.seg_resistance(PITCH_X)
-    else:
-        # source line c holds nodes c * rows ..., from row 0 on
-        sl = bl - cells
-        n_sl, len_sl, r_sl = cols, rows, r_bl
-    heads = np.concatenate([ids[:cells:len_sl], ids[cells::rows]])
-    line_of = np.concatenate([ids[:cells] // len_sl, ids[:cells] // rows + n_sl])
-    g_head = np.full(n_sl + cols, 1.0 / r_bl)
-    g_head[:n_sl] = 1.0 / r_sl
-    g_prev = g_head[line_of]
-    g_prev[heads] = 0.0
-    partner = np.empty_like(ids)
-    partner[bl], partner[sl] = sl, bl
-    for a in (sl, bl, partner, line_of, heads, g_head, g_prev):
-        a.flags.writeable = False
-    if len_sl == rows:
-        runs = ((0, 2 * cells, n_sl + cols, rows),)
-    else:
-        runs = ((0, cells, n_sl, len_sl), (cells, 2 * cells, cols, rows))
-    blocks = tuple((start, stop, g_prev[start:stop].reshape(lines, length).T)
-                   for start, stop, lines, length in runs)
-    return _Layout(n_sl, sl, bl, partner, line_of, heads, g_head, g_prev,
-                   blocks, r_bl)
+    """The read network of one array shape; the last shape's is kept, which
+    spares the many equal small reads of a Monte Carlo run."""
+    r_bl, cand = par.seg_resistance(PITCH_Y), topology is Topology.CAND
+    n_sl, len_sl, r_sl = ((rows, cols, par.seg_resistance(PITCH_X)) if cand
+                          else (cols, rows, r_bl))
+    cells, lines = rows * cols, n_sl + cols
+    g_line = np.repeat([1.0 / r_sl, 1.0 / r_bl], [n_sl, cols])
+    g_line.flags.writeable = False
+    runs = (((slice(0, 2 * cells), slice(0, lines), (rows, lines)),)
+            if len_sl == rows else
+            ((slice(0, cells), slice(0, n_sl), (len_sl, n_sl)),
+             (slice(cells, 2 * cells), slice(n_sl, lines), (rows, cols))))
+    return _Layout(n_sl, cand, tuple((*run, g_line[run[1]]) for run in runs),
+                   g_line, r_bl)
 
 
-def _wire_currents(lay: _Layout, v: np.ndarray) -> np.ndarray:
-    """The current each node sends into its line's wire segments at v."""
-    # q[j]: the current node j sends back to node j - 1
-    q = np.zeros(v.size + 1)
-    q[1:-1] = lay.g_prev[1:] * (v[1:] - v[:-1])
-    return q[:-1] - q[1:]
+def _across(lay: _Layout, a: np.ndarray) -> np.ndarray:
+    """A family's (length, lines) array as the other family holds its cells
+    (C-AND's transposed): the source lines' is the rows x cols cell grid."""
+    return a.T if lay.cand else a
+
+
+def _terminals(lay: _Layout, a: np.ndarray) -> tuple:
+    """The node array a at the cells' source-side and bit-side nodes."""
+    if len(lay.blocks) == 1:
+        block = a.reshape(lay.blocks[0][2])
+        return _across(lay, block[:, :lay.n_sl]), block[:, lay.n_sl:]
+    s, d = (a[nodes].reshape(shape) for nodes, _, shape, _ in lay.blocks)
+    return _across(lay, s), d
+
+
+def _at_cells(lay: _Layout, per_line: np.ndarray) -> tuple:
+    """A per-line array at each cell's source line and bit line, broadcast
+    to the rows x cols cell grid."""
+    src = per_line[:lay.n_sl]
+    return (src[:, None] if lay.cand else src), per_line[lay.n_sl:]
+
+
+def _flat(blocks: list) -> np.ndarray:
+    """The node array of its blocks' (length, lines) arrays."""
+    return blocks[0].ravel() if len(blocks) == 1 else np.concatenate(
+        blocks, axis=None)
+
+
+def _join(lay: _Layout, s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The node array holding the grids s and d at the cells' terminals."""
+    s = _across(lay, s)
+    return _flat([np.concatenate((s, d), axis=1)] if len(lay.blocks) == 1
+                 else [s, d])
+
+
+def _on_nodes(lay: _Layout, per_line: np.ndarray, first: bool = False
+              ) -> np.ndarray:
+    """The node array holding each line's value at all its nodes, or with
+    `first` at its first node and 0 at the others."""
+    return _flat([np.concatenate((per_line[None, lines], np.zeros((
+        length - 1, n)))) if first else per_line[None, lines].repeat(length, 0)
+        for _, lines, (length, n), _ in lay.blocks])
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Each column of a (length, lines) array summed from row 0 on, one row
+    at a time as np.bincount adds: numpy would sum a lone column pairwise."""
+    return np.add.reduce(a) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
+
+
+def _wire_currents(lay: _Layout, v: np.ndarray, g_tie: np.ndarray | None = None,
+                   drive: np.ndarray | None = None) -> np.ndarray:
+    """The current each node sends into its line's wire segments at v and,
+    given the ties g_tie, each line's head into its tie to its drive."""
+    f = []
+    for nodes, lines, shape, g in lay.blocks:
+        vb = v[nodes].reshape(shape)
+        # q[j]: the current node j sends back to node j - 1 or to its tie
+        q = np.zeros((shape[0] + 1, shape[1]))
+        q[1:-1] = g * (vb[1:] - vb[:-1])
+        if g_tie is not None:
+            q[0] = g_tie[lines] * (vb[0] - drive[lines])
+        f.append(q[:-1] - q[1:])
+    return _flat(f)
 
 
 def _factor_lines(lay: _Layout, shunt: np.ndarray) -> list:
-    """Each line's tridiagonal block, its segments plus the per-node
-    `shunt`, eliminated from the far end towards the head.
-
-    A node's pivot is its segment towards the head plus y, the conductance
-    to ground of everything beyond it: y is its shunt plus the next node's y
-    in series with the segment between them.  Summed this way no pivot
-    cancels, however weakly a floating line is tied.  Returns per block its
-    extent, the reciprocal pivots and the segment-to-pivot ratios, the last
-    two with row j holding node j of every line.
-    """
+    """Each line's tridiagonal block (segments plus the per-node `shunt`)
+    eliminated from the far end: a node's pivot is its segment towards the
+    head plus y, its shunt plus the next node's y in series with the segment
+    between, so no pivot cancels, however weakly a floating line is tied.
+    Per block its nodes, reciprocal pivots and segment-to-pivot ratios."""
     out = []
-    for start, stop, g in lay.blocks:
-        y = shunt[start:stop].reshape(g.shape[::-1]).T.copy()
+    for nodes, _, shape, g in lay.blocks:
+        y = shunt[nodes].reshape(shape).copy()
         for j in range(len(y) - 1, 0, -1):
-            y[j - 1] += g[j] * y[j] / (g[j] + y[j])
-        y += g
-        inv = 1.0 / y
-        out.append((start, stop, inv, g * inv))
+            y[j - 1] += g * y[j] / (g + y[j])
+        y[1:] += g
+        inv = np.divide(1.0, y, out=y)
+        out.append((nodes, inv, g * inv))
     return out
 
 
 def _solve_lines(factors: list, r: np.ndarray) -> np.ndarray:
-    """Every line's tridiagonal block solved at right-hand side r (Thomas'
-    algorithm, vectorised across the lines of each block)."""
-    x = np.empty_like(r)
-    for start, stop, inv, ratio in factors:
-        z = r[start:stop].reshape(inv.shape[::-1]).T.copy()
+    """Every line's tridiagonal block solved in place at right-hand side r
+    (Thomas' algorithm, vectorised across the lines of each block)."""
+    for nodes, inv, ratio in factors:
+        z = r[nodes].reshape(inv.shape)
         for j in range(len(z) - 1, 0, -1):
             z[j - 1] += ratio[j] * z[j]
         z *= inv
         for j in range(1, len(z)):
             z[j] += ratio[j] * z[j - 1]
-        x[start:stop] = z.T.ravel()
-    return x
+    return r
 
 
-def _coarse_solver(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
-                   line_s: np.ndarray, di_dd: np.ndarray, di_ds: np.ndarray,
-                   held: np.ndarray | None = None):
+def _coarse_solver(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
+                   di_ds: np.ndarray, held: np.ndarray | None = None):
     """A solve of the coarse matrix, one unknown per line: the cells'
-    derivative stamps summed by line plus the ties g_tie on its diagonal.
-    A line in `held` stays at its right-hand side, which must be 0: it gets
-    a unit diagonal, and a cell on it adds only to its other line's diagonal.
-
-    No cell joins two lines of one family, so the matrix's source-line and
-    bit-line blocks are diagonal.  The source lines are eliminated onto the
-    bit lines here, once; each solve then solves the bit lines' Schur
-    complement and finds the source lines by one division.  Each column of
-    the matrix sums to at least its tie, with a positive diagonal and no
-    positive entry off it: it is column diagonally dominant, so this
-    elimination is stable without pivoting (G. H. Golub and C. F. Van Loan,
-    Matrix Computations, sec. 3.4).  A zero pivot or a singular Schur
-    complement gives a non-finite solution; callers keep numpy's
-    floating-point warnings off around both the build and the solves.
-    """
+    derivative stamps (grids di_dd, di_ds) summed by line, plus the ties
+    g_tie on its diagonal; a line in `held` gets a unit diagonal and must
+    have a zero right-hand side.  No cell joins two lines of one family, so
+    the source lines are eliminated onto the bit lines once and each solve
+    solves the bit lines' Schur complement, without pivoting, as the matrix
+    is column diagonally dominant (G. H. Golub and C. F. Van Loan, Matrix
+    Computations, sec. 3.4).  A zero pivot or a singular Schur complement
+    gives a non-finite solution; callers keep numpy's warnings off."""
     n_sl = lay.n_sl
-    # the diagonals a_s and a_d, and the couplings c[d, s] = sum di_ds and
-    # -c[s, d] = sum di_dd, bit line d and source line s counted from 0
-    d = line_d - n_sl
-    a_s = g_tie[:n_sl] - np.bincount(line_s, di_ds, minlength=n_sl)
-    a_d = g_tie[n_sl:] + np.bincount(d, di_dd, minlength=g_tie.size - n_sl)
+    ds = di_ds.T.copy() if lay.cand else di_ds
+    sum_ds, sum_dd = _column_sums(ds), _column_sums(di_dd)
+    a_s, a_d = g_tie[:n_sl] - sum_ds, g_tie[n_sl:] + sum_dd
+    # c[d, s] = sum di_ds and -c[s, d] = sum di_dd over the cells joining
+    # bit line d to source line s: C-AND's one cell (s, d), AND's column d = s
+    w, c_dd = ((ds, di_dd.T.copy()) if lay.cand
+               else (np.diag(sum_ds), np.diag(sum_dd)))
     if held is not None:
         a_s[held[:n_sl]], a_d[held[n_sl:]] = 1.0, 1.0
-        di_dd, di_ds = np.where(held[line_d] | held[line_s], 0, (di_dd, di_ds))
-    slot, size = d * n_sl + line_s, a_d.size * n_sl
-    w = np.bincount(slot, di_ds, minlength=size).reshape(a_d.size, n_sl)
-    c_dd = np.bincount(slot, di_dd, minlength=size).reshape(a_d.size, n_sl)
+        w, c_dd = np.where(held[n_sl:, None] | held[:n_sl], 0.0, (w, c_dd))
     w /= a_s   # c[d, s] / a_s
     schur = w @ c_dd.T
     schur.flat[::a_d.size + 1] += a_d
@@ -344,99 +353,100 @@ def _coarse_solver(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
     return solve
 
 
-def _newton_step(lay: _Layout, g_tie: np.ndarray, line_d: np.ndarray,
-                 line_s: np.ndarray, di_dd: np.ndarray, di_ds: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
-    """x with J x = rhs, for the read Jacobian J of the cells' derivatives
-    (di_dd, di_ds), the lines (line_d, line_s) each cell joins and the line
-    heads' conductances g_tie.
+def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
+                 di_ds: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with J x = rhs, for the read Jacobian J of the cells' derivative
+    grids (di_dd, di_ds) and the heads' ties g_tie, on `_layout`'s nodes.
+    Each cycle of a two-level solver (line aggregation: P. Vaněk, J. Mandel
+    and M. Brezina, Computing 56, 1996) corrects x by one unknown per line
+    (`_coarse_solver` on the residual's line sums), then solves every
+    line's tridiagonal block in place; a wire segment (about 0.24 S)
+    outweighs its cells (at most 4e-7 S) by six decades, so what the line
+    solves leave is nearly constant along each line.  Cycles repeat until
+    the residual is below 1e-3 RESIDUAL_TOL or stops halving; a singular
+    coarse or line matrix gives a non-finite x."""
+    # each node's own stamp, and the one it takes from its cell's other node
+    shunt = _join(lay, -di_ds, di_dd)
+    for nodes, lines, shape, _ in lay.blocks:
+        shunt[nodes][:shape[1]] += g_tie[lines]
+    neg_dd, x, out = -di_dd, np.zeros_like(rhs), np.empty_like(rhs)
+    (x_s, x_d), (out_s, out_d) = _terminals(lay, x), _terminals(lay, out)
 
-    Each cycle of a two-level solver (line aggregation: P. Vaněk, J. Mandel and
-    M. Brezina, Computing 56, 1996) first corrects x by one unknown per line,
-    the residual summed over each line solved against the cells' stamps summed
-    by line plus the head conductances (`_coarse_solver`, by block elimination
-    onto the bit lines), then solves every line's tridiagonal block against the
-    residual left.  A wire segment (about 0.24 S) outweighs the cells on it (at
-    most about 4e-7 S) by six decades, so what a line solve leaves is nearly
-    constant along each line, which the next coarse correction removes.  Cycles
-    repeat until the residual falls below 1e-3 RESIDUAL_TOL or stops halving.
-    A singular coarse or line matrix gives a non-finite x.
-    """
-    shunt, cross = np.empty_like(rhs), np.empty_like(rhs)
-    shunt[lay.bl], shunt[lay.sl] = di_dd, -di_ds
-    cross[lay.bl], cross[lay.sl] = di_ds, -di_dd
-    shunt[lay.heads] += g_tie
-    x, r, res = np.zeros_like(rhs), rhs, np.inf
+    def crossed(y_s: np.ndarray, y_d: np.ndarray) -> np.ndarray:
+        np.multiply(neg_dd, y_d, out=out_s)   # y at each cell's terminals
+        np.multiply(di_ds, y_s, out=out_d)
+        return out
+
+    r, res = rhs, np.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coarse = _coarse_solver(lay, g_tie, line_d, line_s, di_dd, di_ds)
+        coarse = _coarse_solver(lay, g_tie, di_dd, di_ds)
         lines = _factor_lines(lay, shunt)
         while True:
-            b = np.bincount(lay.line_of, r, minlength=g_tie.size)
-            dx = coarse(b)[lay.line_of]
+            dx = coarse(_flat([_column_sums(r[nodes].reshape(shape))
+                               for nodes, _, shape, _ in lay.blocks]))
+            dx, dx_cells = _on_nodes(lay, dx), _at_cells(lay, dx)
             # a correction constant along each line sends nothing into wires
-            r = r - shunt * dx - cross * dx[lay.partner]
+            r = r - shunt * dx - crossed(*dx_cells)
             x += dx + _solve_lines(lines, r)
-            r = rhs - _wire_currents(lay, x) - shunt * x - cross * x[lay.partner]
+            r = rhs - _wire_currents(lay, x) - shunt * x - crossed(x_s, x_d)
             new = np.abs(r).max()
             if not (new > 1e-3 * RESIDUAL_TOL and new <= 0.5 * res):
                 return x
             res = new
 
 
-#: grid the predicted line potentials are rounded to, V.  The predictor
-#: rounds after its last step, so neither its start, its linear algebra nor
-#: an ulp of numpy's exp and log1p (which may differ from math's and between
-#: CPUs) reaches the fine solve.  From VECTOR_CELLS cells on the fine solve
-#: also uses numpy's exp, log1p and expm1, so there such an ulp may move the
-#: currents (by at most 3.3e-16 relative on random 256-row C-AND reads)
+#: grid the predicted line potentials are rounded to after the last step,
+#: V, so that neither the start, the linear algebra nor an ulp of numpy's
+#: exp and log1p (which may differ from math's and between CPUs) reaches the
+#: fine solve; from VECTOR_CELLS cells on the fine solve's own numpy device
+#: may move the currents (by at most 3.3e-16 relative, 256-row C-AND reads)
 PREDICTOR_GRID = 2.0 ** -30
 
 
-def _predictor_start(line_d: np.ndarray, line_s: np.ndarray,
-                     drive: np.ndarray, floating: np.ndarray,
-                     gates: np.ndarray, vts: np.ndarray) -> np.ndarray:
+def _predictor_start(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
+                     strength: np.ndarray) -> np.ndarray:
     """The drives, with each floating line at the drive of the driven line
-    its most strongly gated cell (highest gate - vt) joins it to, else 0 V."""
+    its most strongly gated cell (highest `strength`, gate - vt on the cell
+    grid; of equals the farthest from its head) joins it to, else 0 V."""
     pot = np.where(floating, 0.0, drive)
-    for near, far in ((line_d, line_s), (line_s, line_d)):
-        tie = np.flatnonzero(floating[near] & ~floating[far])
-        # by line, then by gate - vt: each line's last tie is its strongest
-        tie = tie[np.lexsort(((gates - vts)[tie], near[tie]))]
-        last = tie[np.diff(near[tie], append=-1) != 0]
-        pot[near[last]] = drive[far[last]]
+    s, d = slice(0, lay.n_sl), slice(lay.n_sl, None)
+    for near, far, grid in ((d, s, strength), (s, d, _across(lay, strength))):
+        # grid[j, k]: cell j of line k, joining far line j (C-AND) or k (AND)
+        far_line = np.broadcast_to(np.arange(len(grid))[:, None] if lay.cand
+                                   else np.arange(grid.shape[1]), grid.shape)
+        tie = floating[near] & ~floating[far][far_line]
+        best = len(grid) - 1 - np.argmax(np.where(tie, grid, -np.inf)[::-1], 0)
+        k = np.flatnonzero(tie.any(axis=0))
+        pot[near][k] = drive[far][far_line[best[k], k]]
     return pot
 
 
 def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
                      dev: FeFetParams, gates: np.ndarray,
                      vts: np.ndarray) -> np.ndarray:
-    """Each line's potential with every wire shorted: a driven line at its
-    drive, a floating line at the root of its KCL, one unknown per line (the
-    coarse level of nested iteration: A. Brandt, Math. Comp. 31, 1977).
-
-    Damped Newton on the numpy device terms from `_predictor_start`, each
-    step by `_coarse_solver` with the driven lines held, runs until a step
-    moves no potential by more than PREDICTOR_GRID, applies it and rounds
-    to the grid.  A non-finite step raises ConvergenceError; a stalled line
-    search or the last iteration returns the potentials reached.
-    """
-    line_d, line_s = lay.line_of[lay.bl], lay.line_of[lay.sl]
-
+    """Each line's potential with every wire shorted, a floating line's at
+    the root of its KCL (the coarse level of nested iteration: A. Brandt,
+    Math. Comp. 31, 1977): damped Newton on the numpy device from
+    `_predictor_start`, each step by `_coarse_solver` with the driven lines
+    held, until a step moves no potential by more than PREDICTOR_GRID, which
+    it applies before rounding to that grid.  A non-finite step raises
+    ConvergenceError; a stalled line search returns the potentials reached."""
     def assemble(pot: np.ndarray) -> tuple[np.ndarray, list, float]:
         # the floating lines' KCL residual, 0 on the driven lines
+        v_s, v_d = _at_cells(lay, pot)
         i, *derivs = device.drain_current_and_derivs_array(
-            dev, gates, pot[line_d], pot[line_s], vts)
-        f = np.bincount(line_d, i, minlength=pot.size) - np.bincount(
-            line_s, i, minlength=pot.size)
+            dev, gates, v_d, v_s, vts)
+        f = np.concatenate([-_column_sums(np.ascontiguousarray(
+            _across(lay, i))), _column_sums(i)])
         f = np.where(floating, f + G_FLOAT * pot, 0.0)
         return f, derivs, np.abs(f).max()
 
-    pot = _predictor_start(line_d, line_s, drive, floating, gates, vts)
+    pot = _predictor_start(lay, drive, floating, gates - vts)
     f, derivs, res = assemble(pot)
     for it in range(1, MAX_NEWTON_ITER + 1):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = _coarse_solver(lay, G_FLOAT * floating, line_d, line_s,
-                                  *derivs, held=~floating)(-f)
+            step = _coarse_solver(lay, G_FLOAT * floating, *derivs,
+                                  held=~floating)(-f)
         if not np.isfinite(step).all():
             raise ConvergenceError(
                 f"read predictor met a singular Jacobian at iteration {it}")
@@ -459,29 +469,22 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
 def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     """Damped-Newton DC solve of the read network.
 
-    The network is numbered line-major (`_layout`): the nodes of each line
-    form a chain of wire segments, driven at its first node or, when
-    floating, tied to ground there by G_FLOAT.  Per solve only the drives
-    (`plan.sl + plan.bl`), the head conductances and the start come from the
-    plan.  Each Newton assembly evaluates every cell's device terms and forms
-    the residual: in one `device.drain_current_and_derivs_array` call on the
-    node-voltage arrays from VECTOR_CELLS cells on, else by one scalar
+    The network is held position-major (`_layout`): each line is a chain of
+    wire segments down one column of a block, driven at its first node or,
+    when floating, tied to ground there by G_FLOAT.  Per solve only the
+    drives (`plan.sl + plan.bl`), the ties and the start come from the plan.
+    Each assembly evaluates every cell's device terms on the rows x cols
+    grid of its terminals (`_terminals`), from VECTOR_CELLS cells on in one
+    `device.drain_current_and_derivs_array` call, else by one scalar
     `device.drain_current_and_derivs` call per cell, which keeps small
-    reads' bytes and is cheaper there.  Each Newton step is solved by
-    `_newton_step`'s two-level cycles, one unknown per line and then a
-    tridiagonal solve of every line, from the derivatives of the last
-    accepted assembly.
+    reads' bytes and is cheaper there.  Each step is `_newton_step`'s.
 
-    Every node starts at its line's drive, a floating line at 0 V.  Its
-    wires then carry nothing, and a floating line is out of KCL balance
-    exactly when one of its cells joins it to a line driven away from 0 V,
-    as in a C-AND single-cell read, whose floating bit lines meet the
-    driven source line through the selected row's cells.  Newton would then
-    climb the exponential device current one `v_tilde` per step from 0 V;
-    the start is instead the line potentials of `_line_potentials`, from
-    which a disturb read converges in one iteration.  A C-AND full-row read
-    and every AND read float their lines among 0 V lines, so they start
-    from the drives.
+    The start holds each line at one potential, its drive or 0 V if
+    floating, so no wire carries current, and a floating line is out of KCL
+    balance exactly when a cell joins it to a line driven away from 0 V (a
+    C-AND single-cell read).  Newton would then climb the device current one
+    `v_tilde` per step; such a read starts instead from `_line_potentials`,
+    from which a disturb read converges in one iteration.
 
     Raises ConvergenceError if the max node residual does not reach
     RESIDUAL_TOL within MAX_NEWTON_ITER iterations, if no damped step lowers
@@ -490,50 +493,48 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     """
     _check_plan(array, plan)
     lay = _layout(array.topology, array.rows, array.cols, array.parasitics)
-    line_d, line_s = lay.line_of[lay.bl], lay.line_of[lay.sl]
     drive = np.array(plan.sl + plan.bl, dtype=float)
     floating = np.isnan(drive)
     drive[floating] = 0.0
-    g_tie = np.where(floating, G_FLOAT, lay.g_head)
-    gates = np.repeat(np.array(plan.wl, dtype=float), array.cols)
-    vts = array.vts().ravel()
-    dev = array.dev
+    g_tie = np.where(floating, G_FLOAT, lay.g_line)
+    gates = np.array(plan.wl, dtype=float)[:, None]
+    vts, dev = array.vts(), array.dev
 
-    def assemble(vv: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The node residual at vv, and every cell's (di_dd, di_ds)."""
-        vd, vs = vv[lay.bl], vv[lay.sl]
+    def assemble(vv: np.ndarray, wires: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The node residual at vv, whose wire and tie currents are `wires`,
+        and every cell's (di_dd, di_ds)."""
+        v_s, v_d = _terminals(lay, vv)
         if vts.size >= VECTOR_CELLS:
             i, di_dd, di_ds = device.drain_current_and_derivs_array(
-                dev, gates, vd, vs, vts)
+                dev, gates, v_d, np.ascontiguousarray(v_s), vts)
         else:
-            i, di_dd, di_ds = np.array(
-                [device.drain_current_and_derivs(dev, *cell) for cell in zip(
-                    gates.tolist(), vd.tolist(), vs.tolist(), vts.tolist())]).T
-        f = _wire_currents(lay, vv)
-        f[lay.heads] += g_tie * (vv[lay.heads] - drive)
-        f[lay.bl] += i
-        f[lay.sl] -= i
-        return f, (di_dd, di_ds)
+            i, di_dd, di_ds = np.array([
+                device.drain_current_and_derivs(dev, g, d, s, t)
+                for g, rd, rs, rt in zip(gates.ravel().tolist(), v_d.tolist(),
+                                         v_s.tolist(), vts.tolist())
+                for d, s, t in zip(rd, rs, rt)]).T.reshape(3, *vts.shape)
+        return wires + _join(lay, -i, i), (di_dd, di_ds)
 
-    away = drive != 0.0
-    if (floating[line_d] & away[line_s] | floating[line_s] & away[line_d]).any():
-        v = _line_potentials(lay, drive, floating, dev, gates, vts)[lay.line_of]
-    else:
-        v = drive[lay.line_of]
-    f, derivs = assemble(v)
+    (float_s, float_d), (away_s, away_d) = (_at_cells(lay, a)
+                                            for a in (floating, drive != 0.0))
+    start = (_line_potentials(lay, drive, floating, dev, gates, vts)
+             if (float_d & away_s | float_s & away_d).any() else drive)
+    v = _on_nodes(lay, start)
+    f, derivs = assemble(v, _on_nodes(lay, g_tie * (start - drive), True))
     res = np.abs(f).max()
     it = 0
     while res > RESIDUAL_TOL and it < MAX_NEWTON_ITER:
         it += 1
         # derivs are always those at v: the last assembly is the accepted one
-        step = _newton_step(lay, g_tie, line_d, line_s, *derivs, -f)
+        step = _newton_step(lay, g_tie, *derivs, -f)
         if not np.isfinite(step).all():
             raise ConvergenceError(
                 f"read solve met a singular Jacobian at iteration {it}")
         scale = 1.0
         while True:
             v_new = v + scale * step
-            f_new, derivs_new = assemble(v_new)
+            f_new, derivs_new = assemble(
+                v_new, _wire_currents(lay, v_new, g_tie, drive))
             res_new = np.abs(f_new).max()
             if res_new < res:
                 break
@@ -546,11 +547,10 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
         raise ConvergenceError(
             f"read solve stalled at residual {res:.3e} A after {it} iterations")
 
-    # sensed current: what flows out of each selected sense line driver, from
-    # row 0's cell c, the bit line's first node
-    col_currents = {c: (v[lay.bl[c]] - plan.bl[c]) / lay.r_bl
-                    for c in plan.sel_cols}
-    return ReadResult(col_currents, it, float(res))
+    # sensed: the current out of each selected bit line's driver, at its head
+    heads = _terminals(lay, v)[1][0]
+    return ReadResult({c: (heads[c] - plan.bl[c]) / lay.r_bl
+                       for c in plan.sel_cols}, it, float(res))
 
 
 def read_cells(array: ArrayState, sel_row: int, sel_cols,

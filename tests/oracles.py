@@ -1,11 +1,16 @@
 """Test oracles with no caller in the program: an exact network solve of
 the sneak-path graph with its return-leg bound, against which the closed
 form in `fefetsim.analytics` is checked, the hysteresis helpers the
-ferro tests drive the branch model with, and the dense line matrix against
-which the read solve's elimination of the source lines is checked.
+ferro tests drive the branch model with, and, from a description of the
+read network that does not depend on how the solver numbers its nodes, the
+sparse read Jacobian and the dense line matrix against which the read
+solve's Newton step and its elimination of the source lines are checked.
 """
 
+from typing import NamedTuple
+
 import numpy as np
+import scipy.sparse as sp
 
 from fefetsim import ferro
 from fefetsim.ferro import BranchState, FerroParams
@@ -48,6 +53,49 @@ def sneak_resistance_network(r_on: float, r_off: float, rows: int, cols: int) ->
     v = np.linalg.solve(g, rhs)
     i_total = float(np.sum(g_on * (1.0 - v[:n1])))
     return 1.0 / i_total
+
+
+class ReadNetwork(NamedTuple):
+    """A read network as lines and cells, whatever the node ids: `lines[k]`
+    lists line k's nodes from its head, each joined to the next by a segment
+    of conductance `g_seg[k]`; cell i joins node `cell_d[i]` on its bit-line
+    side to node `cell_s[i]` on its source side."""
+
+    lines: list
+    g_seg: np.ndarray
+    cell_d: np.ndarray
+    cell_s: np.ndarray
+
+    def cell_lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """The line of each cell's bit-line-side and source-side node."""
+        line_of = np.empty(sum(len(nodes) for nodes in self.lines), dtype=int)
+        for k, nodes in enumerate(self.lines):
+            line_of[nodes] = k
+        return line_of[self.cell_d], line_of[self.cell_s]
+
+
+def read_jacobian(net: ReadNetwork, g_tie: np.ndarray, di_dd: np.ndarray,
+                  di_ds: np.ndarray) -> sp.csc_matrix:
+    """The read Jacobian over the nodes: the wire segments, each line's head
+    tied by g_tie, and each cell's derivative stamps."""
+    heads = np.array([nodes[0] for nodes in net.lines])
+    p = np.concatenate([nodes[:-1] for nodes in net.lines])
+    q = np.concatenate([nodes[1:] for nodes in net.lines])
+    g = np.repeat(net.g_seg, [len(nodes) - 1 for nodes in net.lines])
+    d, s = net.cell_d, net.cell_s
+    i = np.concatenate([q, p, q, p, heads, d, d, s, s])
+    j = np.concatenate([q, p, p, q, heads, d, s, d, s])
+    val = np.concatenate([g, g, -g, -g, g_tie, di_dd, di_ds, -di_dd, -di_ds])
+    n = heads.size + p.size
+    return sp.csc_matrix((val, (i, j)), shape=(n, n))
+
+
+def line_matrix(net: ReadNetwork, g_tie: np.ndarray, di_dd: np.ndarray,
+                di_ds: np.ndarray) -> np.ndarray:
+    """The coarse matrix with one unknown per line, lines x lines: the
+    cells' stamps summed by line plus the head ties g_tie."""
+    return line_stamps(*net.cell_lines(), g_tie.size, di_dd, di_ds) + \
+        np.diag(g_tie)
 
 
 def line_stamps(kd: np.ndarray, ks: np.ndarray, m: int, di_dd: np.ndarray,

@@ -89,6 +89,23 @@ def test_disturb_on_a_one_line_array_exits_five(tmp_path, capsys, argv):
     assert not [p for p in tmp_path.iterdir() if p.is_dir()]
 
 
+@pytest.mark.parametrize("command", ["mc", "all"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_a_negative_seed_exits_five_before_writing(tmp_path, capsys, command,
+                                                   source):
+    if source == "flag":
+        argv = ("--seed", "-1")
+    else:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"schema_version": 1, "seed": -1}')
+        argv = ("--config", str(cfgfile))
+    assert _run(tmp_path, command, *argv) == cli.EXIT_BAD_VALUE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "seed" in err
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
 def _readme_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     path = tmp_path / "example.json"

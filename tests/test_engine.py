@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,7 +12,7 @@ from fefetsim.config import (RunConfig, make_device, make_ferro,
                              make_parasitics)
 from fefetsim.device import GATE_DIRECT, GATE_DIVIDER
 from fefetsim.engine import ArrayState
-from oracles import line_stamps
+from oracles import ReadNetwork, line_matrix, line_stamps, read_jacobian
 
 FE = make_ferro(RunConfig())
 DEV = make_device(RunConfig())
@@ -579,25 +578,31 @@ def test_drive_change_between_reads_of_one_shape(topology):
 # Two-level Newton step against SuperLU
 
 
-def _superlu_step(lay, g_tie, line_d, line_s, di_dd, di_ds, rhs):
+def _network(lay):
+    """The solver's read network as lines and cells, its node ids read off
+    the layout's own views of the ids, the cells in row-major order."""
+    src, bit = engine._terminals(lay, np.arange(lay.blocks[-1][0].stop))
+    return ReadNetwork(list(engine._across(lay, src).T) + list(bit.T),
+                       lay.g_line, bit.ravel(), src.ravel())
+
+
+def _superlu_step(lay, g_tie, di_dd, di_ds, rhs):
     """The Newton step solved directly: the read Jacobian built from the
-    layout's description, wires, heads and cell stamps, factored by SuperLU."""
-    n = rhs.size
-    nodes = np.arange(n)
-    seg = nodes[lay.g_prev > 0]
-    g = lay.g_prev[seg]
-    d, s = lay.bl, lay.sl
-    i = np.concatenate([seg, seg - 1, seg, seg - 1, lay.heads, d, d, s, s])
-    j = np.concatenate([seg, seg - 1, seg - 1, seg, lay.heads, d, s, d, s])
-    val = np.concatenate([g, g, -g, -g, g_tie, di_dd, di_ds, -di_dd, -di_ds])
-    jac = sp.csc_matrix((val, (i, j)), shape=(n, n))
+    network's description, wires, heads and cell stamps, factored by
+    SuperLU."""
+    jac = read_jacobian(_network(lay), g_tie, di_dd.ravel(), di_ds.ravel())
     return spla.spsolve(jac, rhs)
 
 
 @pytest.mark.parametrize("topology, rows, cols, sel", [
     (Topology.CAND, 64, 64, tuple(range(64))),
     (Topology.AND, 64, 64, (21,)),
+    # rows != cols: the source and bit lines are blocks of two shapes
     (Topology.CAND, 40, 72, (50,)),
+    (Topology.CAND, 72, 40, (30,)),
+    (Topology.CAND, 40, 72, tuple(range(72))),
+    (Topology.CAND, 72, 40, tuple(range(40))),
+    (Topology.AND, 72, 40, (3, 17, 33)),
 ])
 def test_read_matches_the_superlu_newton_solve(monkeypatch, topology, rows,
                                                cols, sel):
@@ -683,9 +688,9 @@ def _record_newton_steps(monkeypatch):
     return steps
 
 
-def _dense_line_matrix(g_tie, line_d, line_s, di_dd, di_ds):
+def _dense_line_matrix(lay, g_tie, di_dd, di_ds):
     """The coarse matrix with one unknown per line, lines x lines."""
-    return line_stamps(line_d, line_s, g_tie.size, di_dd, di_ds) + np.diag(g_tie)
+    return line_matrix(_network(lay), g_tie, di_dd.ravel(), di_ds.ravel())
 
 
 @pytest.mark.parametrize("topology", Topology)
@@ -704,13 +709,38 @@ def test_coarse_solve_matches_the_dense_line_matrix(monkeypatch, topology, dev,
     engine.read_cells(arr, rows // 2, range(cols), V_READ, V_READ)
     engine.read_cells(arr, rows - 1, (0,), V_READ, V_READ)
     assert steps
-    for lay, g_tie, line_d, line_s, di_dd, di_ds, _ in steps:
+    for lay, g_tie, di_dd, di_ds, _ in steps:
         b = rng.normal(0.0, 1e-9, g_tie.size)
-        want = np.linalg.solve(_dense_line_matrix(
-            g_tie, line_d, line_s, di_dd, di_ds), b)
-        got = engine._coarse_solver(lay, g_tie, line_d, line_s, di_dd,
-                                    di_ds)(b)
+        want = np.linalg.solve(_dense_line_matrix(lay, g_tie, di_dd, di_ds), b)
+        got = engine._coarse_solver(lay, g_tie, di_dd, di_ds)(b)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("topology", Topology)
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (3, 4)])
+def test_coarse_solver_leaves_the_derivative_grids_unchanged(topology, rows,
+                                                             cols):
+    # a transposed copy of a one-row or one-column grid can be the grid
+    # itself; the elimination divides its couplings in place
+    rng = np.random.default_rng(rows * 8 + cols)
+    di_dd, di_ds = rng.uniform(1e-9, 1e-7, (2, rows, cols))
+    di_ds = -di_ds
+    before = di_dd.copy(), di_ds.copy()
+    lay = engine._layout(topology, rows, cols, PAR)
+    g_tie = np.full(lay.g_line.size, engine.G_FLOAT)
+    engine._coarse_solver(lay, g_tie, di_dd, di_ds)(rng.normal(size=g_tie.size))
+    assert np.array_equal(di_dd, before[0]) and np.array_equal(di_ds, before[1])
+
+
+@pytest.mark.parametrize("shape", [(300, 1), (300, 3), (1, 5), (9, 1)])
+def test_line_sums_add_each_column_row_by_row_as_bincount_does(shape):
+    rng = np.random.default_rng(shape[0])
+    block = rng.normal(size=(shape[0], 2 * shape[1])) * 10.0 ** rng.integers(
+        -8, 8, (shape[0], 2 * shape[1]))
+    # a C-contiguous block and one family's columns of it, a strided view
+    for a in (block[:, ::2].copy(), block[:, :shape[1]]):
+        want = [np.bincount(np.zeros(len(col), int), col)[0] for col in a.T]
+        assert engine._column_sums(a).tolist() == want
 
 
 def test_a_zero_source_line_pivot_raises_without_a_warning(monkeypatch):
@@ -725,7 +755,7 @@ def test_a_zero_source_line_pivot_raises_without_a_warning(monkeypatch):
         with pytest.raises(engine.ConvergenceError,
                            match="read solve met a singular Jacobian"):
             engine.read_cells(arr, 0, [0, 1], V_READ, V_READ)
-    _, *coarse, _ = steps[0]
+    *coarse, _ = steps[0]
     assert np.diag(_dense_line_matrix(*coarse))[1] == 0.0
 
 
@@ -846,16 +876,17 @@ def test_predictor_step_matches_the_dense_line_matrix(monkeypatch, dev, rows,
         engine.solve_read(arr, plan)
     monkeypatch.undo()
     assert steps
-    for (_, _, line_d, line_s, di_dd, di_ds), held, rhs, got in steps:
+    for (lay, _, di_dd, di_ds), held, rhs, got in steps:
         fl = ~held
-        jac = line_stamps(line_d, line_s, held.size, di_dd, di_ds)[np.ix_(fl, fl)]
+        jac = line_stamps(*_network(lay).cell_lines(), held.size,
+                          di_dd.ravel(), di_ds.ravel())[np.ix_(fl, fl)]
         jac[np.diag_indices_from(jac)] += engine.G_FLOAT
         want = np.linalg.solve(jac, rhs[fl])
         assert np.abs(got[fl] - want).max() <= 1e-12 * np.abs(want).max()
         assert not got[held].any()
 
 
-def _zero_start(line_d, line_s, drive, floating, gates, vts):
+def _zero_start(lay, drive, floating, strength):
     return np.where(floating, 0.0, drive)
 
 
@@ -889,14 +920,13 @@ def test_predictor_starts_floating_lines_at_their_strongest_tie():
     # '1' cells have vt 0.58 V and '0' cells 1.72 V
     arr = _array(Topology.CAND, 3, 4, [[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 0]])
     lay = engine._layout(Topology.CAND, 3, 4, PAR)
-    line_d, line_s = lay.line_of[lay.bl], lay.line_of[lay.sl]
-    gates, vts = np.repeat([0.0, 0.3, 0.6], 4), arr.vts().ravel()
+    strength = np.array([[0.0], [0.3], [0.6]]) - arr.vts()
 
     def start(drive):
         drive = np.array(drive)
         floating = np.isnan(drive)
-        return engine._predictor_start(line_d, line_s, np.nan_to_num(drive),
-                                       floating, gates, vts).tolist()
+        return engine._predictor_start(lay, np.nan_to_num(drive), floating,
+                                       strength).tolist()
 
     nan = float("nan")
     # source lines 0 and 2 driven: each bit line takes the drive of its
