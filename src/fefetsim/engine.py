@@ -36,7 +36,8 @@ DAMPING = 0.5
 
 #: cells from which a read evaluates its device terms in one numpy call
 #: (`device.drain_current_and_derivs_array`), not one scalar call per cell:
-#: below it numpy's per-call overhead costs more (timed in CHANGES.md)
+#: below about 32 cells numpy's per-call overhead costs more than the scalar
+#: loop it replaces (timed assemblies in CHANGES.md)
 VECTOR_CELLS = 32
 
 
@@ -206,7 +207,8 @@ class _Layout(NamedTuple):
 def _layout(topology: Topology, rows: int, cols: int,
             par: Parasitics) -> _Layout:
     """The read network of one array shape; the last shape's is kept, which
-    spares the many equal small reads of a Monte Carlo run."""
+    spares the many equal small reads of a Monte Carlo run rebuilding it;
+    keeping more would hold large layouts alive."""
     r_bl, cand = par.seg_resistance(PITCH_Y), topology is Topology.CAND
     n_sl, len_sl, r_sl = ((rows, cols, par.seg_resistance(PITCH_X)) if cand
                           else (cols, rows, r_bl))
@@ -221,19 +223,15 @@ def _layout(topology: Topology, rows: int, cols: int,
                    g_line, r_bl)
 
 
-def _across(lay: _Layout, a: np.ndarray) -> np.ndarray:
-    """A family's (length, lines) array as the other family holds its cells
-    (C-AND's transposed): the source lines' is the rows x cols cell grid."""
-    return a.T if lay.cand else a
-
-
 def _terminals(lay: _Layout, a: np.ndarray) -> tuple:
-    """The node array a at the cells' source-side and bit-side nodes."""
+    """The node array a at the cells' source-side and bit-side nodes, each a
+    rows x cols grid (C-AND's source lines' block transposed)."""
     if len(lay.blocks) == 1:
         block = a.reshape(lay.blocks[0][2])
-        return _across(lay, block[:, :lay.n_sl]), block[:, lay.n_sl:]
-    s, d = (a[nodes].reshape(shape) for nodes, _, shape, _ in lay.blocks)
-    return _across(lay, s), d
+        s, d = block[:, :lay.n_sl], block[:, lay.n_sl:]
+    else:
+        s, d = (a[nodes].reshape(shape) for nodes, _, shape, _ in lay.blocks)
+    return (s.T if lay.cand else s), d
 
 
 def _at_cells(lay: _Layout, per_line: np.ndarray) -> tuple:
@@ -243,26 +241,18 @@ def _at_cells(lay: _Layout, per_line: np.ndarray) -> tuple:
     return (src[:, None] if lay.cand else src), per_line[lay.n_sl:]
 
 
-def _flat(blocks: list) -> np.ndarray:
-    """The node array of its blocks' (length, lines) arrays."""
-    return blocks[0].ravel() if len(blocks) == 1 else np.concatenate(
-        blocks, axis=None)
-
-
 def _join(lay: _Layout, s: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The node array holding the grids s and d at the cells' terminals."""
-    s = _across(lay, s)
-    return _flat([np.concatenate((s, d), axis=1)] if len(lay.blocks) == 1
-                 else [s, d])
+    s = s.T if lay.cand else s
+    return (np.concatenate((s, d), axis=1).ravel() if len(lay.blocks) == 1
+            else np.concatenate((s, d), axis=None))
 
 
-def _on_nodes(lay: _Layout, per_line: np.ndarray, first: bool = False
-              ) -> np.ndarray:
-    """The node array holding each line's value at all its nodes, or with
-    `first` at its first node and 0 at the others."""
-    return _flat([np.concatenate((per_line[None, lines], np.zeros((
-        length - 1, n)))) if first else per_line[None, lines].repeat(length, 0)
-        for _, lines, (length, n), _ in lay.blocks])
+def _on_nodes(lay: _Layout, per_line: np.ndarray) -> np.ndarray:
+    """The node array holding each line's value at all its nodes."""
+    rep = [per_line[None, lines].repeat(length, 0)
+           for _, lines, (length, _), _ in lay.blocks]
+    return rep[0].ravel() if len(rep) == 1 else np.concatenate(rep, axis=None)
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
@@ -275,16 +265,17 @@ def _wire_currents(lay: _Layout, v: np.ndarray, g_tie: np.ndarray | None = None,
                    drive: np.ndarray | None = None) -> np.ndarray:
     """The current each node sends into its line's wire segments at v and,
     given the ties g_tie, each line's head into its tie to its drive."""
-    f = []
-    for nodes, lines, shape, g in lay.blocks:
-        vb = v[nodes].reshape(shape)
+    f = np.empty_like(v)
+    for nodes, lines, (length, n), g in lay.blocks:
+        vb = v[nodes].reshape(length, n)
         # q[j]: the current node j sends back to node j - 1 or to its tie
-        q = np.zeros((shape[0] + 1, shape[1]))
-        q[1:-1] = g * (vb[1:] - vb[:-1])
+        q = np.zeros((length + 1, n))
+        np.multiply(g, vb[1:] - vb[:-1], out=q[1:-1])
         if g_tie is not None:
-            q[0] = g_tie[lines] * (vb[0] - drive[lines])
-        f.append(q[:-1] - q[1:])
-    return _flat(f)
+            np.multiply(g_tie[lines], vb[0] - drive[lines], out=q[0])
+        q = q.ravel()
+        np.subtract(q[:-n], q[n:], out=f[nodes])
+    return f
 
 
 def _factor_lines(lay: _Layout, shunt: np.ndarray) -> list:
@@ -322,12 +313,15 @@ def _coarse_solver(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
     """A solve of the coarse matrix, one unknown per line: the cells'
     derivative stamps (grids di_dd, di_ds) summed by line, plus the ties
     g_tie on its diagonal; a line in `held` gets a unit diagonal and must
-    have a zero right-hand side.  No cell joins two lines of one family, so
-    the source lines are eliminated onto the bit lines once and each solve
-    solves the bit lines' Schur complement, without pivoting, as the matrix
-    is column diagonally dominant (G. H. Golub and C. F. Van Loan, Matrix
-    Computations, sec. 3.4).  A zero pivot or a singular Schur complement
-    gives a non-finite solution; callers keep numpy's warnings off."""
+    have a zero right-hand side, and a cell on it adds only to its other
+    line's diagonal.  No cell joins two lines of one family, so the source
+    lines are eliminated onto the bit lines once and each solve solves the
+    bit lines' Schur complement.  Each column sums to at least its tie, with
+    a positive diagonal and no positive entry off it: the matrix is column
+    diagonally dominant, so this needs no pivoting (G. H. Golub and C. F.
+    Van Loan, Matrix Computations, sec. 3.4).  A zero pivot or a singular
+    Schur complement gives a non-finite solution; callers keep numpy's
+    warnings off."""
     n_sl = lay.n_sl
     ds = di_ds.T.copy() if lay.cand else di_ds
     sum_ds, sum_dd = _column_sums(ds), _column_sums(di_dd)
@@ -382,8 +376,8 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
         coarse = _coarse_solver(lay, g_tie, di_dd, di_ds)
         lines = _factor_lines(lay, shunt)
         while True:
-            dx = coarse(_flat([_column_sums(r[nodes].reshape(shape))
-                               for nodes, _, shape, _ in lay.blocks]))
+            dx = coarse(np.concatenate([_column_sums(r[nodes].reshape(
+                shape)) for nodes, _, shape, _ in lay.blocks]))
             dx, dx_cells = _on_nodes(lay, dx), _at_cells(lay, dx)
             # a correction constant along each line sends nothing into wires
             r = r - shunt * dx - crossed(*dx_cells)
@@ -409,8 +403,9 @@ def _predictor_start(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
     its most strongly gated cell (highest `strength`, gate - vt on the cell
     grid; of equals the farthest from its head) joins it to, else 0 V."""
     pot = np.where(floating, 0.0, drive)
-    s, d = slice(0, lay.n_sl), slice(lay.n_sl, None)
-    for near, far, grid in ((d, s, strength), (s, d, _across(lay, strength))):
+    s, d, across = slice(0, lay.n_sl), slice(lay.n_sl, None), strength.T
+    for near, far, grid in ((d, s, strength), (s, d, across if lay.cand
+                                                else strength)):
         # grid[j, k]: cell j of line k, joining far line j (C-AND) or k (AND)
         far_line = np.broadcast_to(np.arange(len(grid))[:, None] if lay.cand
                                    else np.arange(grid.shape[1]), grid.shape)
@@ -437,7 +432,7 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
         i, *derivs = device.drain_current_and_derivs_array(
             dev, gates, v_d, v_s, vts)
         f = np.concatenate([-_column_sums(np.ascontiguousarray(
-            _across(lay, i))), _column_sums(i)])
+            i.T if lay.cand else i)), _column_sums(i)])
         f = np.where(floating, f + G_FLOAT * pot, 0.0)
         return f, derivs, np.abs(f).max()
 
@@ -484,7 +479,9 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     balance exactly when a cell joins it to a line driven away from 0 V (a
     C-AND single-cell read).  Newton would then climb the device current one
     `v_tilde` per step; such a read starts instead from `_line_potentials`,
-    from which a disturb read converges in one iteration.
+    from which a disturb read converges in one iteration.  A C-AND full-row
+    read and every AND read float their lines among 0 V lines, so they start
+    from the drives.
 
     Raises ConvergenceError if the max node residual does not reach
     RESIDUAL_TOL within MAX_NEWTON_ITER iterations, if no damped step lowers
@@ -500,10 +497,11 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     gates = np.array(plan.wl, dtype=float)[:, None]
     vts, dev = array.vts(), array.dev
 
-    def assemble(vv: np.ndarray, wires: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The node residual at vv, whose wire and tie currents are `wires`,
-        and every cell's (di_dd, di_ds)."""
+    def assemble(vv: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The node residual at vv, and every cell's (di_dd, di_ds)."""
         v_s, v_d = _terminals(lay, vv)
+        # C-contiguous device grids keep `_column_sums`' line sums sequential:
+        # numpy would sum F-ordered ones (C-AND's transposed v_s) pairwise
         if vts.size >= VECTOR_CELLS:
             i, di_dd, di_ds = device.drain_current_and_derivs_array(
                 dev, gates, v_d, np.ascontiguousarray(v_s), vts)
@@ -512,15 +510,16 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
                 device.drain_current_and_derivs(dev, g, d, s, t)
                 for g, rd, rs, rt in zip(gates.ravel().tolist(), v_d.tolist(),
                                          v_s.tolist(), vts.tolist())
-                for d, s, t in zip(rd, rs, rt)]).T.reshape(3, *vts.shape)
-        return wires + _join(lay, -i, i), (di_dd, di_ds)
+                for d, s, t in zip(rd, rs, rt)]).T.copy().reshape(3, *vts.shape)
+        return (_wire_currents(lay, vv, g_tie, drive) + _join(lay, -i, i),
+                (di_dd, di_ds))
 
     (float_s, float_d), (away_s, away_d) = (_at_cells(lay, a)
                                             for a in (floating, drive != 0.0))
     start = (_line_potentials(lay, drive, floating, dev, gates, vts)
              if (float_d & away_s | float_s & away_d).any() else drive)
     v = _on_nodes(lay, start)
-    f, derivs = assemble(v, _on_nodes(lay, g_tie * (start - drive), True))
+    f, derivs = assemble(v)
     res = np.abs(f).max()
     it = 0
     while res > RESIDUAL_TOL and it < MAX_NEWTON_ITER:
@@ -533,8 +532,7 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
         scale = 1.0
         while True:
             v_new = v + scale * step
-            f_new, derivs_new = assemble(
-                v_new, _wire_currents(lay, v_new, g_tie, drive))
+            f_new, derivs_new = assemble(v_new)
             res_new = np.abs(f_new).max()
             if res_new < res:
                 break

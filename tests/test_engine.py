@@ -582,7 +582,8 @@ def _network(lay):
     """The solver's read network as lines and cells, its node ids read off
     the layout's own views of the ids, the cells in row-major order."""
     src, bit = engine._terminals(lay, np.arange(lay.blocks[-1][0].stop))
-    return ReadNetwork(list(engine._across(lay, src).T) + list(bit.T),
+    # a C-AND source line is a row of the cell grid, any other line a column
+    return ReadNetwork(list(src if lay.cand else src.T) + list(bit.T),
                        lay.g_line, bit.ravel(), src.ravel())
 
 
@@ -741,6 +742,28 @@ def test_line_sums_add_each_column_row_by_row_as_bincount_does(shape):
     for a in (block[:, ::2].copy(), block[:, :shape[1]]):
         want = [np.bincount(np.zeros(len(col), int), col)[0] for col in a.T]
         assert engine._column_sums(a).tolist() == want
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 5), (5, 3), (8, 12), (12, 8)])
+def test_reads_give_the_coarse_solve_c_contiguous_device_grids(monkeypatch,
+                                                               rows, cols):
+    # numpy sums the lines of an F-ordered or strided grid (C-AND's
+    # transposed source block) pairwise, which moves ulps; the scalar (3 x 5)
+    # and numpy (8 x 12) device paths both hand on C-contiguous grids
+    grids, coarse = [], engine._coarse_solver
+
+    def record(lay, g_tie, di_dd, di_ds, held=None):
+        grids.append((di_dd, di_ds))
+        return coarse(lay, g_tie, di_dd, di_ds, held)
+
+    monkeypatch.setattr(engine, "_coarse_solver", record)
+    bits = np.random.default_rng(rows * cols).integers(0, 2, (rows, cols))
+    arr = _array(Topology.CAND, rows, cols, bits)
+    engine.read_cells(arr, rows // 2, range(cols), V_READ, V_READ)
+    engine.read_cells(arr, rows - 1, (cols // 2,), V_READ, V_READ)
+    assert grids
+    for grid in (g for pair in grids for g in pair):
+        assert grid.shape == (rows, cols) and grid.flags.c_contiguous
 
 
 def test_a_zero_source_line_pivot_raises_without_a_warning(monkeypatch):
