@@ -27,6 +27,11 @@ RUN_EXPERIMENTS = ("bitline", "disturb", "word-write", "disturb-accumulate")
 #: widest array whose 2**cols words `run word-write` enumerates (65 536)
 WORD_WRITE_MAX_COLS = 16
 
+#: the size flags each command reads; any other command refuses them (exit 5)
+SIZE_FLAGS = {"run disturb": ("rows", "cols"),
+              "run word-write": ("rows", "cols"),
+              "mc": ("samples",), "all": ("rows", "cols", "samples")}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -244,6 +249,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # a size flag its command never reads would be recorded as if used
+    name = f"{args.command} {getattr(args, 'experiment', '')}".strip()
+    for flag in ("rows", "cols", "samples"):
+        if getattr(args, flag) is not None and \
+                flag not in SIZE_FLAGS.get(name, ()):
+            print(f"error: {name} does not read --{flag}", file=sys.stderr)
+            return EXIT_BAD_VALUE
     try:
         cfg, prov = _resolve_config(args)
     except FileNotFoundError as exc:

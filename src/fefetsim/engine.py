@@ -283,15 +283,15 @@ def _factor_lines(lay: _Layout, shunt: np.ndarray) -> list:
     eliminated from the far end: a node's pivot is its segment towards the
     head plus y, its shunt plus the next node's y in series with the segment
     between, so no pivot cancels, however weakly a floating line is tied.
-    Per block its nodes, reciprocal pivots and segment-to-pivot ratios."""
+    Per block: nodes, flat reciprocal pivots, segment-to-pivot ratio rows."""
     out = []
     for nodes, _, shape, g in lay.blocks:
         y = shunt[nodes].reshape(shape).copy()
-        for j in range(len(y) - 1, 0, -1):
-            y[j - 1] += g * y[j] / (g + y[j])
+        for prev, row in zip(y[-2::-1], y[:0:-1]):
+            prev += g * row / (g + row)
         y[1:] += g
         inv = np.divide(1.0, y, out=y)
-        out.append((nodes, inv, g * inv))
+        out.append((nodes, inv.ravel(), list(g * inv)))
     return out
 
 
@@ -299,12 +299,12 @@ def _solve_lines(factors: list, r: np.ndarray) -> np.ndarray:
     """Every line's tridiagonal block solved in place at right-hand side r
     (Thomas' algorithm, vectorised across the lines of each block)."""
     for nodes, inv, ratio in factors:
-        z = r[nodes].reshape(inv.shape)
-        for j in range(len(z) - 1, 0, -1):
-            z[j - 1] += ratio[j] * z[j]
-        z *= inv
-        for j in range(1, len(z)):
-            z[j] += ratio[j] * z[j - 1]
+        rows = list(r[nodes].reshape(len(ratio), -1))
+        for prev, row, q in zip(rows[-2::-1], rows[:0:-1], ratio[:0:-1]):
+            prev += q * row
+        r[nodes] *= inv
+        for prev, row, q in zip(rows, rows[1:], ratio[1:]):
+            row += q * prev
     return r
 
 
@@ -353,22 +353,22 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
     grids (di_dd, di_ds) and the heads' ties g_tie, on `_layout`'s nodes.
     Each cycle of a two-level solver (line aggregation: P. Vaněk, J. Mandel
     and M. Brezina, Computing 56, 1996) corrects x by one unknown per line
-    (`_coarse_solver` on the residual's line sums), then solves every
-    line's tridiagonal block in place; a wire segment (about 0.24 S)
-    outweighs its cells (at most 4e-7 S) by six decades, so what the line
-    solves leave is nearly constant along each line.  Cycles repeat until
-    the residual is below 1e-3 RESIDUAL_TOL or stops halving; a singular
-    coarse or line matrix gives a non-finite x."""
+    (`_coarse_solver` on the residual's line sums), then by z, each line's
+    block T (wires, shunt) solved in place, leaving the residual -C z, the
+    cells' coupling across lines.  Its roundoff drift from rhs - J x can cost
+    an iteration, never pass an unconverged read: `solve_read` tests the true
+    residual.  Cycles repeat until the residual is below 1e-3 RESIDUAL_TOL or
+    stops halving; a singular coarse or line matrix gives a non-finite x."""
+    neg_ds, x, out = -di_ds, np.zeros_like(rhs), np.empty_like(rhs)
     # each node's own stamp, and the one it takes from its cell's other node
-    shunt = _join(lay, -di_ds, di_dd)
+    shunt = _join(lay, neg_ds, di_dd)
     for nodes, lines, shape, _ in lay.blocks:
         shunt[nodes][:shape[1]] += g_tie[lines]
-    neg_dd, x, out = -di_dd, np.zeros_like(rhs), np.empty_like(rhs)
-    (x_s, x_d), (out_s, out_d) = _terminals(lay, x), _terminals(lay, out)
+    out_s, out_d = _terminals(lay, out)
 
-    def crossed(y_s: np.ndarray, y_d: np.ndarray) -> np.ndarray:
-        np.multiply(neg_dd, y_d, out=out_s)   # y at each cell's terminals
-        np.multiply(di_ds, y_s, out=out_d)
+    def coupled(y_s: np.ndarray, y_d: np.ndarray) -> np.ndarray:
+        np.multiply(di_dd, y_d, out=out_s)   # -C y, y at each cell's terminals
+        np.multiply(neg_ds, y_s, out=out_d)
         return out
 
     r, res = rhs, np.inf
@@ -379,10 +379,10 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
             dx = coarse(np.concatenate([_column_sums(r[nodes].reshape(
                 shape)) for nodes, _, shape, _ in lay.blocks]))
             dx, dx_cells = _on_nodes(lay, dx), _at_cells(lay, dx)
-            # a correction constant along each line sends nothing into wires
-            r = r - shunt * dx - crossed(*dx_cells)
-            x += dx + _solve_lines(lines, r)
-            r = rhs - _wire_currents(lay, x) - shunt * x - crossed(x_s, x_d)
+            # no wire carries a per-line dx; r, maybe `out`, is read first
+            z = _solve_lines(lines, r - shunt * dx + coupled(*dx_cells))
+            x += dx + z
+            r = coupled(*_terminals(lay, z))
             new = np.abs(r).max()
             if not (new > 1e-3 * RESIDUAL_TOL and new <= 0.5 * res):
                 return x

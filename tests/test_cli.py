@@ -106,6 +106,38 @@ def test_a_negative_seed_exits_five_before_writing(tmp_path, capsys, command,
     assert not [p for p in tmp_path.iterdir() if p.is_dir()]
 
 
+_SIZE_FLAGS_NOT_READ = [
+    *((command, flag) for command in (
+        ("power",), ("area",), ("device-sweep",), ("verify-scheme",),
+        ("run", "bitline"), ("run", "disturb-accumulate"))
+      for flag in ("rows", "cols", "samples")),
+    (("mc",), "rows"), (("mc",), "cols"),
+    (("run", "disturb"), "samples"), (("run", "word-write"), "samples"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _SIZE_FLAGS_NOT_READ)
+def test_a_size_flag_the_command_does_not_read_exits_five_before_writing(
+        tmp_path, capsys, command, flag):
+    # the manifest would record it with provenance "flag", as if it were used
+    assert _run(tmp_path, *command, f"--{flag}", "4") == cli.EXIT_BAD_VALUE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"--{flag}" in err and " ".join(command) in err
+    assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
+def test_a_config_file_may_set_sizes_a_command_does_not_read(tmp_path):
+    # one config file serves every command
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"schema_version": 1, "rows": 4, "cols": 4, '
+                       '"samples": 3}')
+    assert _run(tmp_path, "area", "--config", str(cfgfile)) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "area" / "manifest.json").read_text())
+    assert {manifest["config_provenance"][k]
+            for k in ("rows", "cols", "samples")} == {"file"}
+
+
 def _readme_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     path = tmp_path / "example.json"

@@ -595,7 +595,7 @@ def _superlu_step(lay, g_tie, di_dd, di_ds, rhs):
     return spla.spsolve(jac, rhs)
 
 
-@pytest.mark.parametrize("topology, rows, cols, sel", [
+_SUPERLU_READS = [
     (Topology.CAND, 64, 64, tuple(range(64))),
     (Topology.AND, 64, 64, (21,)),
     # rows != cols: the source and bit lines are blocks of two shapes
@@ -604,7 +604,10 @@ def _superlu_step(lay, g_tie, di_dd, di_ds, rhs):
     (Topology.CAND, 40, 72, tuple(range(72))),
     (Topology.CAND, 72, 40, tuple(range(40))),
     (Topology.AND, 72, 40, (3, 17, 33)),
-])
+]
+
+
+@pytest.mark.parametrize("topology, rows, cols, sel", _SUPERLU_READS)
 def test_read_matches_the_superlu_newton_solve(monkeypatch, topology, rows,
                                                cols, sel):
     arr = _array(topology, rows, cols, np.random.default_rng(rows + cols)
@@ -660,6 +663,53 @@ def test_each_newton_step_takes_at_most_four_cycles(monkeypatch):
         sel = range(cols) if k // 4 % 2 else (int(rng.integers(cols)),)
         engine.read_cells(arr, int(rng.integers(rows)), sel, V_READ, V_READ)
     assert cycles and max(cycles) <= 4
+
+
+@pytest.mark.parametrize("topology, rows, cols, sel", [
+    *_SUPERLU_READS, (Topology.CAND, 128, 128, tuple(range(128)))])
+def test_each_newton_step_meets_the_true_residual(monkeypatch, topology, rows,
+                                                  cols, sel):
+    # a cycle takes its residual by recurrence, not as rhs - J x: each step
+    # must still leave no more than the inner tolerance against J itself
+    step = engine._newton_step
+    steps = _record_newton_steps(monkeypatch)
+    arr = _array(topology, rows, cols, np.random.default_rng(rows + cols)
+                 .integers(0, 2, (rows, cols)).tolist())
+    engine.read_cells(arr, rows // 2, sel, V_READ, V_READ)
+    assert steps
+    for lay, g_tie, di_dd, di_ds, rhs in steps:
+        jac = read_jacobian(_network(lay), g_tie, di_dd.ravel(), di_ds.ravel())
+        x = step(lay, g_tie, di_dd, di_ds, rhs)
+        assert np.abs(rhs - jac @ x).max() <= 1e-3 * engine.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("topology, rows, cols", [
+    # lines of 1, 2, 3 and 300 nodes; square C-AND and every AND layout is
+    # one block, a non-square C-AND one per line family
+    (Topology.CAND, 1, 300), (Topology.CAND, 2, 3), (Topology.CAND, 300, 2),
+    (Topology.CAND, 3, 3), (Topology.AND, 1, 4), (Topology.AND, 300, 2),
+])
+def test_line_solves_match_the_dense_tridiagonal_lines(topology, rows, cols):
+    rng = np.random.default_rng(rows * 8 + cols)
+    lay = engine._layout(topology, rows, cols, PAR)
+    net = _network(lay)
+    n = lay.blocks[-1][0].stop
+    # cell stamps, half of them off; line 0 has none and floats, tied to
+    # ground by G_FLOAT alone, which leaves it ill-conditioned
+    shunt = rng.uniform(0.0, 4e-7, n) * (rng.random(n) < 0.5)
+    shunt[net.lines[0]] = 0.0
+    floating = rng.random(lay.g_line.size) < 0.5
+    floating[0] = True
+    shunt[[nodes[0] for nodes in net.lines]] += np.where(
+        floating, engine.G_FLOAT, lay.g_line)
+    no_cells = np.zeros(rows * cols)
+    t = read_jacobian(net, np.zeros(lay.g_line.size), no_cells,
+                      no_cells).toarray() + np.diag(shunt)
+    r = rng.normal(0.0, 1e-9, n)
+    z = engine._solve_lines(engine._factor_lines(lay, shunt), r.copy())
+    # backward error only: T's condition number reaches about 1e17 here
+    assert np.abs(t @ z - r).max() <= 1e-14 * (
+        np.abs(t).max() * np.abs(z).max() + np.abs(r).max())
 
 
 def test_fine_solve_with_a_singular_jacobian_raises(monkeypatch):
