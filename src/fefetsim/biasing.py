@@ -177,10 +177,16 @@ def cell_write_voltage(plan: BiasPlan, row: int, col: int) -> float:
     return plan.wl[row] - _write_body(plan, col)
 
 
+def write_bodies(plan: BiasPlan) -> list[float]:
+    """The potential each column's gates are referenced to in a write: a
+    cell's `cell_write_voltage` is ``plan.wl[row] - write_bodies(plan)[col]``."""
+    return [_write_body(plan, c) for c in range(plan.cols)]
+
+
 def write_voltages(plan: BiasPlan) -> list[list[float]]:
     """`cell_write_voltage` of every cell as a rows x cols matrix, built
     from each line once with the same float operations."""
-    body = [_write_body(plan, c) for c in range(plan.cols)]
+    body = write_bodies(plan)
     return [[w - b for b in body] for w in plan.wl]
 
 

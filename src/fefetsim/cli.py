@@ -27,10 +27,15 @@ RUN_EXPERIMENTS = ("bitline", "disturb", "word-write", "disturb-accumulate")
 #: widest array whose 2**cols words `run word-write` enumerates (65 536)
 WORD_WRITE_MAX_COLS = 16
 
-#: the size flags each command reads; any other command refuses them (exit 5)
-SIZE_FLAGS = {"run disturb": ("rows", "cols"),
-              "run word-write": ("rows", "cols"),
-              "mc": ("samples",), "all": ("rows", "cols", "samples")}
+#: the size, word and plot flags each command reads; any other command
+#: refuses them (exit 5)
+COMMAND_FLAGS = {"device-sweep": ("plot",),
+                 "run bitline": ("plot",),
+                 "run disturb": ("rows", "cols"),
+                 "run word-write": ("rows", "cols", "word"),
+                 "run disturb-accumulate": ("plot",),
+                 "mc": ("samples",), "power": ("plot",),
+                 "all": ("rows", "cols", "samples", "plot")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rows", type=int)
     common.add_argument("--cols", type=int)
     common.add_argument("--topology", choices=["and", "cand"])
-    common.add_argument("--plot", action="store_true",
+    common.add_argument("--plot", action="store_true", default=None,
                         help="also emit SVG line charts")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,11 +254,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # a size flag its command never reads would be recorded as if used
+    # a flag its command never reads would be accepted as if used
     name = f"{args.command} {getattr(args, 'experiment', '')}".strip()
-    for flag in ("rows", "cols", "samples"):
-        if getattr(args, flag) is not None and \
-                flag not in SIZE_FLAGS.get(name, ()):
+    for flag in ("rows", "cols", "samples", "word", "plot"):
+        if getattr(args, flag, None) is not None and \
+                flag not in COMMAND_FLAGS.get(name, ()):
             print(f"error: {name} does not read --{flag}", file=sys.stderr)
             return EXIT_BAD_VALUE
     try:

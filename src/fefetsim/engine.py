@@ -15,7 +15,6 @@ potentials.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -89,8 +88,10 @@ class ArrayState:
     each cell's entry in it, so cells with equal state share one entry.  By
     return-point memory and wipe-out, two cells with equal state evolve
     identically under the same pulse, which lets `apply_write` pulse each
-    distinct (state, gate voltage) pair once.  A write swaps in a new table
-    and index rather than changing either, so a copy shares both.
+    distinct (state, gate voltage) pair once, and two rows with equal
+    entries under one word-line voltage evolve identically, which lets it
+    resolve each distinct row once.  A write swaps in a new table and index
+    rather than changing either, so a copy shares both.
     """
 
     topology: Topology
@@ -156,23 +157,36 @@ def _check_plan(array: ArrayState, plan: BiasPlan) -> None:
 def apply_write(array: ArrayState, plan: BiasPlan, duration: float) -> None:
     """Run one write phase: every cell sees its plan-derived gate voltage.
 
-    Cells with equal table entry and gate voltage form one group; the
-    scalar write runs once per group, and every cell of the group then
-    holds its result.  Equal results share one entry of the new table.  The
-    new table and index replace the old only once every write has
+    Rows with equal word-line voltage and equal table entries see equal
+    gate voltages, so only the first row of each such key is resolved, and
+    a repeated row takes the resolved row whole.  In a resolved row the
+    scalar write runs for each (table entry, gate voltage) pair not yet
+    written in the phase, so each pair is pulsed once, in row-major order
+    of its first cell.  Equal results share one entry of the new table.
+    The new table and index replace the old only once every write has
     succeeded, so a write that raises leaves the array as it was.
     """
     _check_plan(array, plan)
-    voltages = itertools.chain.from_iterable(biasing.write_voltages(plan))
-    keys = list(zip(array.index.ravel().tolist(), voltages))
+    body = biasing.write_bodies(plan)
     table: dict[BranchState, int] = {}
     entry: dict[tuple[int, float], int] = {}
-    for i, v_gb in dict.fromkeys(keys):
-        new = device.write_cell(array.dev, array.fe, array.states[i], v_gb,
-                                duration)
-        entry[i, v_gb] = table.setdefault(new, len(table))
-    index = np.array([entry[k] for k in keys], dtype=np.intp)
-    array._swap(tuple(table), index.reshape(array.rows, array.cols))
+    resolved: dict[tuple, list[int]] = {}
+    rows = []
+    for w, cells in zip(plan.wl, array.index.tolist()):
+        key = (w, *cells)
+        row = resolved.get(key)
+        if row is None:
+            row = resolved[key] = []
+            for i, b in zip(cells, body):
+                v_gb = w - b
+                e = entry.get((i, v_gb))
+                if e is None:
+                    new = device.write_cell(array.dev, array.fe,
+                                            array.states[i], v_gb, duration)
+                    e = entry[i, v_gb] = table.setdefault(new, len(table))
+                row.append(e)
+        rows.append(row)
+    array._swap(tuple(table), np.array(rows, dtype=np.intp))
 
 
 @dataclass

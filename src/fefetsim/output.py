@@ -7,6 +7,7 @@ on log/linear axes) to keep plotting dependency-free.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -50,11 +51,18 @@ def sha256_of(path: str) -> str:
     return h.hexdigest()
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's version from the installed metadata, looked up once per
+    process (a few ms each time): the program itself never imports scipy."""
+    from importlib.metadata import version
+    return version("scipy")
+
+
 def write_manifest(out_dir: str, command: str, config: dict,
                    provenance: dict, files: list[str]) -> str:
     """Record what produced the artifacts in a directory."""
     import platform
-    from importlib.metadata import version
 
     import numpy
 
@@ -70,9 +78,7 @@ def write_manifest(out_dir: str, command: str, config: dict,
         "versions": {
             "fefetsim": __version__,
             "numpy": numpy.__version__,
-            # from the installed metadata: the program itself never imports
-            # scipy
-            "scipy": version("scipy"),
+            "scipy": _scipy_version(),
             "python": platform.python_version(),
         },
         "artifacts": [

@@ -1,18 +1,23 @@
 """Test oracles with no caller in the program: an exact network solve of
 the sneak-path graph with its return-leg bound, against which the closed
 form in `fefetsim.analytics` is checked, the hysteresis helpers the
-ferro tests drive the branch model with, and, from a description of the
-read network that does not depend on how the solver numbers its nodes, the
-sparse read Jacobian and the dense line matrix against which the read
-solve's Newton step and its elimination of the source lines are checked.
+ferro tests drive the branch model with, a write phase grouped cell by cell,
+against which `engine.apply_write`'s grouping by row is checked, and, from
+a description of the read network that does not depend on how the solver
+numbers its nodes, the sparse read Jacobian and the dense line matrix
+against which the read solve's Newton step and its elimination of the
+source lines are checked.
 """
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from fefetsim import ferro
+from fefetsim import biasing, device, ferro
+from fefetsim.biasing import BiasPlan
+from fefetsim.engine import ArrayState
 from fefetsim.ferro import BranchState, FerroParams
 
 
@@ -53,6 +58,24 @@ def sneak_resistance_network(r_on: float, r_off: float, rows: int, cols: int) ->
     v = np.linalg.solve(g, rhs)
     i_total = float(np.sum(g_on * (1.0 - v[:n1])))
     return 1.0 / i_total
+
+
+def cell_grouped_write(array: ArrayState, plan: BiasPlan, duration: float
+                       ) -> tuple[tuple[BranchState, ...], np.ndarray]:
+    """The table and index a write phase leaves, without changing `array`:
+    cells with equal table entry and gate voltage form one group, the
+    scalar write runs once per group in row-major order of first
+    appearance, and equal results share one entry of the new table."""
+    voltages = itertools.chain.from_iterable(biasing.write_voltages(plan))
+    keys = list(zip(array.index.ravel().tolist(), voltages))
+    table: dict[BranchState, int] = {}
+    entry: dict[tuple[int, float], int] = {}
+    for i, v_gb in dict.fromkeys(keys):
+        new = device.write_cell(array.dev, array.fe, array.states[i], v_gb,
+                                duration)
+        entry[i, v_gb] = table.setdefault(new, len(table))
+    index = np.array([entry[k] for k in keys], dtype=np.intp)
+    return tuple(table), index.reshape(array.rows, array.cols)
 
 
 class ReadNetwork(NamedTuple):

@@ -116,15 +116,48 @@ _SIZE_FLAGS_NOT_READ = [
 ]
 
 
-@pytest.mark.parametrize("command, flag", _SIZE_FLAGS_NOT_READ)
-def test_a_size_flag_the_command_does_not_read_exits_five_before_writing(
-        tmp_path, capsys, command, flag):
-    # the manifest would record it with provenance "flag", as if it were used
-    assert _run(tmp_path, *command, f"--{flag}", "4") == cli.EXIT_BAD_VALUE
+def _assert_refused(tmp_path, capsys, command, flag, value):
+    argv = (f"--{flag}",) if value is None else (f"--{flag}", value)
+    assert _run(tmp_path, *command, *argv) == cli.EXIT_BAD_VALUE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"--{flag}" in err and " ".join(command) in err
     assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+
+@pytest.mark.parametrize("command, flag", _SIZE_FLAGS_NOT_READ)
+def test_a_size_flag_the_command_does_not_read_exits_five_before_writing(
+        tmp_path, capsys, command, flag):
+    # the manifest would record it with provenance "flag", as if it were used
+    _assert_refused(tmp_path, capsys, command, flag, "4")
+
+
+_WORD_OR_PLOT_NOT_READ = [
+    # only `run` parses --word; 0 is a word too
+    *((("run", experiment), "word", value)
+      for experiment in ("bitline", "disturb", "disturb-accumulate")
+      for value in ("0x5", "0")),
+    *((command, "plot", None) for command in (
+        ("verify-scheme",), ("run", "disturb"), ("run", "word-write"),
+        ("mc",), ("area",))),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _WORD_OR_PLOT_NOT_READ)
+def test_a_word_or_plot_flag_the_command_does_not_read_exits_five_before_writing(
+        tmp_path, capsys, command, flag, value):
+    # the run would go on as if the word were written or the plot drawn
+    _assert_refused(tmp_path, capsys, command, flag, value)
+
+
+@pytest.mark.parametrize("command", [
+    ("device-sweep",), ("run", "bitline"), ("run", "disturb-accumulate"),
+    ("power",), ("all",)])
+def test_the_commands_that_draw_plots_take_plot(tmp_path, monkeypatch,
+                                               command):
+    monkeypatch.setitem(cli._COMMANDS, command[0], lambda args, cfg, prov:
+                        cli.EXIT_OK if args.plot else cli.EXIT_CHECK_FAILED)
+    assert _run(tmp_path, *command, "--plot") == cli.EXIT_OK
 
 
 def test_a_config_file_may_set_sizes_a_command_does_not_read(tmp_path):

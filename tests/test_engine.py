@@ -12,7 +12,8 @@ from fefetsim.config import (RunConfig, make_device, make_ferro,
                              make_parasitics)
 from fefetsim.device import GATE_DIRECT, GATE_DIVIDER
 from fefetsim.engine import ArrayState
-from oracles import ReadNetwork, line_matrix, line_stamps, read_jacobian
+from oracles import (ReadNetwork, cell_grouped_write, line_matrix, line_stamps,
+                     read_jacobian)
 
 FE = make_ferro(RunConfig())
 DEV = make_device(RunConfig())
@@ -387,6 +388,67 @@ def test_interned_writes_match_per_cell_oracle(run, gate_mode):
         ref_vts = np.array([[device.cell_vt(dev, FE, s) for s in row]
                             for row in ref])
         assert np.array_equal(arr.vts(), ref_vts)
+
+
+@st.composite
+def _repeated_row_runs(draw):
+    """An array of up to 8x8 whose rows repeat up to three patterns, and
+    program and erase phases on it: a selected row whose pattern repeats
+    sees other word-line voltages than its twins."""
+    topology = draw(st.sampled_from(Topology))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    patterns = draw(st.lists(st.lists(st.integers(0, 1), min_size=cols,
+                                      max_size=cols), min_size=1, max_size=3))
+    bits = [draw(st.sampled_from(patterns)) for _ in range(rows)]
+    plans = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.integers(0, rows - 1))
+        sel = draw(st.sets(st.integers(0, cols - 1), min_size=1))
+        v = draw(st.sampled_from((1.5, 3.2)) | st.floats(0.2, 4.5))
+        plans.append(biasing.write_bias(topology, rows, cols, row, sel,
+                                        -v if draw(st.booleans()) else v))
+    return topology, bits, plans
+
+
+@given(_repeated_row_runs(), st.sampled_from((GATE_DIRECT, GATE_DIVIDER)))
+@settings(max_examples=150, deadline=None)
+def test_row_grouped_writes_match_the_cell_grouped_oracle(run, gate_mode):
+    topology, bits, plans = run
+    dev = dataclasses.replace(DEV, gate_mode=gate_mode)
+    arr = ArrayState(topology, len(bits), len(bits[0]), FE, dev, PAR)
+    arr.set_pattern(bits)
+    for plan in plans:
+        states, index = cell_grouped_write(arr, plan, T_PULSE)
+        engine.apply_write(arr, plan, T_PULSE)
+        assert arr.states == states
+        assert arr.index.dtype == index.dtype
+        assert np.array_equal(arr.index, index)
+        _assert_table_invariants(arr)
+
+
+@pytest.mark.parametrize("topology", Topology)
+def test_a_repeated_row_makes_no_write_cell_call(monkeypatch, topology):
+    # row 0 is selected in every phase and has a twin under the unselected
+    # word-line voltage; the 8-row array repeats unselected rows 1 and 2
+    a, b = [1, 0, 0, 1, 1], [0, 1, 0, 1, 0]
+    plans = [((0, 3), 3.2), ((0, 3), -1.5), (range(5), 2.7), ((2,), -1.1)]
+    calls = _count_writes(monkeypatch)
+    seen = []
+    for bits in ([a, a, b], [a, a, b, a, b, b, a, b]):
+        arr = _array(topology, len(bits), 5, bits)
+        del calls[:]
+        for sel, v in plans:
+            plan = biasing.write_bias(topology, len(bits), 5, 0, sel, v)
+            keys = [(int(arr.index[r, c]), biasing.cell_write_voltage(plan, r, c))
+                    for r in range(len(bits)) for c in range(5)]
+            states, before = arr.states, len(calls)
+            engine.apply_write(arr, plan, T_PULSE)
+            # one call per distinct (entry, v_gb), in order of appearance
+            assert [(st, v) for _, _, st, v, _ in calls[before:]] == \
+                [(states[i], v) for i, v in dict.fromkeys(keys)]
+        seen.append([(st, v) for _, _, st, v, _ in calls])
+    # the five repeated rows of the 8-row array add no call at all
+    assert seen[1] == seen[0]
 
 
 def test_writes_never_reach_a_copy_or_another_array():
