@@ -386,21 +386,60 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
         return out
 
     r, res = rhs, np.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coarse = _coarse_solver(lay, g_tie, di_dd, di_ds)
-        lines = _factor_lines(lay, shunt)
+    coarse = _coarse_solver(lay, g_tie, di_dd, di_ds)
+    lines = _factor_lines(lay, shunt)
+    while True:
+        dx = coarse(np.concatenate([_column_sums(r[nodes].reshape(
+            shape)) for nodes, _, shape, _ in lay.blocks]))
+        dx, dx_cells = _on_nodes(lay, dx), _at_cells(lay, dx)
+        # no wire carries a per-line dx; r, maybe `out`, is read first
+        z = _solve_lines(lines, r - shunt * dx + coupled(*dx_cells))
+        x += dx + z
+        r = coupled(*_terminals(lay, z))
+        new = np.abs(r).max()
+        if not (new > 1e-3 * RESIDUAL_TOL and new <= 0.5 * res):
+            return x
+        res = new
+
+
+def _damped_newton(assemble, x: np.ndarray, what: str, res_tol: float,
+                   step_tol: float) -> tuple:
+    """Damped Newton from x, the one loop of the predictor and the read
+    solve.  `assemble(x)` gives the residual f at x and a solve of its
+    Jacobian, run on -f with numpy's warnings off.  A step moving no entry by
+    more than step_tol ends the loop applied whole; else the first of the
+    scales 1, DAMPING, ... down to the first under 1e-8 that lowers max |f|
+    is applied (backtracking: J. E. Dennis and R. B. Schnabel, 1983, ch. 6).
+    Returns (x, iterations, max |f|, stalled) once max |f| <= res_tol, after
+    MAX_NEWTON_ITER iterations, or, stalled, when no scale lowers it.  A
+    first residual or a step that is not finite raises ConvergenceError."""
+    f, solve = assemble(x)
+    res, it = np.abs(f).max(), 0
+    if not np.isfinite(res):
+        raise ConvergenceError(
+            f"{what} stalled at residual {res:.3e} A after {it} iterations")
+    while res > res_tol and it < MAX_NEWTON_ITER:
+        it += 1
+        # solve is always the one at x: the last assembly is the accepted one
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = solve(-f)
+        if not np.isfinite(step).all():
+            raise ConvergenceError(
+                f"{what} met a singular Jacobian at iteration {it}")
+        if np.abs(step).max() <= step_tol:
+            return x + step, it, res, False
+        scale = 1.0
         while True:
-            dx = coarse(np.concatenate([_column_sums(r[nodes].reshape(
-                shape)) for nodes, _, shape, _ in lay.blocks]))
-            dx, dx_cells = _on_nodes(lay, dx), _at_cells(lay, dx)
-            # no wire carries a per-line dx; r, maybe `out`, is read first
-            z = _solve_lines(lines, r - shunt * dx + coupled(*dx_cells))
-            x += dx + z
-            r = coupled(*_terminals(lay, z))
-            new = np.abs(r).max()
-            if not (new > 1e-3 * RESIDUAL_TOL and new <= 0.5 * res):
-                return x
-            res = new
+            x_new = x + scale * step
+            f_new, solve_new = assemble(x_new)
+            res_new = np.abs(f_new).max()
+            if res_new < res:
+                break
+            if scale < 1e-8:
+                return x, it, res, True
+            scale *= DAMPING
+        x, f, solve, res = x_new, f_new, solve_new, res_new
+    return x, it, res, False
 
 
 #: grid the predicted line potentials are rounded to after the last step,
@@ -435,12 +474,13 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
                      vts: np.ndarray) -> np.ndarray:
     """Each line's potential with every wire shorted, a floating line's at
     the root of its KCL (the coarse level of nested iteration: A. Brandt,
-    Math. Comp. 31, 1977): damped Newton on the numpy device from
+    Math. Comp. 31, 1977): `_damped_newton` on the numpy device from
     `_predictor_start`, each step by `_coarse_solver` with the driven lines
-    held, until a step moves no potential by more than PREDICTOR_GRID, which
-    it applies before rounding to that grid.  A non-finite step raises
-    ConvergenceError; a stalled line search returns the potentials reached."""
-    def assemble(pot: np.ndarray) -> tuple[np.ndarray, list, float]:
+    held, to a step of at most PREDICTOR_GRID, then rounded to that grid.  A
+    stall or MAX_NEWTON_ITER iterations leave the potentials reached."""
+    g_tie, held = G_FLOAT * floating, ~floating
+
+    def assemble(pot: np.ndarray) -> tuple:
         # the floating lines' KCL residual, 0 on the driven lines
         v_s, v_d = _at_cells(lay, pot)
         i, *derivs = device.drain_current_and_derivs_array(
@@ -448,29 +488,11 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
         f = np.concatenate([-_column_sums(np.ascontiguousarray(
             i.T if lay.cand else i)), _column_sums(i)])
         f = np.where(floating, f + G_FLOAT * pot, 0.0)
-        return f, derivs, np.abs(f).max()
+        return f, lambda b: _coarse_solver(lay, g_tie, *derivs, held=held)(b)
 
-    pot = _predictor_start(lay, drive, floating, gates - vts)
-    f, derivs, res = assemble(pot)
-    for it in range(1, MAX_NEWTON_ITER + 1):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = _coarse_solver(lay, G_FLOAT * floating, *derivs,
-                                  held=~floating)(-f)
-        if not np.isfinite(step).all():
-            raise ConvergenceError(
-                f"read predictor met a singular Jacobian at iteration {it}")
-        if np.abs(step).max() <= PREDICTOR_GRID:
-            pot = pot + step
-            break
-        scale = 1.0
-        while scale >= 1e-8:
-            f_new, derivs_new, res_new = assemble(pot + scale * step)
-            if res_new < res:
-                break
-            scale *= DAMPING
-        else:
-            break   # stalled: start from the potentials reached
-        pot, f, derivs, res = pot + scale * step, f_new, derivs_new, res_new
+    pot, *_ = _damped_newton(
+        assemble, _predictor_start(lay, drive, floating, gates - vts),
+        "read predictor", 0.0, PREDICTOR_GRID)
     return np.where(floating, np.round(pot / PREDICTOR_GRID) * PREDICTOR_GRID,
                     drive)
 
@@ -478,29 +500,25 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
 def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     """Damped-Newton DC solve of the read network.
 
-    The network is held position-major (`_layout`): each line is a chain of
-    wire segments down one column of a block, driven at its first node or,
-    when floating, tied to ground there by G_FLOAT.  Per solve only the
-    drives (`plan.sl + plan.bl`), the ties and the start come from the plan.
+    On `_layout`'s network only the drives (`plan.sl + plan.bl`), the ties
+    (G_FLOAT at a floating line's head) and the start come from the plan.
     Each assembly evaluates every cell's device terms on the rows x cols
     grid of its terminals (`_terminals`), from VECTOR_CELLS cells on in one
     `device.drain_current_and_derivs_array` call, else by one scalar
     `device.drain_current_and_derivs` call per cell, which keeps small
-    reads' bytes and is cheaper there.  Each step is `_newton_step`'s.
+    reads' bytes and is cheaper there.  `_damped_newton` steps by
+    `_newton_step` and raises ConvergenceError as it says; so does a read
+    whose fine solve stalls or ends above RESIDUAL_TOL.
 
     The start holds each line at one potential, its drive or 0 V if
     floating, so no wire carries current, and a floating line is out of KCL
-    balance exactly when a cell joins it to a line driven away from 0 V (a
-    C-AND single-cell read).  Newton would then climb the device current one
-    `v_tilde` per step; such a read starts instead from `_line_potentials`,
-    from which a disturb read converges in one iteration.  A C-AND full-row
-    read and every AND read float their lines among 0 V lines, so they start
-    from the drives.
-
-    Raises ConvergenceError if the max node residual does not reach
-    RESIDUAL_TOL within MAX_NEWTON_ITER iterations, if no damped step lowers
-    it (a stalled line search), or if the residual or a Newton step, of the
-    fine solve or the predictor, is not finite (a singular Jacobian).
+    balance exactly when a cell joins it to a line driven away from 0 V: in
+    a C-AND single-cell or partial-row read, each unselected bit line floats
+    on a cell of the driven source line.  Newton would then climb the device
+    current one `v_tilde` per step; such a read starts instead from
+    `_line_potentials`, from which a disturb read converges in one
+    iteration.  A C-AND full-row read and every AND read float their lines
+    among 0 V lines, so they start from the drives.
     """
     _check_plan(array, plan)
     lay = _layout(array.topology, array.rows, array.cols, array.parasitics)
@@ -511,8 +529,8 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     gates = np.array(plan.wl, dtype=float)[:, None]
     vts, dev = array.vts(), array.dev
 
-    def assemble(vv: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The node residual at vv, and every cell's (di_dd, di_ds)."""
+    def assemble(vv: np.ndarray) -> tuple:
+        """The node residual at vv, and `_newton_step` at vv's Jacobian."""
         v_s, v_d = _terminals(lay, vv)
         # C-contiguous device grids keep `_column_sums`' line sums sequential:
         # numpy would sum F-ordered ones (C-AND's transposed v_s) pairwise
@@ -526,36 +544,17 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
                                          v_s.tolist(), vts.tolist())
                 for d, s, t in zip(rd, rs, rt)]).T.copy().reshape(3, *vts.shape)
         return (_wire_currents(lay, vv, g_tie, drive) + _join(lay, -i, i),
-                (di_dd, di_ds))
+                functools.partial(_newton_step, lay, g_tie, di_dd, di_ds))
 
     (float_s, float_d), (away_s, away_d) = (_at_cells(lay, a)
                                             for a in (floating, drive != 0.0))
     start = (_line_potentials(lay, drive, floating, dev, gates, vts)
              if (float_d & away_s | float_s & away_d).any() else drive)
-    v = _on_nodes(lay, start)
-    f, derivs = assemble(v)
-    res = np.abs(f).max()
-    it = 0
-    while res > RESIDUAL_TOL and it < MAX_NEWTON_ITER:
-        it += 1
-        # derivs are always those at v: the last assembly is the accepted one
-        step = _newton_step(lay, g_tie, *derivs, -f)
-        if not np.isfinite(step).all():
-            raise ConvergenceError(
-                f"read solve met a singular Jacobian at iteration {it}")
-        scale = 1.0
-        while True:
-            v_new = v + scale * step
-            f_new, derivs_new = assemble(v_new)
-            res_new = np.abs(f_new).max()
-            if res_new < res:
-                break
-            if scale < 1e-8:
-                raise ConvergenceError(
-                    f"line search stalled at iteration {it}")
-            scale *= DAMPING
-        v, f, derivs, res = v_new, f_new, derivs_new, res_new
-    if not res <= RESIDUAL_TOL:
+    v, it, res, stalled = _damped_newton(assemble, _on_nodes(lay, start),
+                                         "read solve", RESIDUAL_TOL, 0.0)
+    if stalled:
+        raise ConvergenceError(f"line search stalled at iteration {it}")
+    if res > RESIDUAL_TOL:
         raise ConvergenceError(
             f"read solve stalled at residual {res:.3e} A after {it} iterations")
 

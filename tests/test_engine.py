@@ -1094,6 +1094,44 @@ def test_predictor_with_a_non_finite_step_raises(monkeypatch, slope):
                           [2], V_READ, V_READ)
 
 
+_BITS_3X3 = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+
+
+def test_predictor_with_a_non_finite_residual_names_it(monkeypatch):
+    # a 3x3 read solves below VECTOR_CELLS, on the scalar device, so only
+    # the predictor sees the nan; its start must not pass for a solution
+    arr = _array(Topology.CAND, 3, 3, _BITS_3X3)
+    assert arr.rows * arr.cols < engine.VECTOR_CELLS
+    # the predictor passes line potentials that broadcast to vt's cell grid
+    monkeypatch.setattr(device, "drain_current_and_derivs_array",
+                        lambda dev, vg, vd, vs, vt: (np.full_like(vt, np.nan),
+                                                     vt * 0.0, vt * 0.0))
+    with pytest.raises(engine.ConvergenceError,
+                       match="^read predictor stalled at residual nan A "
+                             "after 0 iterations$"):
+        engine.read_cells(arr, 1, [1], V_READ, V_READ)
+
+
+def test_predictor_whose_steps_all_go_uphill_starts_the_read_where_it_stalled(
+        monkeypatch):
+    # the -1 S cells of the uphill read tests, on the predictor's numpy
+    # device alone: it stalls in its first line search and returns its start
+    arr = _array(Topology.CAND, 3, 3, _BITS_3X3)
+    want = engine.read_cells(arr, 1, [1], V_READ, V_READ).current(1)
+    calls = []
+
+    def uphill(dev, vg, vd, vs, vt):
+        calls.append(vt.size)
+        return 4e-7 * (vd - vs), np.full_like(vt, -1.0), np.full_like(vt, 1.0)
+
+    monkeypatch.setattr(device, "drain_current_and_derivs_array", uphill)
+    got = engine.read_cells(arr, 1, [1], V_READ, V_READ)
+    # the first assembly, then one iteration's damped steps down to 1e-8
+    assert calls == [9] * (1 + 28)
+    assert got.max_residual <= engine.RESIDUAL_TOL
+    assert abs(got.current(1) - want) <= engine.RESIDUAL_TOL
+
+
 # --------------------------------------------------------------------------
 # Scalar device below VECTOR_CELLS cells, numpy device from there on
 
