@@ -39,6 +39,13 @@ DAMPING = 0.5
 #: loop it replaces (timed assemblies in CHANGES.md)
 VECTOR_CELLS = 32
 
+#: cells a batch of reads solves in lockstep at most (`read_batch`): the numpy
+#: device costs about 37 us a call plus 40-70 ns a cell, so at 2304 cells (four
+#: 24 x 24 networks) its fixed cost is a small share, while a batch holds
+#: about 150 bytes a cell at its peak (616 KiB for four 24 x 24 single-cell
+#: reads, 159 KiB for one, tracemalloc), which a process's peak memory pays
+BATCH_CELLS = 2304
+
 
 class ConvergenceError(RuntimeError):
     pass
@@ -208,7 +215,12 @@ class _Layout(NamedTuple):
     `n_sl` source lines precede the bit lines, in plan-tuple order.  A C-AND
     (`cand`) source line r holds cell (r, j) at [j, r], a bit line c cell
     (j, c) at [j, c], and in AND both at [j, c]: a cell's other terminal is
-    at the other family's transposed (C-AND) or same (AND) position."""
+    at the other family's transposed (C-AND) or same (AND) position.
+
+    A batch of independent networks of one layout stacks these arrays on
+    leading batch axes: node arrays (..., nodes), per-line arrays (...,
+    lines) and cell grids (..., rows, cols).  Every helper below acts on
+    each network alone, with the bits of the network solved alone."""
 
     n_sl: int
     cand: bool
@@ -221,8 +233,9 @@ class _Layout(NamedTuple):
 def _layout(topology: Topology, rows: int, cols: int,
             par: Parasitics) -> _Layout:
     """The read network of one array shape; the last shape's is kept, which
-    spares the many equal small reads of a Monte Carlo run rebuilding it;
-    keeping more would hold large layouts alive."""
+    spares the many equal small reads of a Monte Carlo run rebuilding it (a
+    batch builds it once for all its networks); keeping more would hold
+    large layouts alive."""
     r_bl, cand = par.seg_resistance(PITCH_Y), topology is Topology.CAND
     n_sl, len_sl, r_sl = ((rows, cols, par.seg_resistance(PITCH_X)) if cand
                           else (cols, rows, r_bl))
@@ -237,58 +250,86 @@ def _layout(topology: Topology, rows: int, cols: int,
                    g_line, r_bl)
 
 
+def _any(mask) -> bool:
+    """Whether a per-network mask (a scalar for one network) is set for any
+    network."""
+    return bool(mask.any() if mask.ndim else mask)
+
+
+def _where(mask, a, b):
+    """Each network's a where its entry of the per-network mask is set, else
+    its b."""
+    if not mask.ndim:
+        return a if mask else b
+    return np.where(mask.reshape(mask.shape + (1,) * (np.ndim(a) - mask.ndim)),
+                    a, b)
+
+
+def _first(mask, values):
+    """The entry of per-network values of the first network, in batch
+    order, that the mask sets."""
+    return np.ravel(values)[np.ravel(mask).argmax()] if mask.ndim else values
+
+
 def _terminals(lay: _Layout, a: np.ndarray) -> tuple:
     """The node array a at the cells' source-side and bit-side nodes, each a
     rows x cols grid (C-AND's source lines' block transposed)."""
+    batch = a.shape[:-1]
     if len(lay.blocks) == 1:
-        block = a.reshape(lay.blocks[0][2])
-        s, d = block[:, :lay.n_sl], block[:, lay.n_sl:]
+        block = a.reshape(batch + lay.blocks[0][2])
+        s, d = block[..., :lay.n_sl], block[..., lay.n_sl:]
     else:
-        s, d = (a[nodes].reshape(shape) for nodes, _, shape, _ in lay.blocks)
-    return (s.T if lay.cand else s), d
+        s, d = (a[..., nodes].reshape(batch + shape)
+                for nodes, _, shape, _ in lay.blocks)
+    return (s.swapaxes(-1, -2) if lay.cand else s), d
 
 
 def _at_cells(lay: _Layout, per_line: np.ndarray) -> tuple:
     """A per-line array at each cell's source line and bit line, broadcast
     to the rows x cols cell grid."""
-    src = per_line[:lay.n_sl]
-    return (src[:, None] if lay.cand else src), per_line[lay.n_sl:]
+    src = per_line[..., :lay.n_sl]
+    return ((src[..., None] if lay.cand else src[..., None, :]),
+            per_line[..., None, lay.n_sl:])
 
 
 def _join(lay: _Layout, s: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The node array holding the grids s and d at the cells' terminals."""
-    s = s.T if lay.cand else s
-    return (np.concatenate((s, d), axis=1).ravel() if len(lay.blocks) == 1
-            else np.concatenate((s, d), axis=None))
+    flat, s = s.shape[:-2] + (-1,), (s.swapaxes(-1, -2) if lay.cand else s)
+    if len(lay.blocks) == 1:
+        return np.concatenate((s, d), axis=-1).reshape(flat)
+    return np.concatenate((s.reshape(flat), d.reshape(flat)), axis=-1)
 
 
 def _on_nodes(lay: _Layout, per_line: np.ndarray) -> np.ndarray:
     """The node array holding each line's value at all its nodes."""
-    rep = [per_line[None, lines].repeat(length, 0)
+    flat = per_line.shape[:-1] + (-1,)
+    rep = [per_line[..., None, lines].repeat(length, -2).reshape(flat)
            for _, lines, (length, _), _ in lay.blocks]
-    return rep[0].ravel() if len(rep) == 1 else np.concatenate(rep, axis=None)
+    return rep[0] if len(rep) == 1 else np.concatenate(rep, axis=-1)
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
-    """Each column of a (length, lines) array summed from row 0 on, one row
-    at a time as np.bincount adds: numpy would sum a lone column pairwise."""
-    return np.add.reduce(a) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
+    """Each column of a (..., length, lines) array summed from row 0 on, one
+    row at a time as np.bincount adds: numpy would sum a lone column
+    pairwise."""
+    return (np.add.reduce(a, axis=-2) if a.shape[-1] > 1
+            else np.cumsum(a, axis=-2)[..., -1, :])
 
 
-def _wire_currents(lay: _Layout, v: np.ndarray, g_tie: np.ndarray | None = None,
-                   drive: np.ndarray | None = None) -> np.ndarray:
-    """The current each node sends into its line's wire segments at v and,
-    given the ties g_tie, each line's head into its tie to its drive."""
-    f = np.empty_like(v)
+def _wire_currents(lay: _Layout, v: np.ndarray, g_tie: np.ndarray,
+                   drive: np.ndarray) -> np.ndarray:
+    """The current each node sends into its line's wire segments at v and
+    each line's head into its tie g_tie to its drive."""
+    f, batch = np.empty_like(v), v.shape[:-1]
     for nodes, lines, (length, n), g in lay.blocks:
-        vb = v[nodes].reshape(length, n)
+        vb = v[..., nodes].reshape(batch + (length, n))
         # q[j]: the current node j sends back to node j - 1 or to its tie
-        q = np.zeros((length + 1, n))
-        np.multiply(g, vb[1:] - vb[:-1], out=q[1:-1])
-        if g_tie is not None:
-            np.multiply(g_tie[lines], vb[0] - drive[lines], out=q[0])
-        q = q.ravel()
-        np.subtract(q[:-n], q[n:], out=f[nodes])
+        q = np.zeros(batch + (length + 1, n))
+        np.multiply(g, vb[..., 1:, :] - vb[..., :-1, :], out=q[..., 1:-1, :])
+        np.multiply(g_tie[..., lines], vb[..., 0, :] - drive[..., lines],
+                    out=q[..., 0, :])
+        q = q.reshape(batch + (-1,))
+        np.subtract(q[..., :-n], q[..., n:], out=f[..., nodes])
     return f
 
 
@@ -298,14 +339,16 @@ def _factor_lines(lay: _Layout, shunt: np.ndarray) -> list:
     head plus y, its shunt plus the next node's y in series with the segment
     between, so no pivot cancels, however weakly a floating line is tied.
     Per block: nodes, flat reciprocal pivots, segment-to-pivot ratio rows."""
-    out = []
+    out, batch = [], shunt.shape[:-1]
     for nodes, _, shape, g in lay.blocks:
-        y = shunt[nodes].reshape(shape).copy()
-        for prev, row in zip(y[-2::-1], y[:0:-1]):
+        y = shunt[..., nodes].reshape(batch + shape).copy()
+        rows = y.swapaxes(0, -2)   # node j of every line of every network
+        for prev, row in zip(rows[-2::-1], rows[:0:-1]):
             prev += g * row / (g + row)
-        y[1:] += g
+        rows[1:] += g
         inv = np.divide(1.0, y, out=y)
-        out.append((nodes, inv.ravel(), list(g * inv)))
+        out.append((nodes, inv.reshape(batch + (-1,)),
+                    list((g * inv).swapaxes(0, -2))))
     return out
 
 
@@ -313,13 +356,21 @@ def _solve_lines(factors: list, r: np.ndarray) -> np.ndarray:
     """Every line's tridiagonal block solved in place at right-hand side r
     (Thomas' algorithm, vectorised across the lines of each block)."""
     for nodes, inv, ratio in factors:
-        rows = list(r[nodes].reshape(len(ratio), -1))
+        rows = list(r[..., nodes].reshape(r.shape[:-1] + (len(ratio), -1))
+                    .swapaxes(0, -2))
         for prev, row, q in zip(rows[-2::-1], rows[:0:-1], ratio[:0:-1]):
             prev += q * row
-        r[nodes] *= inv
+        r[..., nodes] *= inv
         for prev, row, q in zip(rows, rows[1:], ratio[1:]):
             row += q * prev
     return r
+
+
+def _diagonal(v: np.ndarray) -> np.ndarray:
+    """The (..., n, n) matrices with v (..., n) on their diagonals."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    out.reshape(v.shape[:-1] + (-1,))[..., ::v.shape[-1] + 1] = v
+    return out
 
 
 def _coarse_solver(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
@@ -333,30 +384,34 @@ def _coarse_solver(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
     bit lines' Schur complement.  Each column sums to at least its tie, with
     a positive diagonal and no positive entry off it: the matrix is column
     diagonally dominant, so this needs no pivoting (G. H. Golub and C. F.
-    Van Loan, Matrix Computations, sec. 3.4).  A zero pivot or a singular
-    Schur complement gives a non-finite solution; callers keep numpy's
-    warnings off."""
+    Van Loan, Matrix Computations, sec. 3.4).  A batch's complements are
+    solved stacked.  A zero pivot or a singular Schur complement gives a
+    non-finite solution, for the whole batch; callers keep numpy's warnings
+    off."""
     n_sl = lay.n_sl
-    ds = di_ds.T.copy() if lay.cand else di_ds
+    ds = di_ds.swapaxes(-1, -2).copy() if lay.cand else di_ds
     sum_ds, sum_dd = _column_sums(ds), _column_sums(di_dd)
-    a_s, a_d = g_tie[:n_sl] - sum_ds, g_tie[n_sl:] + sum_dd
+    a_s, a_d = g_tie[..., :n_sl] - sum_ds, g_tie[..., n_sl:] + sum_dd
     # c[d, s] = sum di_ds and -c[s, d] = sum di_dd over the cells joining
     # bit line d to source line s: C-AND's one cell (s, d), AND's column d = s
-    w, c_dd = ((ds, di_dd.T.copy()) if lay.cand
-               else (np.diag(sum_ds), np.diag(sum_dd)))
+    w, c_dd = ((ds, di_dd.swapaxes(-1, -2).copy()) if lay.cand
+               else (_diagonal(sum_ds), _diagonal(sum_dd)))
     if held is not None:
-        a_s[held[:n_sl]], a_d[held[n_sl:]] = 1.0, 1.0
-        w, c_dd = np.where(held[n_sl:, None] | held[:n_sl], 0.0, (w, c_dd))
-    w /= a_s   # c[d, s] / a_s
-    schur = w @ c_dd.T
-    schur.flat[::a_d.size + 1] += a_d
+        a_s[held[..., :n_sl]], a_d[held[..., n_sl:]] = 1.0, 1.0
+        w, c_dd = np.where(held[..., n_sl:, None] | held[..., None, :n_sl],
+                           0.0, (w, c_dd))
+    w /= a_s[..., None, :]   # c[d, s] / a_s
+    schur = w @ c_dd.swapaxes(-1, -2)
+    schur.reshape(a_d.shape[:-1] + (-1,))[..., ::a_d.shape[-1] + 1] += a_d
 
     def solve(b: np.ndarray) -> np.ndarray:
         try:
-            x_d = np.linalg.solve(schur, b[n_sl:] - w @ b[:n_sl])
+            x_d = np.linalg.solve(schur, (b[..., n_sl:] - (
+                w @ b[..., :n_sl, None])[..., 0])[..., None])[..., 0]
         except np.linalg.LinAlgError:
             return np.full_like(b, np.nan)
-        return np.concatenate([(b[:n_sl] + x_d @ c_dd) / a_s, x_d])
+        return np.concatenate([(b[..., :n_sl] + (x_d[..., None, :] @ c_dd)[
+            ..., 0, :]) / a_s, x_d], axis=-1)
 
     return solve
 
@@ -371,13 +426,15 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
     block T (wires, shunt) solved in place, leaving the residual -C z, the
     cells' coupling across lines.  Its roundoff drift from rhs - J x can cost
     an iteration, never pass an unconverged read: `solve_read` tests the true
-    residual.  Cycles repeat until the residual is below 1e-3 RESIDUAL_TOL or
-    stops halving; a singular coarse or line matrix gives a non-finite x."""
+    residual.  A network's cycles repeat until its residual is below 1e-3
+    RESIDUAL_TOL or stops halving; its residual is then zeroed, so that the
+    batch's further cycles correct its x by exact zeros.  A singular coarse or
+    line matrix gives a non-finite x."""
     neg_ds, x, out = -di_ds, np.zeros_like(rhs), np.empty_like(rhs)
     # each node's own stamp, and the one it takes from its cell's other node
     shunt = _join(lay, neg_ds, di_dd)
     for nodes, lines, shape, _ in lay.blocks:
-        shunt[nodes][:shape[1]] += g_tie[lines]
+        shunt[..., nodes][..., :shape[1]] += g_tie[..., lines]
     out_s, out_d = _terminals(lay, out)
 
     def coupled(y_s: np.ndarray, y_d: np.ndarray) -> np.ndarray:
@@ -385,61 +442,78 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
         np.multiply(neg_ds, y_s, out=out_d)
         return out
 
-    r, res = rhs, np.inf
+    r, res, batch = rhs, np.inf, rhs.shape[:-1]
     coarse = _coarse_solver(lay, g_tie, di_dd, di_ds)
     lines = _factor_lines(lay, shunt)
     while True:
-        dx = coarse(np.concatenate([_column_sums(r[nodes].reshape(
-            shape)) for nodes, _, shape, _ in lay.blocks]))
+        dx = coarse(np.concatenate([_column_sums(r[..., nodes].reshape(
+            batch + shape)) for nodes, _, shape, _ in lay.blocks], axis=-1))
         dx, dx_cells = _on_nodes(lay, dx), _at_cells(lay, dx)
         # no wire carries a per-line dx; r, maybe `out`, is read first
         z = _solve_lines(lines, r - shunt * dx + coupled(*dx_cells))
         x += dx + z
         r = coupled(*_terminals(lay, z))
-        new = np.abs(r).max()
-        if not (new > 1e-3 * RESIDUAL_TOL and new <= 0.5 * res):
+        new = np.abs(r).max(axis=-1)
+        cycling = (new > 1e-3 * RESIDUAL_TOL) & (new <= 0.5 * res)
+        if not _any(cycling):
             return x
+        if cycling.ndim:
+            r[~cycling] = 0.0
         res = new
 
 
 def _damped_newton(assemble, x: np.ndarray, what: str, res_tol: float,
                    step_tol: float) -> tuple:
     """Damped Newton from x, the one loop of the predictor and the read
-    solve.  `assemble(x)` gives the residual f at x and a solve of its
-    Jacobian, run on -f with numpy's warnings off.  A step moving no entry by
-    more than step_tol ends the loop applied whole; else the first of the
-    scales 1, DAMPING, ... down to the first under 1e-8 that lowers max |f|
-    is applied (backtracking: J. E. Dennis and R. B. Schnabel, 1983, ch. 6).
-    Returns (x, iterations, max |f|, stalled) once max |f| <= res_tol, after
-    MAX_NEWTON_ITER iterations, or, stalled, when no scale lowers it.  A
-    first residual or a step that is not finite raises ConvergenceError."""
+    solve, for one network (x of shape (n,)) or in lockstep for a batch of
+    independent networks (x of shape (batch, n)), each on its own.
+    `assemble(x)` gives each network's residual f at x and a solve of its
+    Jacobian, run on -f with numpy's warnings off.  A step moving no entry
+    by more than step_tol ends the network's loop applied whole; else the
+    first of the scales 1, DAMPING, ... down to the first under 1e-8 that
+    lowers its max |f| is applied (backtracking: J. E. Dennis and R. B.
+    Schnabel, 1983, ch. 6); the networks still backtracking try each scale
+    together.  A network stops once its max |f| <= res_tol, after
+    MAX_NEWTON_ITER iterations, or, stalled, when no scale lowers it, and
+    takes no further update.  Returns (x, iterations, max |f|, stalled),
+    each per network.  A first residual or a step that is not finite
+    raises ConvergenceError, for the first such network in batch order."""
     f, solve = assemble(x)
-    res, it = np.abs(f).max(), 0
-    if not np.isfinite(res):
-        raise ConvergenceError(
-            f"{what} stalled at residual {res:.3e} A after {it} iterations")
-    while res > res_tol and it < MAX_NEWTON_ITER:
-        it += 1
+    res = np.abs(f).max(axis=-1)
+    bad = (res != res) | (res == np.inf)   # a NaN or infinite residual
+    if _any(bad):
+        raise ConvergenceError(f"{what} stalled at residual "
+                               f"{_first(bad, res):.3e} A after 0 iterations")
+    live = res > res_tol
+    it, stalled = live * 0, live & False   # per network
+    while _any(live := live & (it < MAX_NEWTON_ITER)):
+        it = it + live
         # solve is always the one at x: the last assembly is the accepted one
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = solve(-f)
-        if not np.isfinite(step).all():
-            raise ConvergenceError(
-                f"{what} met a singular Jacobian at iteration {it}")
-        if np.abs(step).max() <= step_tol:
-            return x + step, it, res, False
-        scale = 1.0
-        while True:
-            x_new = x + scale * step
+            size = np.abs(step).max(axis=-1)
+        bad = live & ((size != size) | (size == np.inf))
+        if _any(bad):
+            raise ConvergenceError(f"{what} met a singular Jacobian at "
+                                   f"iteration {_first(bad, it)}")
+        done = live & (size <= step_tol)
+        if _any(done):
+            x, live = _where(done, x + step, x), live ^ done
+        scale, search, x_new = 1.0, live, x
+        while _any(search):
+            x_new = _where(search, x + scale * step, x_new)
             f_new, solve_new = assemble(x_new)
-            res_new = np.abs(f_new).max()
-            if res_new < res:
+            res_new = np.abs(f_new).max(axis=-1)
+            search = search ^ (search & (res_new < res))
+            if scale < 1e-8:   # nothing lowers the residual of the rest
+                stalled, live = stalled | search, live ^ search
                 break
-            if scale < 1e-8:
-                return x, it, res, True
             scale *= DAMPING
-        x, f, solve, res = x_new, f_new, solve_new, res_new
-    return x, it, res, False
+        if _any(live):
+            x, res = _where(live, x_new, x), _where(live, res_new, res)
+            f, solve = f_new, solve_new
+        live = live & (res > res_tol)
+    return x, it, res, stalled
 
 
 #: grid the predicted line potentials are rounded to after the last step,
@@ -456,16 +530,20 @@ def _predictor_start(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
     its most strongly gated cell (highest `strength`, gate - vt on the cell
     grid; of equals the farthest from its head) joins it to, else 0 V."""
     pot = np.where(floating, 0.0, drive)
-    s, d, across = slice(0, lay.n_sl), slice(lay.n_sl, None), strength.T
+    s, d = slice(0, lay.n_sl), slice(lay.n_sl, None)
+    across = strength.swapaxes(-1, -2)
     for near, far, grid in ((d, s, strength), (s, d, across if lay.cand
-                                                else strength)):
+                                               else strength)):
         # grid[j, k]: cell j of line k, joining far line j (C-AND) or k (AND)
-        far_line = np.broadcast_to(np.arange(len(grid))[:, None] if lay.cand
-                                   else np.arange(grid.shape[1]), grid.shape)
-        tie = floating[near] & ~floating[far][far_line]
-        best = len(grid) - 1 - np.argmax(np.where(tie, grid, -np.inf)[::-1], 0)
-        k = np.flatnonzero(tie.any(axis=0))
-        pot[near][k] = drive[far][far_line[best[k], k]]
+        length, n = grid.shape[-2:]
+        far_line = np.broadcast_to(np.arange(length)[:, None] if lay.cand
+                                   else np.arange(n), (length, n))
+        tie = floating[..., None, near] & ~floating[..., far][..., far_line]
+        best = length - 1 - np.argmax(np.where(tie, grid, -np.inf)[
+            ..., ::-1, :], axis=-2)
+        tied = np.take_along_axis(drive[..., far], far_line[best, np.arange(n)],
+                                  axis=-1)
+        pot[..., near] = np.where(tie.any(axis=-2), tied, pot[..., near])
     return pot
 
 
@@ -486,7 +564,7 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
         i, *derivs = device.drain_current_and_derivs_array(
             dev, gates, v_d, v_s, vts)
         f = np.concatenate([-_column_sums(np.ascontiguousarray(
-            i.T if lay.cand else i)), _column_sums(i)])
+            i.swapaxes(-1, -2) if lay.cand else i)), _column_sums(i)], axis=-1)
         f = np.where(floating, f + G_FLOAT * pot, 0.0)
         return f, lambda b: _coarse_solver(lay, g_tie, *derivs, held=held)(b)
 
@@ -495,6 +573,70 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
         "read predictor", 0.0, PREDICTOR_GRID)
     return np.where(floating, np.round(pot / PREDICTOR_GRID) * PREDICTOR_GRID,
                     drive)
+
+
+def _solve(lay: _Layout, dev: FeFetParams, drive: np.ndarray,
+           gates: np.ndarray, vts: np.ndarray) -> tuple:
+    """The node potentials, Newton iterations and max residual of the read
+    networks with the drives `drive` (NaN floating, set to 0 V in place) and
+    the cells' gates and vts: one network, or a batch on a leading axis (see
+    `solve_read`)."""
+    floating = np.isnan(drive)
+    drive[floating] = 0.0
+    g_tie = np.where(floating, G_FLOAT, lay.g_line)
+    rows, cols = vts.shape[-2:]
+    if rows * cols < VECTOR_CELLS:
+        gate_rows, vt_rows = gates.ravel().tolist(), vts.reshape(-1, cols).tolist()
+
+    def assemble(vv: np.ndarray) -> tuple:
+        """The node residual at vv, and `_newton_step` at vv's Jacobian."""
+        v_s, v_d = _terminals(lay, vv)
+        # C-contiguous device grids keep `_column_sums`' line sums sequential:
+        # numpy would sum F-ordered ones (C-AND's transposed v_s) pairwise
+        if rows * cols >= VECTOR_CELLS:
+            i, di_dd, di_ds = device.drain_current_and_derivs_array(
+                dev, gates, v_d, np.ascontiguousarray(v_s), vts)
+        else:
+            i, di_dd, di_ds = np.array([
+                device.drain_current_and_derivs(dev, g, d, s, t)
+                for g, rd, rs, rt in zip(
+                    gate_rows, v_d.reshape(-1, cols).tolist(),
+                    v_s.reshape(-1, cols).tolist(), vt_rows)
+                for d, s, t in zip(rd, rs, rt)]).T.copy().reshape(3, *vts.shape)
+        return (_wire_currents(lay, vv, g_tie, drive) + _join(lay, -i, i),
+                functools.partial(_newton_step, lay, g_tie, di_dd, di_ds))
+
+    (float_s, float_d), (away_s, away_d) = (_at_cells(lay, a)
+                                            for a in (floating, drive != 0.0))
+    predict = (float_d & away_s | float_s & away_d).any(axis=(-2, -1))
+    start = (_where(predict, _line_potentials(lay, drive, floating, dev,
+                                              gates, vts), drive)
+             if _any(predict) else drive)
+    v, it, res, stalled = _damped_newton(assemble, _on_nodes(lay, start),
+                                         "read solve", RESIDUAL_TOL, 0.0)
+    if _any(stalled):
+        raise ConvergenceError(
+            f"line search stalled at iteration {_first(stalled, it)}")
+    high = res > RESIDUAL_TOL
+    if _any(high):
+        raise ConvergenceError(
+            f"read solve stalled at residual {_first(high, res):.3e} A after "
+            f"{_first(high, it)} iterations")
+    return v, it, res
+
+
+def _inputs(plan: BiasPlan) -> tuple:
+    """A plan's line drives (NaN floating) and its rows' gates."""
+    return (np.array(plan.sl + plan.bl, dtype=float),
+            np.array(plan.wl, dtype=float)[:, None])
+
+
+def _sensed(lay: _Layout, plan: BiasPlan, v: np.ndarray, it,
+            res) -> ReadResult:
+    """The current out of each selected bit line's driver, at its head."""
+    heads = _terminals(lay, v)[1][0]
+    return ReadResult({c: (heads[c] - plan.bl[c]) / lay.r_bl
+                       for c in plan.sel_cols}, int(it), float(res))
 
 
 def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
@@ -519,49 +661,36 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     `_line_potentials`, from which a disturb read converges in one
     iteration.  A C-AND full-row read and every AND read float their lines
     among 0 V lines, so they start from the drives.
+
+    This is the batch of one: `read_batch` solves networks of one layout in
+    lockstep through the same code, each network with the bits it has here.
     """
     _check_plan(array, plan)
     lay = _layout(array.topology, array.rows, array.cols, array.parasitics)
-    drive = np.array(plan.sl + plan.bl, dtype=float)
-    floating = np.isnan(drive)
-    drive[floating] = 0.0
-    g_tie = np.where(floating, G_FLOAT, lay.g_line)
-    gates = np.array(plan.wl, dtype=float)[:, None]
-    vts, dev = array.vts(), array.dev
+    return _sensed(lay, plan, *_solve(lay, array.dev, *_inputs(plan),
+                                      array.vts()))
 
-    def assemble(vv: np.ndarray) -> tuple:
-        """The node residual at vv, and `_newton_step` at vv's Jacobian."""
-        v_s, v_d = _terminals(lay, vv)
-        # C-contiguous device grids keep `_column_sums`' line sums sequential:
-        # numpy would sum F-ordered ones (C-AND's transposed v_s) pairwise
-        if vts.size >= VECTOR_CELLS:
-            i, di_dd, di_ds = device.drain_current_and_derivs_array(
-                dev, gates, v_d, np.ascontiguousarray(v_s), vts)
-        else:
-            i, di_dd, di_ds = np.array([
-                device.drain_current_and_derivs(dev, g, d, s, t)
-                for g, rd, rs, rt in zip(gates.ravel().tolist(), v_d.tolist(),
-                                         v_s.tolist(), vts.tolist())
-                for d, s, t in zip(rd, rs, rt)]).T.copy().reshape(3, *vts.shape)
-        return (_wire_currents(lay, vv, g_tie, drive) + _join(lay, -i, i),
-                functools.partial(_newton_step, lay, g_tie, di_dd, di_ds))
 
-    (float_s, float_d), (away_s, away_d) = (_at_cells(lay, a)
-                                            for a in (floating, drive != 0.0))
-    start = (_line_potentials(lay, drive, floating, dev, gates, vts)
-             if (float_d & away_s | float_s & away_d).any() else drive)
-    v, it, res, stalled = _damped_newton(assemble, _on_nodes(lay, start),
-                                         "read solve", RESIDUAL_TOL, 0.0)
-    if stalled:
-        raise ConvergenceError(f"line search stalled at iteration {it}")
-    if res > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"read solve stalled at residual {res:.3e} A after {it} iterations")
+def _read_network(array: ArrayState, sel_row: int, sel_cols, v_wl: float,
+                  v_sl: float) -> tuple:
+    """The array a read solves, its plan, and the read columns (None when
+    the read solves the whole array): see `read_cells`."""
+    plan = biasing.read_bias(array.topology, array.rows, array.cols, sel_row,
+                             sel_cols, v_wl, v_sl)
+    if array.topology is Topology.CAND:
+        return array, plan, None
+    keep = plan.sel_cols
+    part = replace(array, cols=len(keep))
+    part._swap(array.states, array.index[:, list(keep)])
+    return part, biasing.read_bias(Topology.AND, array.rows, len(keep),
+                                   sel_row, range(len(keep)), v_wl, v_sl), keep
 
-    # sensed: the current out of each selected bit line's driver, at its head
-    heads = _terminals(lay, v)[1][0]
-    return ReadResult({c: (heads[c] - plan.bl[c]) / lay.r_bl
-                       for c in plan.sel_cols}, it, float(res))
+
+def _in_columns(res: ReadResult, keep) -> ReadResult:
+    """An AND read of the columns `keep` alone, as the full array's read."""
+    if keep is not None:
+        res.col_currents = {c: -res.col_currents[k] for k, c in enumerate(keep)}
+    return res
 
 
 def read_cells(array: ArrayState, sel_row: int, sel_cols,
@@ -580,18 +709,47 @@ def read_cells(array: ArrayState, sel_row: int, sel_cols,
     equal those of the full array's solve.  AND senses at the driven bit
     line, into which the current flows, so its sign is flipped.
     """
-    plan = biasing.read_bias(array.topology, array.rows, array.cols, sel_row,
-                             sel_cols, v_wl, v_sl)
-    if array.topology is Topology.CAND:
-        return solve_read(array, plan)
-    keep = plan.sel_cols
-    part = replace(array, cols=len(keep))
-    part._swap(array.states, array.index[:, list(keep)])
-    res = solve_read(part, biasing.read_bias(
-        Topology.AND, array.rows, len(keep), sel_row, range(len(keep)),
-        v_wl, v_sl))
-    res.col_currents = {c: -res.col_currents[k] for k, c in enumerate(keep)}
-    return res
+    array, plan, keep = _read_network(array, sel_row, sel_cols, v_wl, v_sl)
+    return _in_columns(solve_read(array, plan), keep)
+
+
+def read_batch(reads, v_wl: float, v_sl: float) -> list[ReadResult]:
+    """`read_cells` of each (array, sel_row, sel_cols) in `reads`, with the
+    same currents, `iterations` and `max_residual`, solved in lockstep.
+
+    The networks the reads solve are grouped by layout and device, and each
+    group is solved in batches of at most BATCH_CELLS cells (at least one
+    network) on a leading batch axis.  Each network keeps its own drives,
+    ties, gates, vts, predictor, Newton iterations, line search and
+    two-level cycles, and takes no update once it has stopped; each picks
+    its device path by its own cells.  A read that fails raises: should any
+    network of a batch fail, every read is solved again alone, in order, so
+    the first that fails raises its own ConvergenceError.  Reads change no
+    array."""
+    nets = [_read_network(array, row, cols, v_wl, v_sl)
+            for array, row, cols in reads]
+    groups: dict[tuple, list[int]] = {}
+    for k, (array, _, _) in enumerate(nets):
+        groups.setdefault((array.topology, array.rows, array.cols,
+                           array.parasitics, array.dev), []).append(k)
+    out = [None] * len(nets)
+    try:
+        for (topology, rows, cols, par, dev), ks in groups.items():
+            lay = _layout(topology, rows, cols, par)
+            # the fewest batches within BATCH_CELLS, as even as they go
+            n = -(-len(ks) // max(1, BATCH_CELLS // (rows * cols)))
+            for chunk in (ks[j * len(ks) // n:(j + 1) * len(ks) // n]
+                          for j in range(n)):
+                drive, gates = (np.stack(a) for a in zip(
+                    *(_inputs(nets[k][1]) for k in chunk)))
+                v, it, res = _solve(lay, dev, drive, gates,
+                                    np.stack([nets[k][0].vts() for k in chunk]))
+                for b, k in enumerate(chunk):
+                    out[k] = _sensed(lay, nets[k][1], v[b], it[b], res[b])
+    except ConvergenceError:
+        return [read_cells(array, row, cols, v_wl, v_sl)
+                for array, row, cols in reads]
+    return [_in_columns(res, keep) for res, (_, _, keep) in zip(out, nets)]
 
 
 def column_readout_with_leak(dev: FeFetParams, topology: Topology,

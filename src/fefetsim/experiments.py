@@ -126,10 +126,6 @@ def _init_uniform(cfg: RunConfig, array: engine.ArrayState,
         _write_rows(cfg, array, range(array.rows), range(array.cols), v_w)
 
 
-def _read_cell(cfg: RunConfig, array: engine.ArrayState, r: int, c: int) -> float:
-    return engine.read_cells(array, r, [c], cfg.v_wl, cfg.v_sl).current(c)
-
-
 def check_disturb_size(cfg: RunConfig) -> None:
     """Raise ValueRangeError unless the disturb matrix's cfg.rows x cfg.cols
     array has a neighbour row and column around its center cell."""
@@ -145,7 +141,8 @@ def disturb_matrix(cfg: RunConfig) -> Table:
     For each case a copy of the uniformly initialized array gets one write
     at the center cell, and the observed cell (at the group position
     relative to it) is read before, on the uniform array, and after, on
-    the copy.
+    the copy.  Reads change no state, so they are deferred until every
+    write is done and solved together by `engine.read_batch`.
     """
     check_disturb_size(cfg)
     m, n = cfg.rows, cfg.cols
@@ -160,23 +157,29 @@ def disturb_matrix(cfg: RunConfig) -> Table:
     _init_uniform(cfg, uniform[0], cfg.v_w0, cfg.v_w1)
     uniform[1] = uniform[0].copy()
     _write_rows(cfg, uniform[1], range(m), range(n), cfg.v_w1)
-    entries = []
+    cases, reads = [], []
     for group, (obs_r, obs_c) in observers.items():
         for state in (0, 1):
             # a read leaves the array as it was: one i_before serves both ops
-            i_before = _read_cell(cfg, uniform[state], obs_r, obs_c)
+            before = len(reads)
+            reads.append((uniform[state], obs_r, [obs_c]))
             for op in ("write0", "write1"):
                 array = uniform[state].copy()
                 _write_rows(cfg, array, [sel_r], [sel_c],
                             cfg.v_w0 if op == "write0" else cfg.v_w1)
-                i_after = _read_cell(cfg, array, obs_r, obs_c)
-                if group is biasing.CellGroup.SEL:
-                    expected = 0 if op == "write0" else 1
-                else:
-                    expected = state
-                entries.append(DisturbEntry(
-                    group.value, state, op, i_before, i_after,
-                    expected, int(i_after > cfg.i_ref)))
+                cases.append((group, state, op, obs_c, before, len(reads)))
+                reads.append((array, obs_r, [obs_c]))
+    read = engine.read_batch(reads, cfg.v_wl, cfg.v_sl)
+    entries = []
+    for group, state, op, obs_c, before, after in cases:
+        i_before, i_after = (read[k].current(obs_c) for k in (before, after))
+        if group is biasing.CellGroup.SEL:
+            expected = 0 if op == "write0" else 1
+        else:
+            expected = state
+        entries.append(DisturbEntry(
+            group.value, state, op, i_before, i_after,
+            expected, int(i_after > cfg.i_ref)))
     ones = [e.i_after for e in entries if e.expected_logic == 1]
     zeros = [e.i_after for e in entries if e.expected_logic == 0]
     summary = {
@@ -221,13 +224,18 @@ def write_word(cfg: RunConfig, array: engine.ArrayState, row: int,
     return 2
 
 
-def read_word(cfg: RunConfig, array: engine.ArrayState, row: int) -> tuple[int, dict]:
-    res = engine.read_cells(array, row, range(array.cols), cfg.v_wl, cfg.v_sl)
+def _word_of(cfg: RunConfig, res: engine.ReadResult) -> tuple[int, dict]:
+    """The word a full-row read senses, and its column currents."""
     word = 0
-    for c in range(array.cols):
-        if res.current(c) > cfg.i_ref:
+    for c, i in res.col_currents.items():
+        if i > cfg.i_ref:
             word |= 1 << c
     return word, res.col_currents
+
+
+def read_word(cfg: RunConfig, array: engine.ArrayState, row: int) -> tuple[int, dict]:
+    return _word_of(cfg, engine.read_cells(array, row, range(array.cols),
+                                           cfg.v_wl, cfg.v_sl))
 
 
 def word_write_demo(cfg: RunConfig, rows: int = WORD_WRITE_SIZE,
@@ -235,17 +243,25 @@ def word_write_demo(cfg: RunConfig, rows: int = WORD_WRITE_SIZE,
     """Write words with the two-cycle scheme and read them back.
 
     Words are written sequentially into one array (rotating through rows),
-    so later words run against the disturb history of earlier ones.
+    so later words run against the disturb history of earlier ones.  Each
+    word is read back from a snapshot of the array taken right after it is
+    written; reads change no state, so they are deferred until every word
+    is written and solved together by `engine.read_batch`.
     """
     if words is None:
         words = range(1 << cols)
     array = _make_array(cfg, rows, cols)
     _init_uniform(cfg, array, cfg.v_w0, cfg.v_w1)
-    entries = []
+    written, reads = [], []
     for idx, word in enumerate(words):
         row = idx % rows
         write_word(cfg, array, row, word)
-        readback, currents = read_word(cfg, array, row)
+        written.append((word, row))
+        reads.append((array.copy(), row, range(cols)))
+    entries = []
+    for (word, row), res in zip(written, engine.read_batch(
+            reads, cfg.v_wl, cfg.v_sl)):
+        readback, currents = _word_of(cfg, res)
         ones = [i for c, i in currents.items() if (word >> c) & 1]
         zeros = [i for c, i in currents.items() if not (word >> c) & 1]
         entries.append(WordWriteEntry(

@@ -927,14 +927,18 @@ def test_worst_case_single_cell_read_of_256_rows_reads_zero():
 def test_predicted_disturb_reads_take_one_iteration_to_the_tight_solve(
         monkeypatch):
     reads = []
-    solve = engine.solve_read
+    batch = engine.read_batch
 
-    def record(array, plan):
-        res = solve(array, plan)
-        reads.append((array.copy(), plan, res))
-        return res
+    def record(batch_reads, v_wl, v_sl):
+        # the disturb matrix reads in batches, each network as solve_read
+        # solves it alone
+        results = batch(batch_reads, v_wl, v_sl)
+        reads.extend((array.copy(), biasing.read_bias(
+            array.topology, array.rows, array.cols, row, sel, v_wl, v_sl), res)
+            for (array, row, sel), res in zip(batch_reads, results))
+        return results
 
-    monkeypatch.setattr(engine, "solve_read", record)
+    monkeypatch.setattr(engine, "read_batch", record)
     cfg = dataclasses.replace(RunConfig(), rows=16, cols=16)
     experiments.disturb_matrix(cfg)
     monkeypatch.undo()
@@ -1252,3 +1256,156 @@ def test_and_read_of_no_column_or_one_outside_the_array_raises(sel, message):
     arr = _array(Topology.AND, 4, 6, np.ones((4, 6)))
     with pytest.raises(ValueError, match=message):
         engine.read_cells(arr, 1, sel, V_READ, V_READ)
+
+
+# --------------------------------------------------------------------------
+# Batched reads: each network with the bits of its lone read
+
+
+def _batch_read_key(res):
+    return (repr(res.col_currents), repr(res.iterations), repr(res.max_residual))
+
+
+@st.composite
+def _batches(draw):
+    """A batch of reads of one topology and shape: random patterns or write
+    histories, full-row, single-cell and partial-row selections, on the
+    nominal device or the open-'0' one."""
+    topology = draw(st.sampled_from(Topology))
+    rows, cols = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    cfg = RunConfig()
+    reads = []
+    for _ in range(draw(st.integers(1, 6))):
+        dev = draw(st.sampled_from((DEV, OPEN_ZERO_DEV)))
+        arr = ArrayState(topology, rows, cols, FE, dev, PAR)
+        arr.set_pattern(draw(st.lists(st.lists(
+            st.integers(0, 1), min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+        for _ in range(draw(st.integers(0, 2))):
+            r = draw(st.integers(0, rows - 1))
+            sel = sorted(draw(st.sets(st.integers(0, cols - 1), min_size=1)))
+            v_w = draw(st.sampled_from((cfg.v_w0, cfg.v_w1, 0.5 * cfg.v_w1)))
+            engine.apply_write(arr, biasing.write_bias(topology, rows, cols, r,
+                                                       sel, v_w), T_PULSE)
+        kind = draw(st.sampled_from(("row", "cell", "part")))
+        sel = {"row": range(cols),
+               "cell": [draw(st.integers(0, cols - 1))],
+               "part": sorted(draw(st.sets(st.integers(0, cols - 1),
+                                           min_size=1)))}[kind]
+        reads.append((arr, draw(st.integers(0, rows - 1)), sel))
+    return reads
+
+
+@given(_batches(), st.sampled_from((engine.BATCH_CELLS, 1, 200)))
+@settings(max_examples=100, deadline=None)
+def test_batched_reads_have_the_bits_of_lone_reads(reads, batch_cells):
+    lone = [engine.read_cells(arr, row, sel, V_READ, V_READ)
+            for arr, row, sel in reads]
+    with pytest.MonkeyPatch.context() as m:
+        # one network per batch, or several in batches of up to 200 cells
+        m.setattr(engine, "BATCH_CELLS", batch_cells)
+        batch = engine.read_batch(reads, V_READ, V_READ)
+    assert [_batch_read_key(r) for r in batch] == [_batch_read_key(r)
+                                                   for r in lone]
+
+
+def test_read_batch_solves_in_lockstep_within_batch_cells(monkeypatch):
+    # 24 single-cell reads of 12 x 12 C-AND arrays: 144 cells each, so
+    # batches of at most 2304 cells hold 16 networks, and the 24 go in two
+    # even batches of 12
+    solved = []
+    solve = engine._solve
+
+    def record(lay, dev, drive, gates, vts):
+        solved.append(vts.shape)
+        return solve(lay, dev, drive, gates, vts)
+
+    monkeypatch.setattr(engine, "_solve", record)
+    rng = np.random.default_rng(6)
+    reads = [(_array(Topology.CAND, 12, 12, rng.integers(0, 2, (12, 12))), 5,
+              [k % 12]) for k in range(24)]
+    engine.read_batch(reads, V_READ, V_READ)
+    assert engine.BATCH_CELLS == 2304
+    assert solved == [(12, 12, 12), (12, 12, 12)]
+
+
+def _marked_device(monkeypatch, mark):
+    """The scalar device, with `mark(i, di_dd, di_ds)` in place of the terms
+    of every cell whose vt is not a saturated state's: only arrays written
+    to an intermediate state carry such cells."""
+    scalar, saturated = device.drain_current_and_derivs, set(
+        _array(Topology.CAND, 1, 2, [[0, 1]]).vts().ravel().tolist())
+
+    def marked(dev, vg, vd, vs, vt):
+        terms = scalar(dev, vg, vd, vs, vt)
+        return terms if vt in saturated else mark(*terms)
+
+    monkeypatch.setattr(device, "drain_current_and_derivs", marked)
+
+
+def _written_3x3(bits=_BITS_3X3):
+    # a half erase leaves '1' cells on row 1 and column 1 partly erased,
+    # still conducting
+    arr = _array(Topology.CAND, 3, 3, bits)
+    engine.apply_write(arr, biasing.write_bias(
+        Topology.CAND, 3, 3, 1, [1], 0.5 * RunConfig().v_w0), T_PULSE)
+    return arr
+
+
+def _lone_error(arr, row, sel):
+    with pytest.raises(engine.ConvergenceError) as info:
+        engine.read_cells(arr, row, sel, V_READ, V_READ)
+    return str(info.value)
+
+
+def _assert_batch_raises_the_first_lone_error(reads, bad):
+    want = _lone_error(*reads[bad[0]])
+    assert all(_lone_error(*reads[k]) for k in bad)
+    with pytest.raises(engine.ConvergenceError) as info:
+        engine.read_batch(reads, V_READ, V_READ)
+    assert str(info.value) == want
+    # the good reads, alone and batched without the bad ones, are unaffected
+    good = [r for k, r in enumerate(reads) if k not in bad]
+    assert [_batch_read_key(r) for r in engine.read_batch(
+        good, V_READ, V_READ)] == [_batch_read_key(engine.read_cells(
+            a, row, sel, V_READ, V_READ)) for a, row, sel in good]
+
+
+def test_batch_with_a_read_out_of_newton_iterations_raises_its_error(
+        monkeypatch):
+    # derivatives 100 times too steep cut each Newton step of the written
+    # arrays' floating lines a hundredfold, so they need far more than three
+    # iterations; the others need one or two
+    _marked_device(monkeypatch, lambda i, dd, ds: (i, 1e2 * dd, 1e2 * ds))
+    monkeypatch.setattr(engine, "MAX_NEWTON_ITER", 3)
+    reads = [(_array(Topology.CAND, 3, 3, _BITS_3X3), 0, range(3)),
+             (_written_3x3(), 1, range(3)),
+             (_array(Topology.CAND, 3, 3, np.ones((3, 3))), 2, range(3)),
+             (_written_3x3(np.ones((3, 3))), 1, range(3))]
+    _assert_batch_raises_the_first_lone_error(reads, [1, 3])
+    assert "after 3 iterations" in _lone_error(*reads[1])
+
+
+def test_batch_with_a_nan_device_current_raises_its_error(monkeypatch):
+    _marked_device(monkeypatch, lambda i, dd, ds: (float("nan"), dd, ds))
+    reads = [(_array(Topology.CAND, 3, 3, np.eye(3)), 0, range(3)),
+             (_array(Topology.CAND, 3, 3, _BITS_3X3), 2, range(3)),
+             (_written_3x3(), 0, range(3))]
+    _assert_batch_raises_the_first_lone_error(reads, [2])
+    assert _lone_error(*reads[2]).startswith("read solve stalled at residual nan")
+
+
+def test_batch_with_a_singular_network_raises_its_error(monkeypatch):
+    # untied, a full-row read floats source line 1 on non-conducting cells
+    # (the singular-Jacobian reads above); numpy's stacked solve raises for
+    # the whole stack
+    def arr(bits):
+        a = ArrayState(Topology.CAND, 2, 2, FE, OPEN_ZERO_DEV, PAR)
+        a.set_pattern(bits)
+        return a
+
+    monkeypatch.setattr(engine, "G_FLOAT", 0.0)
+    reads = [(arr([[1, 1], [1, 1]]), 0, [0, 1]), (arr([[1, 0], [1, 0]]), 0, [0, 1]),
+             (arr([[1, 1], [0, 0]]), 0, [0, 1]), (arr([[0, 1], [1, 1]]), 0, [0, 1])]
+    _assert_batch_raises_the_first_lone_error(reads, [2])
+    assert "singular Jacobian" in _lone_error(*reads[2])
