@@ -250,16 +250,26 @@ def _layout(topology: Topology, rows: int, cols: int,
                    g_line, r_bl)
 
 
+# Per-network values are arrays over a batch's networks, and plain Python
+# numbers and bools for one network: numpy's scalars cost a microsecond an
+# operation where they meet Python numbers, which a small read would feel.
+
+
+def _max_abs(a: np.ndarray):
+    """Each network's max |a| over the last axis."""
+    m = np.abs(a).max(axis=-1)
+    return m if m.ndim else float(m)
+
+
 def _any(mask) -> bool:
-    """Whether a per-network mask (a scalar for one network) is set for any
-    network."""
-    return bool(mask.any() if mask.ndim else mask)
+    """Whether a per-network mask is set for any network."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def _where(mask, a, b):
     """Each network's a where its entry of the per-network mask is set, else
     its b."""
-    if not mask.ndim:
+    if not isinstance(mask, np.ndarray):
         return a if mask else b
     return np.where(mask.reshape(mask.shape + (1,) * (np.ndim(a) - mask.ndim)),
                     a, b)
@@ -268,7 +278,9 @@ def _where(mask, a, b):
 def _first(mask, values):
     """The entry of per-network values of the first network, in batch
     order, that the mask sets."""
-    return np.ravel(values)[np.ravel(mask).argmax()] if mask.ndim else values
+    if not isinstance(mask, np.ndarray):
+        return values
+    return np.broadcast_to(values, mask.shape)[np.argmax(mask)]
 
 
 def _terminals(lay: _Layout, a: np.ndarray) -> tuple:
@@ -453,11 +465,11 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
         z = _solve_lines(lines, r - shunt * dx + coupled(*dx_cells))
         x += dx + z
         r = coupled(*_terminals(lay, z))
-        new = np.abs(r).max(axis=-1)
+        new = _max_abs(r)
         cycling = (new > 1e-3 * RESIDUAL_TOL) & (new <= 0.5 * res)
         if not _any(cycling):
             return x
-        if cycling.ndim:
+        if isinstance(cycling, np.ndarray):
             r[~cycling] = 0.0
         res = new
 
@@ -479,19 +491,20 @@ def _damped_newton(assemble, x: np.ndarray, what: str, res_tol: float,
     each per network.  A first residual or a step that is not finite
     raises ConvergenceError, for the first such network in batch order."""
     f, solve = assemble(x)
-    res = np.abs(f).max(axis=-1)
+    res = _max_abs(f)
     bad = (res != res) | (res == np.inf)   # a NaN or infinite residual
     if _any(bad):
         raise ConvergenceError(f"{what} stalled at residual "
                                f"{_first(bad, res):.3e} A after 0 iterations")
     live = res > res_tol
-    it, stalled = live * 0, live & False   # per network
+    it, stalled = 0 * live, live & False
     while _any(live := live & (it < MAX_NEWTON_ITER)):
         it = it + live
         # solve is always the one at x: the last assembly is the accepted one
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = solve(-f)
-            size = np.abs(step).max(axis=-1)
+            size = _max_abs(step)
+        f = solve = None   # not held through the line search's assemblies
         bad = live & ((size != size) | (size == np.inf))
         if _any(bad):
             raise ConvergenceError(f"{what} met a singular Jacobian at "
@@ -503,7 +516,7 @@ def _damped_newton(assemble, x: np.ndarray, what: str, res_tol: float,
         while _any(search):
             x_new = _where(search, x + scale * step, x_new)
             f_new, solve_new = assemble(x_new)
-            res_new = np.abs(f_new).max(axis=-1)
+            res_new = _max_abs(f_new)
             search = search ^ (search & (res_new < res))
             if scale < 1e-8:   # nothing lowers the residual of the rest
                 stalled, live = stalled | search, live ^ search
@@ -580,13 +593,15 @@ def _solve(lay: _Layout, dev: FeFetParams, drive: np.ndarray,
     """The node potentials, Newton iterations and max residual of the read
     networks with the drives `drive` (NaN floating, set to 0 V in place) and
     the cells' gates and vts: one network, or a batch on a leading axis (see
-    `solve_read`)."""
+    `solve_read`).  Should any network of a batch need the predictor, it runs
+    on the whole batch, and only those networks start from it."""
     floating = np.isnan(drive)
     drive[floating] = 0.0
     g_tie = np.where(floating, G_FLOAT, lay.g_line)
     rows, cols = vts.shape[-2:]
     if rows * cols < VECTOR_CELLS:
-        gate_rows, vt_rows = gates.ravel().tolist(), vts.reshape(-1, cols).tolist()
+        gate_rows = gates.ravel().tolist()
+        vt_rows = vts.reshape(-1, cols).tolist()
 
     def assemble(vv: np.ndarray) -> tuple:
         """The node residual at vv, and `_newton_step` at vv's Jacobian."""
@@ -742,8 +757,8 @@ def read_batch(reads, v_wl: float, v_sl: float) -> list[ReadResult]:
                           for j in range(n)):
                 drive, gates = (np.stack(a) for a in zip(
                     *(_inputs(nets[k][1]) for k in chunk)))
-                v, it, res = _solve(lay, dev, drive, gates,
-                                    np.stack([nets[k][0].vts() for k in chunk]))
+                vts = np.stack([nets[k][0].vts() for k in chunk])
+                v, it, res = _solve(lay, dev, drive, gates, vts)
                 for b, k in enumerate(chunk):
                     out[k] = _sensed(lay, nets[k][1], v[b], it[b], res[b])
     except ConvergenceError:

@@ -68,7 +68,8 @@ def _close(got: float, want: float) -> bool:
 def differences(got: dict, want: dict) -> list[str]:
     """Every way a run differs from its key entry, one line each."""
     out = [f"{field}: {got[field]!r} != {want[field]!r}"
-           for field in ("argv", "status", "stdout") if got[field] != want[field]]
+           for field in ("argv", "status", "stdout")
+           if got[field] != want[field]]
     if got["csv"].keys() != want["csv"].keys():
         out.append(f"csv files {sorted(got['csv'])} != {sorted(want['csv'])}")
     for name in got["csv"].keys() & want["csv"].keys():

@@ -15,7 +15,8 @@ def test_seeded_command_matches_the_answer_key(tmp_path, name):
 def test_the_key_compares_currents_within_the_tolerance_and_the_rest_exactly():
     want = json.loads(answer_key.KEY.read_text())["word_write"]
     got = json.loads(json.dumps(want))
-    header, row = got["csv"]["word_write.csv"][0], got["csv"]["word_write.csv"][2]
+    table = got["csv"]["word_write.csv"]
+    header, row = table[0], table[2]
     amps = header.index("min_one_amps")
     # a current a few ulps off still matches; one off by 1e-10 does not
     row[amps] = repr(float(row[amps]) * (1 + 1e-15))

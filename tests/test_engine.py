@@ -1263,7 +1263,8 @@ def test_and_read_of_no_column_or_one_outside_the_array_raises(sel, message):
 
 
 def _batch_read_key(res):
-    return (repr(res.col_currents), repr(res.iterations), repr(res.max_residual))
+    return (repr(res.col_currents), repr(res.iterations),
+            repr(res.max_residual))
 
 
 @st.composite
@@ -1392,7 +1393,8 @@ def test_batch_with_a_nan_device_current_raises_its_error(monkeypatch):
              (_array(Topology.CAND, 3, 3, _BITS_3X3), 2, range(3)),
              (_written_3x3(), 0, range(3))]
     _assert_batch_raises_the_first_lone_error(reads, [2])
-    assert _lone_error(*reads[2]).startswith("read solve stalled at residual nan")
+    assert _lone_error(*reads[2]).startswith(
+        "read solve stalled at residual nan")
 
 
 def test_batch_with_a_singular_network_raises_its_error(monkeypatch):
