@@ -42,8 +42,8 @@ VECTOR_CELLS = 32
 #: cells a batch of reads solves in lockstep at most (`read_batch`): the numpy
 #: device costs about 37 us a call plus 40-70 ns a cell, so at 2304 cells (four
 #: 24 x 24 networks) its fixed cost is a small share, while a batch holds
-#: about 150 bytes a cell at its peak (616 KiB for four 24 x 24 single-cell
-#: reads, 159 KiB for one, tracemalloc), which a process's peak memory pays
+#: about 240 bytes a cell at its peak (548 KiB for four 24 x 24 single-cell
+#: reads, 145 KiB for one, tracemalloc), which a process's peak memory pays
 BATCH_CELLS = 2304
 
 

@@ -142,7 +142,8 @@ def disturb_matrix(cfg: RunConfig) -> Table:
     at the center cell, and the observed cell (at the group position
     relative to it) is read before, on the uniform array, and after, on
     the copy.  Reads change no state, so they are deferred until every
-    write is done and solved together by `engine.read_batch`.
+    write is done and solved together by `engine.read_batch`; the four
+    copies written with one (state, op) are equal, so one of them is kept.
     """
     check_disturb_size(cfg)
     m, n = cfg.rows, cfg.cols
@@ -157,7 +158,7 @@ def disturb_matrix(cfg: RunConfig) -> Table:
     _init_uniform(cfg, uniform[0], cfg.v_w0, cfg.v_w1)
     uniform[1] = uniform[0].copy()
     _write_rows(cfg, uniform[1], range(m), range(n), cfg.v_w1)
-    cases, reads = [], []
+    cases, reads, written = [], [], {}
     for group, (obs_r, obs_c) in observers.items():
         for state in (0, 1):
             # a read leaves the array as it was: one i_before serves both ops
@@ -168,7 +169,8 @@ def disturb_matrix(cfg: RunConfig) -> Table:
                 _write_rows(cfg, array, [sel_r], [sel_c],
                             cfg.v_w0 if op == "write0" else cfg.v_w1)
                 cases.append((group, state, op, obs_c, before, len(reads)))
-                reads.append((array, obs_r, [obs_c]))
+                reads.append((written.setdefault((state, op), array), obs_r,
+                              [obs_c]))
     read = engine.read_batch(reads, cfg.v_wl, cfg.v_sl)
     entries = []
     for group, state, op, obs_c, before, after in cases:
@@ -245,22 +247,26 @@ def word_write_demo(cfg: RunConfig, rows: int = WORD_WRITE_SIZE,
     Words are written sequentially into one array (rotating through rows),
     so later words run against the disturb history of earlier ones.  Each
     word is read back from a snapshot of the array taken right after it is
-    written; reads change no state, so they are deferred until every word
-    is written and solved together by `engine.read_batch`.
+    written; reads change no state, so they are deferred and solved
+    together by `engine.read_batch`, whenever the pending snapshots fill
+    `engine.BATCH_CELLS` cells and after the last word.
     """
     if words is None:
         words = range(1 << cols)
     array = _make_array(cfg, rows, cols)
     _init_uniform(cfg, array, cfg.v_w0, cfg.v_w1)
-    written, reads = [], []
+    written, reads, results = [], [], []
     for idx, word in enumerate(words):
         row = idx % rows
         write_word(cfg, array, row, word)
         written.append((word, row))
         reads.append((array.copy(), row, range(cols)))
+        if len(reads) * rows * cols >= engine.BATCH_CELLS:
+            results += engine.read_batch(reads, cfg.v_wl, cfg.v_sl)
+            reads = []
+    results += engine.read_batch(reads, cfg.v_wl, cfg.v_sl)
     entries = []
-    for (word, row), res in zip(written, engine.read_batch(
-            reads, cfg.v_wl, cfg.v_sl)):
+    for (word, row), res in zip(written, results):
         readback, currents = _word_of(cfg, res)
         ones = [i for c, i in currents.items() if (word >> c) & 1]
         zeros = [i for c, i in currents.items() if not (word >> c) & 1]
