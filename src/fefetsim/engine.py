@@ -223,6 +223,8 @@ class _Layout(NamedTuple):
     each network alone, with the bits of the network solved alone."""
 
     n_sl: int
+    sl: tuple   # a per-line array's source lines, batch axes kept
+    bl: tuple   # and its bit lines
     cand: bool
     blocks: tuple
     g_line: np.ndarray
@@ -246,8 +248,8 @@ def _layout(topology: Topology, rows: int, cols: int,
             if len_sl == rows else
             ((slice(0, cells), slice(0, n_sl), (len_sl, n_sl)),
              (slice(cells, 2 * cells), slice(n_sl, lines), (rows, cols))))
-    return _Layout(n_sl, cand, tuple((*run, g_line[run[1]]) for run in runs),
-                   g_line, r_bl)
+    return _Layout(n_sl, (..., slice(0, n_sl)), (..., slice(n_sl, None)), cand,
+                   tuple((*run, g_line[run[1]]) for run in runs), g_line, r_bl)
 
 
 # Per-network values are arrays over a batch's networks, and plain Python
@@ -289,7 +291,7 @@ def _terminals(lay: _Layout, a: np.ndarray) -> tuple:
     batch = a.shape[:-1]
     if len(lay.blocks) == 1:
         block = a.reshape(batch + lay.blocks[0][2])
-        s, d = block[..., :lay.n_sl], block[..., lay.n_sl:]
+        s, d = block[lay.sl], block[lay.bl]
     else:
         s, d = (a[..., nodes].reshape(batch + shape)
                 for nodes, _, shape, _ in lay.blocks)
@@ -299,7 +301,7 @@ def _terminals(lay: _Layout, a: np.ndarray) -> tuple:
 def _at_cells(lay: _Layout, per_line: np.ndarray) -> tuple:
     """A per-line array at each cell's source line and bit line, broadcast
     to the rows x cols cell grid."""
-    src = per_line[..., :lay.n_sl]
+    src = per_line[lay.sl]
     return ((src[..., None] if lay.cand else src[..., None, :]),
             per_line[..., None, lay.n_sl:])
 
@@ -403,13 +405,13 @@ def _coarse_solver(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
     n_sl = lay.n_sl
     ds = di_ds.swapaxes(-1, -2).copy() if lay.cand else di_ds
     sum_ds, sum_dd = _column_sums(ds), _column_sums(di_dd)
-    a_s, a_d = g_tie[..., :n_sl] - sum_ds, g_tie[..., n_sl:] + sum_dd
+    a_s, a_d = g_tie[lay.sl] - sum_ds, g_tie[lay.bl] + sum_dd
     # c[d, s] = sum di_ds and -c[s, d] = sum di_dd over the cells joining
     # bit line d to source line s: C-AND's one cell (s, d), AND's column d = s
     w, c_dd = ((ds, di_dd.swapaxes(-1, -2).copy()) if lay.cand
                else (_diagonal(sum_ds), _diagonal(sum_dd)))
     if held is not None:
-        a_s[held[..., :n_sl]], a_d[held[..., n_sl:]] = 1.0, 1.0
+        a_s[held[lay.sl]], a_d[held[lay.bl]] = 1.0, 1.0
         w, c_dd = np.where(held[..., n_sl:, None] | held[..., None, :n_sl],
                            0.0, (w, c_dd))
     w /= a_s[..., None, :]   # c[d, s] / a_s
@@ -417,13 +419,14 @@ def _coarse_solver(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
     schur.reshape(a_d.shape[:-1] + (-1,))[..., ::a_d.shape[-1] + 1] += a_d
 
     def solve(b: np.ndarray) -> np.ndarray:
+        b_s = b[lay.sl]
         try:
-            x_d = np.linalg.solve(schur, (b[..., n_sl:] - (
-                w @ b[..., :n_sl, None])[..., 0])[..., None])[..., 0]
+            x_d = np.linalg.solve(schur, (b[lay.bl] - (w @ b_s[..., None])[
+                ..., 0])[..., None])[..., 0]
         except np.linalg.LinAlgError:
             return np.full_like(b, np.nan)
-        return np.concatenate([(b[..., :n_sl] + (x_d[..., None, :] @ c_dd)[
-            ..., 0, :]) / a_s, x_d], axis=-1)
+        return np.concatenate([(b_s + (x_d[..., None, :] @ c_dd)[..., 0, :])
+                               / a_s, x_d], axis=-1)
 
     return solve
 
