@@ -42,8 +42,8 @@ VECTOR_CELLS = 32
 #: cells a batch of reads solves in lockstep at most (`read_batch`): the numpy
 #: device costs about 37 us a call plus 40-70 ns a cell, so at 2304 cells (four
 #: 24 x 24 networks) its fixed cost is a small share, while a batch holds
-#: about 240 bytes a cell at its peak (548 KiB for four 24 x 24 single-cell
-#: reads, 145 KiB for one, tracemalloc), which a process's peak memory pays
+#: about 270 bytes a cell at its peak (616 KiB for four 24 x 24 single-cell
+#: reads, 159 KiB for one, tracemalloc), which a process's peak memory pays
 BATCH_CELLS = 2304
 
 
@@ -507,7 +507,6 @@ def _damped_newton(assemble, x: np.ndarray, what: str, res_tol: float,
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = solve(-f)
             size = _max_abs(step)
-        f = solve = None   # not held through the line search's assemblies
         bad = live & ((size != size) | (size == np.inf))
         if _any(bad):
             raise ConvergenceError(f"{what} met a singular Jacobian at "
@@ -707,7 +706,8 @@ def _read_network(array: ArrayState, sel_row: int, sel_cols, v_wl: float,
 def _in_columns(res: ReadResult, keep) -> ReadResult:
     """An AND read of the columns `keep` alone, as the full array's read."""
     if keep is not None:
-        res.col_currents = {c: -res.col_currents[k] for k, c in enumerate(keep)}
+        res.col_currents = {c: -res.col_currents[k]
+                            for k, c in enumerate(keep)}
     return res
 
 
