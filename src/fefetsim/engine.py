@@ -15,6 +15,7 @@ potentials.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -121,12 +122,20 @@ class ArrayState:
         table = np.fromiter(self.states, object, len(self.states))
         return table[self.index].tolist()
 
+    @functools.cached_property
+    def _vts(self) -> np.ndarray:
+        p = np.array([st.p for st in self.states])
+        vts = device.vt_of_polarization(self.dev, self.fe, p)[self.index]
+        vts.flags.writeable = False
+        return vts
+
     def _swap(self, states: tuple[BranchState, ...], index: np.ndarray) -> None:
         """Replace the table and the index, which only this does, and drop
-        the `cells` view they outdate."""
+        the `cells` and `vts` views they outdate."""
         index.flags.writeable = False
         self.states, self.index = states, index
         self.__dict__.pop("cells", None)
+        self.__dict__.pop("_vts", None)
 
     def copy(self) -> "ArrayState":
         """An independent array in the same state; it shares the table and
@@ -150,8 +159,10 @@ class ArrayState:
         return device.cell_vt(self.dev, self.fe, self.states[self.index[r, c]])
 
     def vts(self) -> np.ndarray:
-        p = np.array([st.p for st in self.states])
-        return device.vt_of_polarization(self.dev, self.fe, p)[self.index]
+        """Each cell's threshold voltage: a read-only rows x cols grid, built
+        once per table and index (a Monte Carlo trial reads each array
+        twice)."""
+        return self._vts
 
 
 def _check_plan(array: ArrayState, plan: BiasPlan) -> None:
@@ -259,7 +270,7 @@ def _layout(topology: Topology, rows: int, cols: int,
 
 def _max_abs(a: np.ndarray):
     """Each network's max |a| over the last axis."""
-    m = np.abs(a).max(axis=-1)
+    m = np.maximum.reduce(np.abs(a), axis=-1)
     return m if m.ndim else float(m)
 
 
@@ -445,7 +456,7 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
     RESIDUAL_TOL or stops halving; its residual is then zeroed, so that the
     batch's further cycles correct its x by exact zeros.  A singular coarse or
     line matrix gives a non-finite x."""
-    neg_ds, x, out = -di_ds, np.zeros_like(rhs), np.empty_like(rhs)
+    neg_ds, x, out = -di_ds, np.zeros(rhs.shape), np.empty(rhs.shape)
     # each node's own stamp, and the one it takes from its cell's other node
     shunt = _join(lay, neg_ds, di_dd)
     for nodes, lines, shape, _ in lay.blocks:
@@ -591,12 +602,12 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
 
 
 def _solve(lay: _Layout, dev: FeFetParams, drive: np.ndarray,
-           gates: np.ndarray, vts: np.ndarray) -> tuple:
+           gates: np.ndarray, predict, vts: np.ndarray) -> tuple:
     """The node potentials, Newton iterations and max residual of the read
-    networks with the drives `drive` (NaN floating, set to 0 V in place) and
+    networks with the drives `drive` (NaN floating, set to 0 V in place),
     the cells' gates and vts: one network, or a batch on a leading axis (see
-    `solve_read`).  Should any network of a batch need the predictor, it runs
-    on the whole batch, and only those networks start from it."""
+    `solve_read`).  The networks `predict` sets start from the predictor
+    (`_needs_predictor`), which runs on the whole batch should any need it."""
     floating = np.isnan(drive)
     drive[floating] = 0.0
     g_tie = np.where(floating, G_FLOAT, lay.g_line)
@@ -623,9 +634,6 @@ def _solve(lay: _Layout, dev: FeFetParams, drive: np.ndarray,
         return (_wire_currents(lay, vv, g_tie, drive) + _join(lay, -i, i),
                 functools.partial(_newton_step, lay, g_tie, di_dd, di_ds))
 
-    (float_s, float_d), (away_s, away_d) = (_at_cells(lay, a)
-                                            for a in (floating, drive != 0.0))
-    predict = (float_d & away_s | float_s & away_d).any(axis=(-2, -1))
     start = (_where(predict, _line_potentials(lay, drive, floating, dev,
                                               gates, vts), drive)
              if _any(predict) else drive)
@@ -642,10 +650,21 @@ def _solve(lay: _Layout, dev: FeFetParams, drive: np.ndarray,
     return v, it, res
 
 
+def _needs_predictor(plan: BiasPlan) -> bool:
+    """Whether a cell joins a floating line to a line driven away from 0 V
+    (see `solve_read`): in C-AND every source line meets every bit line, in
+    AND each column's cells join its own two lines."""
+    pairs = (zip(plan.sl, plan.bl) if plan.topology is Topology.AND
+             else itertools.product(set(plan.sl), set(plan.bl)))
+    return any(s is None and d not in (None, 0.0) or
+               d is None and s not in (None, 0.0) for s, d in pairs)
+
+
 def _inputs(plan: BiasPlan) -> tuple:
-    """A plan's line drives (NaN floating) and its rows' gates."""
+    """A plan's line drives (NaN floating), its rows' gates, and whether its
+    read starts from the predictor."""
     return (np.array(plan.sl + plan.bl, dtype=float),
-            np.array(plan.wl, dtype=float)[:, None])
+            np.array(plan.wl, dtype=float)[:, None], _needs_predictor(plan))
 
 
 def _sensed(lay: _Layout, plan: BiasPlan, v: np.ndarray, it,
@@ -758,10 +777,10 @@ def read_batch(reads, v_wl: float, v_sl: float) -> list[ReadResult]:
             n = -(-len(ks) // max(1, BATCH_CELLS // (rows * cols)))
             for chunk in (ks[j * len(ks) // n:(j + 1) * len(ks) // n]
                           for j in range(n)):
-                drive, gates = (np.stack(a) for a in zip(
+                drive, gates, predict = (np.stack(a) for a in zip(
                     *(_inputs(nets[k][1]) for k in chunk)))
                 vts = np.stack([nets[k][0].vts() for k in chunk])
-                v, it, res = _solve(lay, dev, drive, gates, vts)
+                v, it, res = _solve(lay, dev, drive, gates, predict, vts)
                 for b, k in enumerate(chunk):
                     out[k] = _sensed(lay, nets[k][1], v[b], it[b], res[b])
     except ConvergenceError:

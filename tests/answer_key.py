@@ -79,6 +79,8 @@ def differences(got: dict, want: dict) -> list[str]:
             continue
         amps = [h.endswith("_amps") for h in key[0]]
         for k, (row, ref) in enumerate(zip(rows[1:], key[1:]), 1):
+            if len(row) != len(ref):
+                out.append(f"{name} row {k}: {len(row)} cells != {len(ref)}")
             for col, a, b, is_amps in zip(key[0], row, ref, amps):
                 if not (_close(float(a), float(b)) if is_amps else a == b):
                     out.append(f"{name} row {k} {col}: {a} != {b}")

@@ -974,6 +974,29 @@ def test_reads_with_balanced_floating_lines_never_predict(monkeypatch):
                           V_READ, V_READ)
 
 
+@settings(max_examples=80, deadline=None)
+@given(topology=st.sampled_from(list(Topology)), rows=st.integers(1, 5),
+       cols=st.integers(1, 5), data=st.data())
+def test_reads_predict_exactly_when_a_cell_joins_a_floating_line_to_a_driven_one(
+        topology, rows, cols, data):
+    # the plan-level rule against the cell grid: cell (r, c) joins source
+    # line r (C-AND) or c (AND) to bit line c
+    cand = topology is Topology.CAND
+    level = st.sampled_from([biasing.HIGH_Z, 0.0, -0.0, V_READ])
+    sl, bl = (tuple(data.draw(st.lists(level, min_size=n, max_size=n)))
+              for n in (rows if cand else cols, cols))
+    plan = biasing.BiasPlan(topology, "read", 0, (0,), (V_READ,) * rows, sl,
+                            bl, ())
+
+    def kind(v):
+        return "floating" if v is None else "away" if v != 0.0 else "ground"
+
+    joined = {(kind(sl[r if cand else c]), kind(bl[c]))
+              for r in range(rows) for c in range(cols)}
+    assert engine._needs_predictor(plan) == bool(
+        joined & {("floating", "away"), ("away", "floating")})
+
+
 def _record_predictor_steps(monkeypatch):
     """A list that gathers every predictor step from here on: the arguments
     of its coarse solver, the lines it holds, its right-hand side and the
@@ -1317,9 +1340,9 @@ def test_read_batch_solves_in_lockstep_within_batch_cells(monkeypatch):
     solved = []
     solve = engine._solve
 
-    def record(lay, dev, drive, gates, vts):
+    def record(lay, dev, drive, gates, predict, vts):
         solved.append(vts.shape)
-        return solve(lay, dev, drive, gates, vts)
+        return solve(lay, dev, drive, gates, predict, vts)
 
     monkeypatch.setattr(engine, "_solve", record)
     rng = np.random.default_rng(6)
