@@ -148,30 +148,62 @@ def drain_current_and_derivs_array(dev: FeFetParams, vg: np.ndarray,
                                    vt: np.ndarray):
     """`drain_current_and_derivs` elementwise over arrays, with the same
     formulas; numpy's exp, log1p and expm1 may differ from math's by an ulp,
-    so the results may too.  The read predictor and every read of at least
-    `engine.VECTOR_CELLS` cells use it; the scalar routine stays the oracle."""
+    so the results may too.  vd and vs broadcast together to the result's
+    shape, and vg and vt to it.  The read predictor and every read of at
+    least `engine.VECTOR_CELLS` cells use it; the scalar routine stays the
+    oracle.  Each step writes into a grid that no later step reads, in the
+    operations and order of the one-array-per-step kernel kept in
+    tests/oracles.py, whose bits it returns, with ten float grids live at
+    its peak, its three results among them."""
     flip = vd < vs
-    hi, lo = np.where(flip, vs, vd), np.where(flip, vd, vs)
     vtl = dev.v_tilde
     pref = dev.i_spec * (dev.w / dev.l)
-    vgs, vds = vg - lo, hi - lo
-    x1 = (vgs - vt) / vtl
-    x2 = (vgs - vt - vds) / vtl
-    # softplus and sigmoid with one exp(-|x|) each, never overflowing
-    e1, e2 = np.exp(-np.abs(x1)), np.exp(-np.abs(x2))
-    s1 = np.maximum(x1, 0.0) + np.log1p(e1)
-    s2 = np.maximum(x2, 0.0) + np.log1p(e2)
-    g1 = np.where(x1 >= 0.0, 1.0, e1) / (1.0 + e1)
-    g2 = np.where(x2 >= 0.0, 1.0, e2) / (1.0 + e2)
-    d = vds / vtl
-    diff = np.where(d < _EXPM1_MAX,
-                    np.log1p(g2 * np.expm1(np.minimum(d, _EXPM1_MAX))),
-                    s1 - s2)
-    i = pref * diff * (s1 + s2) + dev.g_min * vds
-    di_dhi = pref * (2.0 * s2 * g2) / vtl + dev.g_min
-    di_dlo = -pref * (2.0 * s1 * g1) / vtl - dev.g_min
-    return (np.where(flip, -i, i), np.where(flip, -di_dlo, di_dhi),
-            np.where(flip, -di_dhi, di_dlo))
+    vds, x1 = np.where(flip, vs, vd), np.where(flip, vd, vs)   # hi, lo
+    vds -= x1
+    np.subtract(vg, x1, out=x1)   # vgs
+    x1 -= vt
+    x2 = x1 - vds
+    x1 /= vtl
+    x2 /= vtl
+    # e1 and e2 end as spent scratch grids
+    e1, e2 = np.abs(x1), np.abs(x2)
+    g1, g2 = _softplus_sigmoid(x1, e1), _softplus_sigmoid(x2, e2)
+    s1, s2 = x1, x2
+    # s1 - s2 without cancellation below expm1's overflow, as the scalar
+    # routine takes it
+    d = np.divide(vds, vtl, out=e1)
+    past = ~(d < _EXPM1_MAX)
+    np.expm1(np.minimum(d, _EXPM1_MAX, out=d), out=d)
+    diff = np.log1p(np.multiply(g2, d, out=d), out=d)
+    np.subtract(s1, s2, out=diff, where=past)
+    i = np.add(s1, s2, out=e2)
+    np.multiply(np.multiply(pref, diff, out=diff), i, out=i)
+    i += np.multiply(dev.g_min, vds, out=vds)
+    # di_dhi = pref * (2 s2 g2) / vtl + g_min in s2's grid, di_dlo in s1's
+    for s, g, p in ((s2, g2, pref), (s1, g1, -pref)):
+        np.multiply(2.0, s, out=s)
+        s *= g
+        np.multiply(p, s, out=s)
+        s /= vtl
+    s2 += dev.g_min
+    s1 -= dev.g_min
+    di_dhi, di_dlo = s2, s1
+    # a flipped cell's current negated, its two partials negated and swapped
+    return (np.where(flip, np.negative(i, out=diff), i),
+            np.where(flip, np.negative(di_dlo, out=g1), di_dhi),
+            np.where(flip, np.negative(di_dhi, out=g2), di_dlo))
+
+
+def _softplus_sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x's softplus s = max(x, 0) + log1p(e) in place of x, and its sigmoid
+    g = (1 if x >= 0 else e) / (1 + e), from one e = exp(-|x|), which never
+    overflows, taken in place of e = |x|."""
+    np.exp(np.negative(e, out=e), out=e)
+    g = np.where(x >= 0.0, 1.0, e)
+    np.maximum(x, 0.0, out=x)
+    x += np.log1p(e)
+    g /= np.add(1.0, e, out=e)
+    return g
 
 
 def gate_drive(dev: FeFetParams, fe: FerroParams, state: BranchState,

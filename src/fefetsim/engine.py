@@ -41,11 +41,13 @@ DAMPING = 0.5
 VECTOR_CELLS = 32
 
 #: cells a batch of reads solves in lockstep at most (`read_batch`): the numpy
-#: device costs about 37 us a call plus 40-70 ns a cell, so at 2304 cells (four
-#: 24 x 24 networks) its fixed cost is a small share, while a batch holds
-#: about 270 bytes a cell at its peak (616 KiB for four 24 x 24 single-cell
-#: reads, 159 KiB for one, tracemalloc), which a process's peak memory pays
-BATCH_CELLS = 2304
+#: device costs about 35 us a call plus about 30 ns a cell, so at 2880 cells
+#: (five 24 x 24 networks) its fixed cost is a small share, while a batch holds
+#: about 220 bytes a cell at its peak (694 KiB for five 24 x 24 single-cell
+#: reads, 205 KiB for one, tracemalloc), which a process's peak memory pays:
+#: the 24 x 24 disturb matrix peaks at 734 KiB, and a sixth network would add
+#: about 122 KiB
+BATCH_CELLS = 2880
 
 
 class ConvergenceError(RuntimeError):
@@ -476,7 +478,9 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
             batch + shape)) for nodes, _, shape, _ in lay.blocks], axis=-1))
         dx, dx_cells = _on_nodes(lay, dx), _at_cells(lay, dx)
         # no wire carries a per-line dx; r, maybe `out`, is read first
-        z = _solve_lines(lines, r - shunt * dx + coupled(*dx_cells))
+        z = np.multiply(shunt, dx)
+        np.subtract(r, z, out=z)
+        z = _solve_lines(lines, np.add(z, coupled(*dx_cells), out=z))
         x += dx + z
         r = coupled(*_terminals(lay, z))
         new = _max_abs(r)
@@ -514,9 +518,10 @@ def _damped_newton(assemble, x: np.ndarray, what: str, res_tol: float,
     it, stalled = 0 * live, live & False
     while _any(live := live & (it < MAX_NEWTON_ITER)):
         it = it + live
-        # solve is always the one at x: the last assembly is the accepted one
+        # solve is always the one at x: the last assembly is the accepted one;
+        # f, not read again, holds the right-hand side -f
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = solve(-f)
+            step = solve(np.negative(f, out=f))
             size = _max_abs(step)
         bad = live & ((size != size) | (size == np.inf))
         if _any(bad):
@@ -754,35 +759,59 @@ def read_batch(reads, v_wl: float, v_sl: float) -> list[ReadResult]:
     """`read_cells` of each (array, sel_row, sel_cols) in `reads`, with the
     same currents, `iterations` and `max_residual`, solved in lockstep.
 
-    The networks the reads solve are grouped by layout and device, and each
-    group is solved in batches of at most BATCH_CELLS cells (at least one
-    network) on a leading batch axis.  Each network keeps its own drives,
-    ties, gates, vts, predictor, Newton iterations, line search and
-    two-level cycles, and takes no update once it has stopped; each picks
-    its device path by its own cells.  A read that fails raises: should any
-    network of a batch fail, every read is solved again alone, in order, so
-    the first that fails raises its own ConvergenceError.  Reads change no
-    array."""
+    A network is solved once however many reads solve it: two reads solve
+    the same network when they have the same layout and device, their plans
+    the same drives and gates to the bit, and their arrays equal vts grids
+    (keyed by a hash of the grid's bytes, confirmed by `np.array_equal`), as
+    when a write leaves every vt as it was.  Each read still senses its own
+    plan's columns into a `ReadResult` of its own.  The distinct networks
+    are grouped by layout and device, and each group is solved in batches of
+    at most BATCH_CELLS cells (at least one network) on a leading batch
+    axis.  Each network keeps its own drives, ties, gates, vts, predictor,
+    Newton iterations, line search and two-level cycles, and takes no update
+    once it has stopped; each picks its device path by its own cells.  A
+    read that fails raises: should any network of a batch fail, every read
+    is solved again alone, in order, so the first that fails raises its own
+    ConvergenceError.  Reads change no array."""
     nets = [_read_network(array, row, cols, v_wl, v_sl)
             for array, row, cols in reads]
-    groups: dict[tuple, list[int]] = {}
-    for k, (array, _, _) in enumerate(nets):
-        groups.setdefault((array.topology, array.rows, array.cols,
-                           array.parasitics, array.dev), []).append(k)
+    # each distinct network as [plan, vts, the reads that solve it]
+    groups: dict[tuple, list[list]] = {}
+    distinct: dict[tuple, list[list]] = {}
+    for k, (array, plan, _) in enumerate(nets):
+        kind = (array.topology, array.rows, array.cols, array.parasitics,
+                array.dev)
+        lines, vts = (plan.wl, plan.sl, plan.bl), array.vts()
+        same = distinct.setdefault((*kind, *lines, hash(vts.tobytes())), [])
+        # equal tuples may still differ in the sign of a zero, which repr shows
+        net = next((net for net in same if np.array_equal(net[1], vts) and
+                    repr(lines) == repr((net[0].wl, net[0].sl, net[0].bl))),
+                   None)
+        if net is None:
+            net = [plan, vts, []]
+            same.append(net)
+            groups.setdefault(kind, []).append(net)
+        net[2].append(k)
     out = [None] * len(nets)
+
+    def solve_batch(lay: _Layout, dev: FeFetParams, batch: list) -> None:
+        # a call, so that one batch's arrays are gone before the next's
+        drive, gates, predict = (np.stack(a) for a in zip(
+            *(_inputs(plan) for plan, _, _ in batch)))
+        v, it, res = _solve(lay, dev, drive, gates, predict,
+                            np.stack([vts for _, vts, _ in batch]))
+        for b, (_, _, ks) in enumerate(batch):
+            for k in ks:
+                out[k] = _sensed(lay, nets[k][1], v[b], it[b], res[b])
+
     try:
-        for (topology, rows, cols, par, dev), ks in groups.items():
+        for (topology, rows, cols, par, dev), group in groups.items():
             lay = _layout(topology, rows, cols, par)
             # the fewest batches within BATCH_CELLS, as even as they go
-            n = -(-len(ks) // max(1, BATCH_CELLS // (rows * cols)))
-            for chunk in (ks[j * len(ks) // n:(j + 1) * len(ks) // n]
-                          for j in range(n)):
-                drive, gates, predict = (np.stack(a) for a in zip(
-                    *(_inputs(nets[k][1]) for k in chunk)))
-                vts = np.stack([nets[k][0].vts() for k in chunk])
-                v, it, res = _solve(lay, dev, drive, gates, predict, vts)
-                for b, k in enumerate(chunk):
-                    out[k] = _sensed(lay, nets[k][1], v[b], it[b], res[b])
+            n = -(-len(group) // max(1, BATCH_CELLS // (rows * cols)))
+            for j in range(n):
+                solve_batch(lay, dev, group[j * len(group) // n:
+                                            (j + 1) * len(group) // n])
     except ConvergenceError:
         return [read_cells(array, row, cols, v_wl, v_sl)
                 for array, row, cols in reads]

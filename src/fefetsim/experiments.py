@@ -144,6 +144,9 @@ def disturb_matrix(cfg: RunConfig) -> Table:
     the copy.  Reads change no state, so they are deferred until every
     write is done and solved together by `engine.read_batch`; the four
     copies written with one (state, op) are equal, so one of them is kept.
+    A repeated network is solved once: programming a cell of the programmed
+    array leaves every vt as it was, so in C-AND the four state-1 write1
+    reads are the reads before the write, and 20 of the 24 are solved.
     """
     check_disturb_size(cfg)
     m, n = cfg.rows, cfg.cols

@@ -34,6 +34,9 @@ COMMANDS = {
     "disturb_24": ["run", "disturb", "--rows", "24", "--cols", "24"],
     "disturb_24_and": ["run", "disturb", "--rows", "24", "--cols", "24",
                        "--topology", "and"],
+    # the two-block layouts: source and bit lines of different lengths
+    "disturb_16x40": ["run", "disturb", "--rows", "16", "--cols", "40"],
+    "disturb_40x16": ["run", "disturb", "--rows", "40", "--cols", "16"],
     "word_write": ["run", "word-write"],
     "word_write_and": ["run", "word-write", "--topology", "and"],
 }

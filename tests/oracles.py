@@ -6,7 +6,8 @@ against which `engine.apply_write`'s grouping by row is checked, and, from
 a description of the read network that does not depend on how the solver
 numbers its nodes, the sparse read Jacobian and the dense line matrix
 against which the read solve's Newton step and its elimination of the
-source lines are checked.
+source lines are checked, and the numpy device kernel as it allocated one
+array per step, whose bits the in-place kernel must keep.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import scipy.sparse as sp
 
 from fefetsim import biasing, device, ferro
 from fefetsim.biasing import BiasPlan
+from fefetsim.device import _EXPM1_MAX, FeFetParams
 from fefetsim.engine import ArrayState
 from fefetsim.ferro import BranchState, FerroParams
 
@@ -129,6 +131,36 @@ def line_stamps(kd: np.ndarray, ks: np.ndarray, m: int, di_dd: np.ndarray,
     slots = np.concatenate([kd, kd, ks, ks]) * m + np.concatenate([kd, ks, kd, ks])
     return np.bincount(slots, np.concatenate([di_dd, di_ds, -di_dd, -di_ds]),
                        minlength=m * m).reshape(m, m)
+
+
+def drain_current_and_derivs_array(dev: FeFetParams, vg: np.ndarray,
+                                   vd: np.ndarray, vs: np.ndarray,
+                                   vt: np.ndarray):
+    """`device.drain_current_and_derivs_array` as it was before it computed
+    in place: one new array per operation.  The in-place kernel must return
+    its bits."""
+    flip = vd < vs
+    hi, lo = np.where(flip, vs, vd), np.where(flip, vd, vs)
+    vtl = dev.v_tilde
+    pref = dev.i_spec * (dev.w / dev.l)
+    vgs, vds = vg - lo, hi - lo
+    x1 = (vgs - vt) / vtl
+    x2 = (vgs - vt - vds) / vtl
+    # softplus and sigmoid with one exp(-|x|) each, never overflowing
+    e1, e2 = np.exp(-np.abs(x1)), np.exp(-np.abs(x2))
+    s1 = np.maximum(x1, 0.0) + np.log1p(e1)
+    s2 = np.maximum(x2, 0.0) + np.log1p(e2)
+    g1 = np.where(x1 >= 0.0, 1.0, e1) / (1.0 + e1)
+    g2 = np.where(x2 >= 0.0, 1.0, e2) / (1.0 + e2)
+    d = vds / vtl
+    diff = np.where(d < _EXPM1_MAX,
+                    np.log1p(g2 * np.expm1(np.minimum(d, _EXPM1_MAX))),
+                    s1 - s2)
+    i = pref * diff * (s1 + s2) + dev.g_min * vds
+    di_dhi = pref * (2.0 * s2 * g2) / vtl + dev.g_min
+    di_dlo = -pref * (2.0 * s1 * g1) / vtl - dev.g_min
+    return (np.where(flip, -i, i), np.where(flip, -di_dlo, di_dhi),
+            np.where(flip, -di_dhi, di_dlo))
 
 
 def reverse_branch(state: BranchState, params: FerroParams) -> BranchState:

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fefetsim import device, ferro
 from fefetsim.config import RunConfig, make_device, make_ferro
+import oracles
 
 DEV = make_device(RunConfig())
 FE = make_ferro(RunConfig())
@@ -159,6 +161,48 @@ def test_device_kernel_is_bitwise_the_reference_kernel(vg, vd, vs, vt, dev):
     # x1 = 0 and x2 = 0 exactly in the second and third examples
     got = device.drain_current_and_derivs(dev, vg, vd, vs, vt)
     assert got == _reference_drain_current_and_derivs(dev, vg, vd, vs, vt)
+
+
+#: line potentials: the read range, past _EXPM1_MAX (vds above 92 V), and
+#: zeros of both signs, so that equal terminals meet as 0.0 against -0.0
+_GRID_VOLTS = st.one_of(_LINE_VOLTS, st.sampled_from((0.0, -0.0)))
+
+
+@st.composite
+def _kernel_grids(draw):
+    """(vg, vd, vs, vt) as a read passes them: a batch of rows x cols grids
+    with one gate per row, the terminals either full grids, some cells equal
+    or flipped, or, as the predictor passes them, one potential per source
+    row and per bit column."""
+    batch, rows, cols = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def grid(shape, elements):
+        return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+    vg = grid((batch, rows, 1), st.floats(-0.5, 3.0))
+    vt = grid((batch, rows, cols), st.floats(0.4, 1.8))
+    if draw(st.booleans()):
+        return vg, grid((batch, 1, cols), _GRID_VOLTS), \
+            grid((batch, rows, 1), _GRID_VOLTS), vt
+    vd, vs = (grid((batch, rows, cols), _GRID_VOLTS) for _ in range(2))
+    equal = grid((batch, rows, cols), st.booleans()).astype(bool)
+    return vg, vd, np.where(equal, vd, vs), vt
+
+
+@given(_kernel_grids(),
+       st.sampled_from((DEV, dataclasses.replace(DEV, g_min=0.0))))
+@settings(max_examples=300, deadline=None)
+@example((np.array([[[1.0], [0.5]]]), np.array([[[100.0, 0.0], [0.0, -0.0]]]),
+          np.array([[[0.0, 100.0], [-0.0, 0.0]]]),
+          np.array([[[0.7, 0.7], [1.0, 1.0]]])), DEV)
+def test_array_kernel_is_bitwise_the_one_array_per_step_kernel(grids, dev):
+    # the in-place kernel keeps each operation and its order, so each of its
+    # three outputs has the bits of the kernel that allocated every step
+    got = device.drain_current_and_derivs_array(dev, *grids)
+    want = oracles.drain_current_and_derivs_array(dev, *grids)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 def test_solver_current_rises_with_gate_at_tiny_drain_bias():

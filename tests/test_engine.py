@@ -1294,12 +1294,17 @@ def _batch_read_key(res):
 def _batches(draw):
     """A batch of reads of one topology and shape: random patterns or write
     histories, full-row, single-cell and partial-row selections, on the
-    nominal device or the open-'0' one."""
+    nominal device or the open-'0' one, and repeats of earlier reads, of
+    the same array or of a copy."""
     topology = draw(st.sampled_from(Topology))
     rows, cols = draw(st.integers(2, 12)), draw(st.integers(2, 12))
     cfg = RunConfig()
     reads = []
     for _ in range(draw(st.integers(1, 6))):
+        if reads and draw(st.integers(0, 3)) == 0:
+            arr, row, sel = draw(st.sampled_from(reads))
+            reads.append((arr.copy() if draw(st.booleans()) else arr, row, sel))
+            continue
         dev = draw(st.sampled_from((DEV, OPEN_ZERO_DEV)))
         arr = ArrayState(topology, rows, cols, FE, dev, PAR)
         arr.set_pattern(draw(st.lists(st.lists(
@@ -1335,7 +1340,7 @@ def test_batched_reads_have_the_bits_of_lone_reads(reads, batch_cells):
 
 def test_read_batch_solves_in_lockstep_within_batch_cells(monkeypatch):
     # 24 single-cell reads of 12 x 12 C-AND arrays: 144 cells each, so
-    # batches of at most 2304 cells hold 16 networks, and the 24 go in two
+    # batches of at most 2880 cells hold 20 networks, and the 24 go in two
     # even batches of 12
     solved = []
     solve = engine._solve
@@ -1349,8 +1354,76 @@ def test_read_batch_solves_in_lockstep_within_batch_cells(monkeypatch):
     reads = [(_array(Topology.CAND, 12, 12, rng.integers(0, 2, (12, 12))), 5,
               [k % 12]) for k in range(24)]
     engine.read_batch(reads, V_READ, V_READ)
-    assert engine.BATCH_CELLS == 2304
+    assert engine.BATCH_CELLS == 2880
     assert solved == [(12, 12, 12), (12, 12, 12)]
+
+
+def _solved_networks(monkeypatch):
+    """A list that gathers the vts grid of every network `_solve` solves from
+    here on."""
+    solved, solve = [], engine._solve
+
+    def record(lay, dev, drive, gates, predict, vts):
+        solved.extend(vts.reshape((-1,) + vts.shape[-2:]))
+        return solve(lay, dev, drive, gates, predict, vts)
+
+    monkeypatch.setattr(engine, "_solve", record)
+    return solved
+
+
+def test_read_batch_solves_each_distinct_network_once(monkeypatch):
+    bits = np.random.default_rng(8).integers(0, 2, (6, 6))
+    bits[:, 3] = bits[:, 2]
+    cand, twin, other = (_array(Topology.CAND, 6, 6, b)
+                         for b in (bits, bits, 1 - bits))
+    and_array = _array(Topology.AND, 6, 6, bits)
+    reads = [(cand, 2, [1]), (twin, 2, [1]), (cand, 2, [1]), (cand, 3, [1]),
+             (other, 2, [1]), (cand, 2, range(6)),
+             # AND reads solve their columns alone: columns 2 and 3 hold the
+             # same cells, so they read one network
+             (and_array, 1, [2]), (and_array, 1, [3]), (and_array, 1, [2, 3])]
+    lone = [engine.read_cells(a, row, sel, V_READ, V_READ)
+            for a, row, sel in reads]
+    solved = _solved_networks(monkeypatch)
+    batch = engine.read_batch(reads, V_READ, V_READ)
+    assert len(solved) == 6
+    assert [_batch_read_key(r) for r in batch] == [_batch_read_key(r)
+                                                   for r in lone]
+    # each read has a result of its own, which it may change alone
+    assert len({id(r) for r in batch}) == len(
+        {id(r.col_currents) for r in batch}) == len(reads)
+    batch[0].col_currents[1] = batch[6].col_currents[2] = 0.0
+    assert [_batch_read_key(r) for r in batch[1:3]] == [
+        _batch_read_key(r) for r in lone[1:3]]
+    assert _batch_read_key(batch[7]) == _batch_read_key(lone[7])
+
+
+def test_read_batch_solves_apart_networks_that_differ_in_any_bit(monkeypatch):
+    bits = np.random.default_rng(9).integers(0, 2, (5, 5))
+    cand, twin, other = (_array(Topology.CAND, 5, 5, b)
+                         for b in (bits, bits, 1 - bits))
+    # with every vts hash equal, np.array_equal alone tells the grids apart
+    monkeypatch.setattr(engine, "hash", lambda _: 0, raising=False)
+    reads = [(cand, 1, [2]), (other, 1, [2]), (twin, 1, [2])]
+    solved = _solved_networks(monkeypatch)
+    batch = engine.read_batch(reads, V_READ, V_READ)
+    assert len(solved) == 2
+    assert [_batch_read_key(r) for r in batch] == [_batch_read_key(
+        engine.read_cells(a, row, sel, V_READ, V_READ)) for a, row, sel in reads]
+    # at a word-line voltage of -0.0 the plans of two rows of equal cells
+    # compare equal, (-0.0, 0.0) == (0.0, -0.0), but are not the same bits
+    uniform = _array(Topology.AND, 4, 4, np.ones((4, 4)))
+    solved.clear()
+    engine.read_batch([(uniform, 1, [0]), (uniform, 2, [0])], -0.0, V_READ)
+    assert len(solved) == 2
+
+
+def test_disturb_matrix_solves_its_repeated_reads_once(monkeypatch):
+    # programming a cell of the programmed array leaves every vt as it was,
+    # so the four state-1 write1 reads repeat the reads before the write
+    solved = _solved_networks(monkeypatch)
+    experiments.disturb_matrix(dataclasses.replace(RunConfig(), rows=4, cols=4))
+    assert len(solved) == 20
 
 
 def _marked_device(monkeypatch, mark):
