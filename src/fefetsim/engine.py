@@ -676,7 +676,7 @@ def _sensed(lay: _Layout, plan: BiasPlan, v: np.ndarray, it,
             res) -> ReadResult:
     """The current out of each selected bit line's driver, at its head."""
     heads = _terminals(lay, v)[1][0]
-    return ReadResult({c: (heads[c] - plan.bl[c]) / lay.r_bl
+    return ReadResult({c: float((heads[c] - plan.bl[c]) / lay.r_bl)
                        for c in plan.sel_cols}, int(it), float(res))
 
 

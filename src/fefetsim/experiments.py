@@ -243,8 +243,7 @@ def read_word(cfg: RunConfig, array: engine.ArrayState, row: int) -> tuple[int, 
                                            cfg.v_wl, cfg.v_sl))
 
 
-def word_write_demo(cfg: RunConfig, rows: int = WORD_WRITE_SIZE,
-                    cols: int = WORD_WRITE_SIZE, words=None) -> Table:
+def word_write_demo(cfg: RunConfig, rows: int, cols: int, words=None) -> Table:
     """Write words with the two-cycle scheme and read them back.
 
     Words are written sequentially into one array (rotating through rows),

@@ -27,7 +27,6 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -36,7 +35,6 @@ def write_csv(path: str, header: list[str], rows) -> str:
 
 
 def write_json(path: str, obj) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=_fmt)
         fh.write("\n")
@@ -138,7 +136,6 @@ def svg_line_plot(path: str, series: dict[str, list[tuple[float, float]]],
         parts.append(f'<text x="{width-margin+4}" y="{margin+16*idx+12}" '
                      f'font-size="11" fill="{color}">{name}</text>')
     parts.append("</svg>")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
     return path

@@ -39,6 +39,18 @@ COMMANDS = {
     "disturb_40x16": ["run", "disturb", "--rows", "40", "--cols", "16"],
     "word_write": ["run", "word-write"],
     "word_write_and": ["run", "word-write", "--topology", "and"],
+    "device_sweep": ["device-sweep"],
+    "verify_scheme": ["verify-scheme"],
+    # a scheme that over-stresses unselected cells: exits 1
+    "verify_scheme_vdd3": ["verify-scheme", "--vw0", "-1.0", "--vw1", "4.5",
+                           "--scheme", "vdd3"],
+    "bitline": ["run", "bitline"],
+    "disturb_accumulate": ["run", "disturb-accumulate"],
+    "mc_200": ["mc", "--samples", "200", "--seed", "914003"],
+    # AND sneak leakage closes the read window: exits 1
+    "mc_20_and": ["mc", "--samples", "20", "--topology", "and"],
+    "power": ["power"],
+    "area": ["area"],
 }
 
 #: relative tolerance of a current against the key
@@ -47,11 +59,12 @@ REL_TOL = 1e-12
 
 def run(argv: list[str], out: Path) -> dict:
     """One command's exit status, stdout lines, CSV rows (as text) and
-    summary, run in-process with its outputs under `out`."""
+    summary, run in-process with `out` as its output root: the tables and
+    summary are read from the one folder the command wrote there."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         status = cli.main([*argv, "--out", str(out)])
-    folder = out / argv[1]
+    (folder,) = [p for p in out.iterdir() if p.is_dir()]
     tables = {}
     for path in sorted(folder.glob("*.csv")):
         with open(path, newline="") as fh:

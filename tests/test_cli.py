@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -14,6 +15,11 @@ from fefetsim import cli, engine
 
 def _run(tmp_path, *argv):
     return cli.main([*argv, "--out", str(tmp_path)])
+
+
+def _stub(monkeypatch, name, step):
+    """Give command `name` the step `step`, keeping the flags it reads."""
+    monkeypatch.setitem(cli.COMMANDS, name, (cli.COMMANDS[name][0], step))
 
 
 def test_verify_scheme_nominal_passes(tmp_path, capsys):
@@ -155,8 +161,10 @@ def test_a_word_or_plot_flag_the_command_does_not_read_exits_five_before_writing
     ("power",), ("all",)])
 def test_the_commands_that_draw_plots_take_plot(tmp_path, monkeypatch,
                                                command):
-    monkeypatch.setitem(cli._COMMANDS, command[0], lambda args, cfg, prov:
-                        cli.EXIT_OK if args.plot else cli.EXIT_CHECK_FAILED)
+    # each step the command runs passes its checks only if it sees --plot
+    name = " ".join(command)
+    for step in list(cli.COMMANDS) if name == "all" else [name]:
+        _stub(monkeypatch, step, lambda args, cfg, prov: ({}, {}, args.plot))
     assert _run(tmp_path, *command, "--plot") == cli.EXIT_OK
 
 
@@ -183,17 +191,39 @@ def test_all_writes_the_8x8_word_demo_whatever_the_config_size(tmp_path,
     cfg_path = _readme_config(tmp_path)
     assert json.loads(cfg_path.read_text())["cols"] > cli.WORD_WRITE_MAX_COLS
     # only the word-write step runs: the others take minutes at 64x64
-    run = cli.cmd_run
-    monkeypatch.setattr(cli, "cmd_run", lambda args, cfg, prov: run(
-        args, cfg, prov) if args.experiment == "word-write" else cli.EXIT_OK)
-    for name in ("cmd_device_sweep", "cmd_verify_scheme", "cmd_mc",
-                 "cmd_power", "cmd_area"):
-        monkeypatch.setattr(cli, name, lambda args, cfg, prov: cli.EXIT_OK)
+    for name in cli.COMMANDS.keys() - {"run word-write"}:
+        _stub(monkeypatch, name, lambda args, cfg, prov: ({}, {}, True))
     assert _run(tmp_path, "all", "--config", str(cfg_path)) == cli.EXIT_OK
     with open(tmp_path / "word-write" / "word_write.csv", newline="") as fh:
         entries = list(csv.DictReader(fh))
     assert [int(e["word"]) for e in entries] == list(range(256))
     assert {int(e["row"]) for e in entries} == set(range(8))
+
+
+def test_all_runs_every_command_once_in_table_order(tmp_path, monkeypatch):
+    ran = []
+
+    def step(name):
+        def run(args, cfg, prov):
+            ran.append(name)
+            return {}, {}, True
+        return run
+
+    for name in list(cli.COMMANDS):
+        _stub(monkeypatch, name, step(name))
+    assert _run(tmp_path, "all") == cli.EXIT_OK
+    assert ran == list(cli.COMMANDS)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(name.split()[-1] for name in cli.COMMANDS)
+    # the parser offers exactly the table's commands, and `all`
+    (sub,) = [a for a in cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == \
+        {name.split()[0] for name in cli.COMMANDS} | {"all"}
+    (experiment,) = [a for a in sub.choices["run"]._actions
+                     if a.dest == "experiment"]
+    assert list(experiment.choices) == [
+        name.split()[1] for name in cli.COMMANDS if name.startswith("run ")]
 
 
 def test_disturb_command_artifacts(tmp_path):
