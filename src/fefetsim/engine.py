@@ -41,13 +41,14 @@ DAMPING = 0.5
 VECTOR_CELLS = 32
 
 #: cells a batch of reads solves in lockstep at most (`read_batch`): the numpy
-#: device costs about 35 us a call plus about 30 ns a cell, so at 2880 cells
-#: (five 24 x 24 networks) its fixed cost is a small share, while a batch holds
-#: about 220 bytes a cell at its peak (694 KiB for five 24 x 24 single-cell
-#: reads, 205 KiB for one, tracemalloc), which a process's peak memory pays:
-#: the 24 x 24 disturb matrix peaks at 734 KiB, and a sixth network would add
-#: about 122 KiB
-BATCH_CELLS = 2880
+#: device costs about 35 us a call plus about 30 ns a cell, and a batch pays
+#: the predictor's fixed cost once and runs as long as its slowest network,
+#: so at 11520 cells the 24 x 24 disturb matrix's 20 distinct networks go in
+#: one batch; a batch holds about 220 bytes a cell at its peak (2508 KiB for
+#: twenty 24 x 24 single-cell reads, 637 KiB for five, tracemalloc), which a
+#: process's peak memory pays: the 24 x 24 disturb matrix peaks at 2578 KiB
+#: where five networks a batch peaked at 734 KiB
+BATCH_CELLS = 11520
 
 
 class ConvergenceError(RuntimeError):
@@ -102,6 +103,12 @@ class ArrayState:
     entries under one word-line voltage evolve identically, which lets it
     resolve each distinct row once.  A write swaps in a new table and index
     rather than changing either, so a copy shares both.
+
+    `transitions` maps each (state, gate voltage, duration) an array has
+    pulsed to the state `device.write_cell` gave, so that an array and its
+    copies pulse each once: by the same memory the result depends on nothing
+    else but `dev` and `fe`, which an array keeps for life and its copies
+    share.  An array built anew, or by `dataclasses.replace`, starts empty.
     """
 
     topology: Topology
@@ -112,8 +119,10 @@ class ArrayState:
     parasitics: Parasitics
     states: tuple[BranchState, ...] = field(init=False)
     index: np.ndarray = field(init=False)
+    transitions: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.transitions = {}
         self._swap((ferro.negative_saturation(self.fe),),
                    np.zeros((self.rows, self.cols), dtype=np.intp))
 
@@ -141,9 +150,10 @@ class ArrayState:
 
     def copy(self) -> "ArrayState":
         """An independent array in the same state; it shares the table and
-        the index, since neither is ever changed."""
+        the index, since neither is ever changed, and the transitions."""
         twin = replace(self)
         twin._swap(self.states, self.index)
+        twin.transitions = self.transitions
         return twin
 
     def set_pattern(self, bits) -> None:
@@ -179,15 +189,17 @@ def apply_write(array: ArrayState, plan: BiasPlan, duration: float) -> None:
 
     Rows with equal word-line voltage and equal table entries see equal
     gate voltages, so only the first row of each such key is resolved, and
-    a repeated row takes the resolved row whole.  In a resolved row the
-    scalar write runs for each (table entry, gate voltage) pair not yet
-    written in the phase, so each pair is pulsed once, in row-major order
-    of its first cell.  Equal results share one entry of the new table.
+    a repeated row takes the resolved row whole.  In a resolved row each
+    (table entry, gate voltage) pair not yet met in the phase takes its new
+    state from the array's `transitions`, in row-major order of its first
+    cell; the scalar write runs only for a (state, gate voltage, duration)
+    not found there.  Equal results share one entry of the new table.
     The new table and index replace the old only once every write has
     succeeded, so a write that raises leaves the array as it was.
     """
     _check_plan(array, plan)
     body = biasing.write_bodies(plan)
+    memo = array.transitions
     table: dict[BranchState, int] = {}
     entry: dict[tuple[int, float], int] = {}
     resolved: dict[tuple, list[int]] = {}
@@ -201,8 +213,11 @@ def apply_write(array: ArrayState, plan: BiasPlan, duration: float) -> None:
                 v_gb = w - b
                 e = entry.get((i, v_gb))
                 if e is None:
-                    new = device.write_cell(array.dev, array.fe,
-                                            array.states[i], v_gb, duration)
+                    key = (array.states[i], v_gb, duration)
+                    new = memo.get(key)
+                    if new is None:
+                        new = memo[key] = device.write_cell(
+                            array.dev, array.fe, *key)
                     e = entry[i, v_gb] = table.setdefault(new, len(table))
                 row.append(e)
         rows.append(row)

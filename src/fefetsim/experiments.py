@@ -138,12 +138,12 @@ def disturb_matrix(cfg: RunConfig) -> Table:
     """All (cell group) x (initial state) x (write op) single-shot cases on
     a cfg.rows x cfg.cols array.
 
-    For each case a copy of the uniformly initialized array gets one write
-    at the center cell, and the observed cell (at the group position
-    relative to it) is read before, on the uniform array, and after, on
-    the copy.  Reads change no state, so they are deferred until every
-    write is done and solved together by `engine.read_batch`; the four
-    copies written with one (state, op) are equal, so one of them is kept.
+    For each (initial state, op) a copy of the uniformly initialized array
+    gets one write at the center cell; the cases of every group share it.
+    Each case reads its observed cell (at the group position relative to
+    the center) before, on the uniform array, and after, on that copy.  Reads change no state, so they are
+    deferred until every write is done and solved together by
+    `engine.read_batch`.
     A repeated network is solved once: programming a cell of the programmed
     array leaves every vt as it was, so in C-AND the four state-1 write1
     reads are the reads before the write, and 20 of the 24 are solved.
@@ -161,19 +161,20 @@ def disturb_matrix(cfg: RunConfig) -> Table:
     _init_uniform(cfg, uniform[0], cfg.v_w0, cfg.v_w1)
     uniform[1] = uniform[0].copy()
     _write_rows(cfg, uniform[1], range(m), range(n), cfg.v_w1)
-    cases, reads, written = [], [], {}
+    written = {}
+    for state in (0, 1):
+        for op, v_w in (("write0", cfg.v_w0), ("write1", cfg.v_w1)):
+            written[state, op] = uniform[state].copy()
+            _write_rows(cfg, written[state, op], [sel_r], [sel_c], v_w)
+    cases, reads = [], []
     for group, (obs_r, obs_c) in observers.items():
         for state in (0, 1):
             # a read leaves the array as it was: one i_before serves both ops
             before = len(reads)
             reads.append((uniform[state], obs_r, [obs_c]))
             for op in ("write0", "write1"):
-                array = uniform[state].copy()
-                _write_rows(cfg, array, [sel_r], [sel_c],
-                            cfg.v_w0 if op == "write0" else cfg.v_w1)
                 cases.append((group, state, op, obs_c, before, len(reads)))
-                reads.append((written.setdefault((state, op), array), obs_r,
-                              [obs_c]))
+                reads.append((written[state, op], obs_r, [obs_c]))
     read = engine.read_batch(reads, cfg.v_wl, cfg.v_sl)
     entries = []
     for group, state, op, obs_c, before, after in cases:

@@ -37,6 +37,8 @@ COMMANDS = {
     # the two-block layouts: source and bit lines of different lengths
     "disturb_16x40": ["run", "disturb", "--rows", "16", "--cols", "40"],
     "disturb_40x16": ["run", "disturb", "--rows", "40", "--cols", "16"],
+    # five 48x48 reads share a read batch
+    "disturb_48": ["run", "disturb", "--rows", "48", "--cols", "48"],
     "word_write": ["run", "word-write"],
     "word_write_and": ["run", "word-write", "--topology", "and"],
     "device_sweep": ["device-sweep"],

@@ -268,6 +268,22 @@ def test_determinism():
         == device.read_current(DEV, FE, b, 1.0, 1.0)
 
 
+@given(st.booleans(),
+       st.lists(st.tuples(st.sampled_from((-1.5, -0.0, 0.0, 1.0, 3.2))
+                          | st.floats(-4.5, 4.5),
+                          st.sampled_from((1e-7, 1e-6, T_PULSE))), max_size=4),
+       st.sampled_from((1e-7, 1e-6, T_PULSE)), st.sampled_from((DEV, DIVIDER)))
+@settings(max_examples=150, deadline=None)
+def test_a_pulse_at_minus_zero_volts_gives_the_bits_of_zero_volts(
+        one, pulses, duration, dev):
+    # writes key a gate voltage by value, under which -0.0 == 0.0
+    state = ferro.make_state(FE, one)
+    for v_gb, d in pulses:
+        state = device.write_cell(dev, FE, state, v_gb, d)
+    assert repr(device.write_cell(dev, FE, state, -0.0, duration)) == \
+        repr(device.write_cell(dev, FE, state, 0.0, duration))
+
+
 def test_divider_gate_mode_balances_charge():
     state = ferro.negative_saturation(FE)
     v_fe = device.gate_drive(DIVIDER, FE, state, 2.0)

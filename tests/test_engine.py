@@ -319,15 +319,100 @@ def test_each_distinct_state_and_gate_voltage_is_written_once(monkeypatch,
              for v in (3.2, -1.5) for r in (0, 11, 23)]
     plans += [biasing.write_bias(Topology.CAND, n, n, 11, (11,), v)
               for v in (3.2, -1.5)]
+    pulsed, total = set(), 0
     for plan in plans:
+        # each phase writes a copy of the last written array, which shares
+        # its transitions: only the pairs no earlier phase pulsed are written
+        arr = arr.copy()
         groups = {(arr.cells[r][c], biasing.cell_write_voltage(plan, r, c))
                   for r in range(n) for c in range(n)}
         before = len(calls)
         engine.apply_write(arr, plan, T_PULSE)
-        assert len(calls) - before == len(groups)
-        assert {(st, v) for _, _, st, v, _ in calls[before:]} == groups
+        assert len(calls) - before == len(groups - pulsed)
+        assert {(st, v) for _, _, st, v, _ in calls[before:]} == \
+            groups - pulsed
+        pulsed |= groups
+        total += len(groups)
         _assert_table_invariants(arr)
     assert len(arr.states) > 2
+    # the unselected rows see the same pairs phase after phase
+    assert len(calls) < total
+
+
+@st.composite
+def _family_runs(draw):
+    """An array of up to 6x6 and write phases on it and on copies of it: each
+    phase writes a member of the family, or a new copy of one, with one of a
+    few plans and durations, so that members meet pairs others pulsed."""
+    topology = draw(st.sampled_from(Topology))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=cols,
+                                  max_size=cols), min_size=rows, max_size=rows))
+    plans = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.integers(0, rows - 1))
+        sel = draw(st.sets(st.integers(0, cols - 1), min_size=1))
+        v = draw(st.sampled_from((1.5, 3.2)) | st.floats(0.2, 4.5))
+        plans.append(biasing.write_bias(topology, rows, cols, row, sel,
+                                        -v if draw(st.booleans()) else v))
+    phases = []
+    for _ in range(draw(st.integers(1, 10))):
+        phases.append((draw(st.integers(0, len(phases))), draw(st.booleans()),
+                       draw(st.sampled_from(plans)),
+                       draw(st.sampled_from((1e-6, T_PULSE)))))
+    return topology, bits, phases
+
+
+@given(_family_runs(), st.sampled_from((GATE_DIRECT, GATE_DIVIDER)))
+@settings(max_examples=150, deadline=None)
+def test_writes_of_an_array_family_match_the_cell_grouped_oracle(run,
+                                                                 gate_mode):
+    topology, bits, phases = run
+    dev = dataclasses.replace(DEV, gate_mode=gate_mode)
+    family = [ArrayState(topology, len(bits), len(bits[0]), FE, dev, PAR)]
+    family[0].set_pattern(bits)
+    for member, copy, plan, duration in phases:
+        arr = family[min(member, len(family) - 1)]
+        if copy:
+            arr = arr.copy()
+            family.append(arr)
+        others = [(a, a.states, a.index) for a in family if a is not arr]
+        states, index = cell_grouped_write(arr, plan, duration)
+        engine.apply_write(arr, plan, duration)
+        assert arr.states == states
+        assert np.array_equal(arr.index, index)
+        _assert_table_invariants(arr)
+        assert all(a.states is st and a.index is ix for a, st, ix in others)
+    assert all(a.transitions is family[0].transitions for a in family)
+
+
+def test_write_cell_runs_once_per_pair_across_an_array_family(monkeypatch):
+    plan = biasing.cand_write1_bias(4, 4, 1, (0, 2), 3.2)
+    arr = _array(Topology.CAND, 4, 4, np.eye(4))
+    twin = arr.copy()
+    groups = {(arr.cells[r][c], biasing.cell_write_voltage(plan, r, c))
+              for r in range(4) for c in range(4)}
+    calls = _count_writes(monkeypatch)
+    engine.apply_write(arr, plan, T_PULSE)
+    assert {(st, v) for _, _, st, v, _ in calls} == groups
+    assert len(calls) == len(groups)
+    # the copy meets only pairs its original pulsed, for the same duration
+    engine.apply_write(twin, plan, T_PULSE)
+    assert len(calls) == len(groups)
+    assert twin.states == arr.states
+    assert np.array_equal(twin.index, arr.index)
+    engine.apply_write(twin.copy(), plan, 1e-6)
+    assert len(calls) == 2 * len(groups)
+    # an array built anew, or by replace, starts with no transitions
+    for fresh in (_array(Topology.CAND, 4, 4, np.eye(4)),
+                  dataclasses.replace(arr)):
+        fresh.set_pattern(np.eye(4))
+        before = len(calls)
+        engine.apply_write(fresh, plan, T_PULSE)
+        assert [c[2:4] for c in calls[before:]] == [c[2:4] for c in
+                                                    calls[:len(groups)]]
+        assert fresh.states == arr.states
+        assert fresh.transitions is not arr.transitions
 
 
 def test_random_pattern_vts_has_the_bytes_of_per_cell_vt():
@@ -1339,8 +1424,8 @@ def test_batched_reads_have_the_bits_of_lone_reads(reads, batch_cells):
 
 
 def test_read_batch_solves_in_lockstep_within_batch_cells(monkeypatch):
-    # 24 single-cell reads of 12 x 12 C-AND arrays: 144 cells each, so
-    # batches of at most 2880 cells hold 20 networks, and the 24 go in two
+    # 24 single-cell reads of 24 x 24 C-AND arrays: 576 cells each, so
+    # batches of at most 11520 cells hold 20 networks, and the 24 go in two
     # even batches of 12
     solved = []
     solve = engine._solve
@@ -1351,11 +1436,11 @@ def test_read_batch_solves_in_lockstep_within_batch_cells(monkeypatch):
 
     monkeypatch.setattr(engine, "_solve", record)
     rng = np.random.default_rng(6)
-    reads = [(_array(Topology.CAND, 12, 12, rng.integers(0, 2, (12, 12))), 5,
-              [k % 12]) for k in range(24)]
+    reads = [(_array(Topology.CAND, 24, 24, rng.integers(0, 2, (24, 24))), 11,
+              [k % 24]) for k in range(24)]
     engine.read_batch(reads, V_READ, V_READ)
-    assert engine.BATCH_CELLS == 2880
-    assert solved == [(12, 12, 12), (12, 12, 12)]
+    assert engine.BATCH_CELLS == 11520
+    assert solved == [(12, 24, 24), (12, 24, 24)]
 
 
 def _solved_networks(monkeypatch):
