@@ -27,6 +27,11 @@ _LN10 = math.log(10.0)
 _EXPM1_MAX = 709.0
 
 
+class ConvergenceError(RuntimeError):
+    """A solve that did not converge: the gate divider here, a read in
+    `engine` (which raises this same class)."""
+
+
 @dataclass(frozen=True)
 class FeFetParams:
     """Transistor surrogate parameters.
@@ -213,7 +218,7 @@ def gate_drive(dev: FeFetParams, fe: FerroParams, state: BranchState,
     Direct mode passes v_gb through.  Divider mode solves the charge
     balance  area * (P(E) + eps_fe*eps0*E) = c_il * area * (v_gb - v_fe)
     with a damped Newton iteration on v_fe; `tol` is the absolute residual
-    charge in Coulombs.
+    charge in Coulombs.  A balance it cannot meet raises ConvergenceError.
     """
     if dev.gate_mode == GATE_DIRECT:
         return v_gb
@@ -246,7 +251,7 @@ def gate_drive(dev: FeFetParams, fe: FerroParams, state: BranchState,
         else:
             break
     if abs(r) >= tol:
-        raise RuntimeError(
+        raise ConvergenceError(
             f"gate divider did not converge: residual {r:.3e} C at v_gb={v_gb}")
     return v_fe
 

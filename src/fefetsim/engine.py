@@ -23,14 +23,16 @@ import numpy as np
 
 from . import analytics, biasing, device, ferro
 from .biasing import BiasPlan, Topology
-from .device import FeFetParams
+from .device import ConvergenceError, FeFetParams
 from .ferro import BranchState, FerroParams
 
 #: conductance tying a floating line to ground, S
 G_FLOAT = 1e-15
 
-#: read solver targets
-RESIDUAL_TOL = 1e-13       # A, max node current residual
+#: read solver targets: each node's residual floor, and the share of the
+#: sum of its currents' magnitudes it may add after a step (`solve_read`)
+RESIDUAL_TOL = 1e-13       # A
+RESIDUAL_RELTOL = 1e-6
 MAX_NEWTON_ITER = 200
 DAMPING = 0.5
 
@@ -49,10 +51,6 @@ VECTOR_CELLS = 32
 #: process's peak memory pays: the 24 x 24 disturb matrix peaks at 2578 KiB
 #: where five networks a batch peaked at 734 KiB
 BATCH_CELLS = 11520
-
-
-class ConvergenceError(RuntimeError):
-    pass
 
 
 #: cell pitch along a row and along a column, in units of the layout
@@ -305,6 +303,12 @@ def _where(mask, a, b):
                     a, b)
 
 
+def _any_node(mask: np.ndarray):
+    """Whether each network's node mask is set at any node."""
+    m = np.logical_or.reduce(mask, axis=-1)
+    return m if m.ndim else bool(m)
+
+
 def _first(mask, values):
     """The entry of per-network values of the first network, in batch
     order, that the mask sets."""
@@ -359,9 +363,10 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _wire_currents(lay: _Layout, v: np.ndarray, g_tie: np.ndarray,
-                   drive: np.ndarray) -> np.ndarray:
+                   drive: np.ndarray, magnitudes: bool = False) -> np.ndarray:
     """The current each node sends into its line's wire segments at v and
-    each line's head into its tie g_tie to its drive."""
+    each line's head into its tie g_tie to its drive; with `magnitudes`, the
+    sum of those currents' magnitudes instead."""
     f, batch = np.empty_like(v), v.shape[:-1]
     for nodes, lines, (length, n), g in lay.blocks:
         vb = v[..., nodes].reshape(batch + (length, n))
@@ -371,7 +376,10 @@ def _wire_currents(lay: _Layout, v: np.ndarray, g_tie: np.ndarray,
         np.multiply(g_tie[..., lines], vb[..., 0, :] - drive[..., lines],
                     out=q[..., 0, :])
         q = q.reshape(batch + (-1,))
-        np.subtract(q[..., :-n], q[..., n:], out=f[..., nodes])
+        if magnitudes:
+            np.abs(q, out=q)
+        (np.add if magnitudes else np.subtract)(q[..., :-n], q[..., n:],
+                                                out=f[..., nodes])
     return f
 
 
@@ -470,9 +478,10 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
     cells' coupling across lines.  Its roundoff drift from rhs - J x can cost
     an iteration, never pass an unconverged read: `solve_read` tests the true
     residual.  A network's cycles repeat until its residual is below 1e-3
-    RESIDUAL_TOL or stops halving; its residual is then zeroed, so that the
-    batch's further cycles correct its x by exact zeros.  A singular coarse or
-    line matrix gives a non-finite x."""
+    RESIDUAL_TOL or stops halving, an absolute stop that RESIDUAL_RELTOL does
+    not loosen (a looser one moves 128-row currents); its residual is then
+    zeroed, so that the batch's further cycles correct its x by exact zeros.
+    A singular coarse or line matrix gives a non-finite x."""
     neg_ds, x, out = -di_ds, np.zeros(rhs.shape), np.empty(rhs.shape)
     # each node's own stamp, and the one it takes from its cell's other node
     shunt = _join(lay, neg_ds, di_dd)
@@ -508,28 +517,35 @@ def _newton_step(lay: _Layout, g_tie: np.ndarray, di_dd: np.ndarray,
 
 
 def _damped_newton(assemble, x: np.ndarray, what: str, res_tol: float,
-                   step_tol: float) -> tuple:
+                   rel_tol: float, step_tol: float) -> tuple:
     """Damped Newton from x, the one loop of the predictor and the read
     solve, for one network (x of shape (n,)) or in lockstep for a batch of
     independent networks (x of shape (batch, n)), each on its own.
-    `assemble(x)` gives each network's residual f at x and a solve of its
-    Jacobian, run on -f with numpy's warnings off.  A step moving no entry
-    by more than step_tol ends the network's loop applied whole; else the
-    first of the scales 1, DAMPING, ... down to the first under 1e-8 that
-    lowers its max |f| is applied (backtracking: J. E. Dennis and R. B.
-    Schnabel, 1983, ch. 6); the networks still backtracking try each scale
-    together.  A network stops once its max |f| <= res_tol, after
-    MAX_NEWTON_ITER iterations, or, stalled, when no scale lowers it, and
-    takes no further update.  Returns (x, iterations, max |f|, stalled),
-    each per network.  A first residual or a step that is not finite
-    raises ConvergenceError, for the first such network in batch order."""
-    f, solve = assemble(x)
+    `assemble(x)` gives each network's residual f at x, a solve of its
+    Jacobian, run on -f with numpy's warnings off, and a callable giving S
+    at x, each node's sum of the magnitudes of the currents meeting there
+    (None where rel_tol is 0).  A step moving no entry by more than step_tol
+    ends the network's loop applied whole; else the first of the scales 1,
+    DAMPING, ... down to the first under 1e-8 that lowers its max |f| is
+    applied (backtracking: J. E. Dennis and R. B. Schnabel, 1983, ch. 6);
+    the networks still backtracking try each scale together.  A network is
+    solved once its max |f| <= res_tol or, after a step, every node has |f|
+    <= res_tol + rel_tol * S (SPICE's per-node KCL test: L. W. Nagel,
+    SPICE2, UCB/ERL M520, 1975), so a start is accepted by res_tol alone; S
+    is taken, for the whole batch, only once a network that has stepped is
+    still above res_tol.  A network stops once solved, after
+    MAX_NEWTON_ITER iterations, or, stalled, when no scale lowers its max
+    |f|, and takes no further update.  Returns (x, iterations, max |f|,
+    unsolved, stalled), each per network.  A first residual or a step that
+    is not finite raises ConvergenceError, for the first such network in
+    batch order."""
+    f, solve, sums = assemble(x)
     res = _max_abs(f)
     bad = (res != res) | (res == np.inf)   # a NaN or infinite residual
     if _any(bad):
         raise ConvergenceError(f"{what} stalled at residual "
                                f"{_first(bad, res):.3e} A after 0 iterations")
-    live = res > res_tol
+    unsolved = live = res > res_tol
     it, stalled = 0 * live, live & False
     while _any(live := live & (it < MAX_NEWTON_ITER)):
         it = it + live
@@ -548,7 +564,7 @@ def _damped_newton(assemble, x: np.ndarray, what: str, res_tol: float,
         scale, search, x_new = 1.0, live, x
         while _any(search):
             x_new = _where(search, x + scale * step, x_new)
-            f_new, solve_new = assemble(x_new)
+            f_new, solve_new, sums_new = assemble(x_new)
             res_new = _max_abs(f_new)
             search = search ^ (search & (res_new < res))
             if scale < 1e-8:   # nothing lowers the residual of the rest
@@ -557,9 +573,12 @@ def _damped_newton(assemble, x: np.ndarray, what: str, res_tol: float,
             scale *= DAMPING
         if _any(live):
             x, res = _where(live, x_new, x), _where(live, res_new, res)
-            f, solve = f_new, solve_new
-        live = live & (res > res_tol)
-    return x, it, res, stalled
+            f, solve, sums = f_new, solve_new, sums_new
+        stepped, live = live, live & (res > res_tol)
+        if rel_tol and _any(live):
+            live = live & _any_node(np.abs(f) > res_tol + rel_tol * sums())
+        unsolved = unsolved ^ (stepped ^ live)
+    return x, it, res, unsolved, stalled
 
 
 #: grid the predicted line potentials are rounded to after the last step,
@@ -612,11 +631,12 @@ def _line_potentials(lay: _Layout, drive: np.ndarray, floating: np.ndarray,
         f = np.concatenate([-_column_sums(np.ascontiguousarray(
             i.swapaxes(-1, -2) if lay.cand else i)), _column_sums(i)], axis=-1)
         f = np.where(floating, f + G_FLOAT * pot, 0.0)
-        return f, lambda b: _coarse_solver(lay, g_tie, *derivs, held=held)(b)
+        return (f, lambda b: _coarse_solver(lay, g_tie, *derivs, held=held)(b),
+                None)
 
     pot, *_ = _damped_newton(
         assemble, _predictor_start(lay, drive, floating, gates - vts),
-        "read predictor", 0.0, PREDICTOR_GRID)
+        "read predictor", 0.0, 0.0, PREDICTOR_GRID)
     return np.where(floating, np.round(pot / PREDICTOR_GRID) * PREDICTOR_GRID,
                     drive)
 
@@ -637,7 +657,8 @@ def _solve(lay: _Layout, dev: FeFetParams, drive: np.ndarray,
         vt_rows = vts.reshape(-1, cols).tolist()
 
     def assemble(vv: np.ndarray) -> tuple:
-        """The node residual at vv, and `_newton_step` at vv's Jacobian."""
+        """The node residual at vv, `_newton_step` at vv's Jacobian, and the
+        sums of the node currents' magnitudes at vv, on call."""
         v_s, v_d = _terminals(lay, vv)
         # C-contiguous device grids keep `_column_sums`' line sums sequential:
         # numpy would sum F-ordered ones (C-AND's transposed v_s) pairwise
@@ -651,22 +672,29 @@ def _solve(lay: _Layout, dev: FeFetParams, drive: np.ndarray,
                     gate_rows, v_d.reshape(-1, cols).tolist(),
                     v_s.reshape(-1, cols).tolist(), vt_rows)
                 for d, s, t in zip(rd, rs, rt)]).T.copy().reshape(3, *vts.shape)
+
+        def current_sums() -> np.ndarray:
+            a = np.abs(i)
+            return (_wire_currents(lay, vv, g_tie, drive, magnitudes=True)
+                    + _join(lay, a, a))
+
         return (_wire_currents(lay, vv, g_tie, drive) + _join(lay, -i, i),
-                functools.partial(_newton_step, lay, g_tie, di_dd, di_ds))
+                functools.partial(_newton_step, lay, g_tie, di_dd, di_ds),
+                current_sums)
 
     start = (_where(predict, _line_potentials(lay, drive, floating, dev,
                                               gates, vts), drive)
              if _any(predict) else drive)
-    v, it, res, stalled = _damped_newton(assemble, _on_nodes(lay, start),
-                                         "read solve", RESIDUAL_TOL, 0.0)
+    v, it, res, unsolved, stalled = _damped_newton(
+        assemble, _on_nodes(lay, start), "read solve", RESIDUAL_TOL,
+        RESIDUAL_RELTOL, 0.0)
     if _any(stalled):
         raise ConvergenceError(
             f"line search stalled at iteration {_first(stalled, it)}")
-    high = res > RESIDUAL_TOL
-    if _any(high):
+    if _any(unsolved):
         raise ConvergenceError(
-            f"read solve stalled at residual {_first(high, res):.3e} A after "
-            f"{_first(high, it)} iterations")
+            f"read solve stalled at residual {_first(unsolved, res):.3e} A "
+            f"after {_first(unsolved, it)} iterations")
     return v, it, res
 
 
@@ -706,7 +734,14 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     `device.drain_current_and_derivs` call per cell, which keeps small
     reads' bytes and is cheaper there.  `_damped_newton` steps by
     `_newton_step` and raises ConvergenceError as it says; so does a read
-    whose fine solve stalls or ends above RESIDUAL_TOL.
+    whose fine solve stalls or ends unsolved.  A read is solved at its start
+    once its max node residual is at most RESIDUAL_TOL, and after a step also
+    once each node's is at most RESIDUAL_TOL + RESIDUAL_RELTOL times the sum
+    of the magnitudes of the currents meeting there: one step leaves a
+    random 256-row read at 2.0-3.4e-13 A, within 1.4-3.4e-7 of those sums,
+    and its currents within 1e-6 |i| + 1e-13 A of a tight solve, where
+    RESIDUAL_TOL alone forced a second iteration.  `max_residual` is the max
+    node residual.
 
     The start holds each line at one potential, its drive or 0 V if
     floating, so no wire carries current, and a floating line is out of KCL

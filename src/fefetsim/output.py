@@ -7,7 +7,6 @@ on log/linear axes) to keep plotting dependency-free.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -49,14 +48,6 @@ def sha256_of(path: str) -> str:
     return h.hexdigest()
 
 
-@functools.cache
-def _scipy_version() -> str:
-    """scipy's version from the installed metadata, looked up once per
-    process (a few ms each time): the program itself never imports scipy."""
-    from importlib.metadata import version
-    return version("scipy")
-
-
 def write_manifest(out_dir: str, command: str, config: dict,
                    provenance: dict, files: list[str]) -> str:
     """Record what produced the artifacts in a directory."""
@@ -76,7 +67,6 @@ def write_manifest(out_dir: str, command: str, config: dict,
         "versions": {
             "fefetsim": __version__,
             "numpy": numpy.__version__,
-            "scipy": _scipy_version(),
             "python": platform.python_version(),
         },
         "artifacts": [

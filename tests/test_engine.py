@@ -1006,6 +1006,113 @@ def test_worst_case_single_cell_read_of_256_rows_reads_zero():
 
 
 # --------------------------------------------------------------------------
+# Per-node acceptance test
+
+
+def _undershooting_newton(targets, sums):
+    """An assemble for `engine._damped_newton` of the networks f(x) = x -
+    targets, each node with the scale `sums`, whose solves take 0.9 of the
+    Newton step, so that each step leaves a tenth of the residual; the x at
+    which each scale is taken is recorded."""
+    taken = []
+
+    def assemble(x):
+        def scale():
+            taken.append(x.copy())
+            return np.broadcast_to(sums, x.shape)
+        return x - targets, lambda b: 0.9 * b, scale
+
+    return assemble, taken
+
+
+# (targets, scale, iterations, scales taken): the floor is 1e-13 A and the
+# relative part 1e-6 of the scale; a step leaving 3e-12 A stops at a scale of
+# 1e-5 and takes another at 1e-6, a start is accepted by the floor alone, and
+# a step to the floor takes no scale
+_PER_NODE_CASES = [([3e-11, 0.0], 1e-5, 1, 1), ([3e-11, 0.0], 1e-6, 2, 2),
+                   ([3e-12, 0.0], 1e-5, 1, 1), ([3e-13, 0.0], 1e-5, 1, 0),
+                   ([3e-14, 0.0], 1e-5, 0, 0)]
+
+
+@pytest.mark.parametrize("targets, sums, iterations, scales", _PER_NODE_CASES)
+def test_newton_stops_once_every_node_is_within_its_bound(targets, sums,
+                                                          iterations, scales):
+    assemble, taken = _undershooting_newton(np.array(targets), sums)
+    x, it, res, unsolved, stalled = engine._damped_newton(
+        assemble, np.zeros(2), "test", 1e-13, 1e-6, 0.0)
+    assert (it, unsolved, stalled) == (iterations, False, False)
+    assert res == pytest.approx(targets[0] * 0.1 ** iterations)
+    assert len(taken) == scales
+    assert not any(np.array_equal(y, np.zeros(2)) for y in taken)
+
+
+def test_batched_newton_stops_each_network_at_its_own_bound():
+    targets = np.array([t for t, *_ in _PER_NODE_CASES])
+    sums = np.array([[s] for _, s, *_ in _PER_NODE_CASES])
+    assemble, _ = _undershooting_newton(targets, sums)
+    x, it, res, unsolved, stalled = engine._damped_newton(
+        assemble, np.zeros(targets.shape), "test", 1e-13, 1e-6, 0.0)
+    assert it.tolist() == [n for _, _, n, _ in _PER_NODE_CASES]
+    assert not unsolved.any() and not stalled.any()
+    for b, (t, s, *_) in enumerate(_PER_NODE_CASES):
+        alone = engine._damped_newton(_undershooting_newton(np.array(t), s)[0],
+                                      np.zeros(2), "test", 1e-13, 1e-6, 0.0)
+        assert np.array_equal(x[b], alone[0]) and res[b] == alone[2]
+
+
+@pytest.mark.parametrize("topology, rows, cols", [
+    (Topology.CAND, 3, 4), (Topology.CAND, 6, 9), (Topology.AND, 8, 5)])
+def test_current_sums_hold_every_term_that_meets_a_node(monkeypatch, topology,
+                                                       rows, cols):
+    starts = []
+    newton = engine._damped_newton
+
+    def record(assemble, x, what, *args):
+        if what == "read solve":
+            starts.append((assemble, x.copy()))
+        return newton(assemble, x, what, *args)
+
+    monkeypatch.setattr(engine, "_damped_newton", record)
+    bits = np.random.default_rng(rows * cols).integers(0, 2, (rows, cols))
+    engine.read_cells(_array(topology, rows, cols, bits), 1, range(cols),
+                      V_READ, V_READ)
+    (assemble, x), = starts
+    # from the drives no wire carries current: each node meets its cell alone
+    f, _, sums = assemble(x)
+    assert np.array_equal(sums(), np.abs(f)) and np.abs(f).max() > 0
+    # elsewhere S, the sum of the terms' magnitudes, bounds |f| at every node
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        f, _, sums = assemble(x + rng.normal(0.0, 1e-3, x.shape))
+        assert np.all(sums() * (1 + 1e-12) >= np.abs(f))
+
+
+def test_full_row_read_of_256_random_rows_stops_after_one_iteration(
+        monkeypatch):
+    bits = np.random.default_rng(256).integers(0, 2, (256, 256))
+    arr = _array(Topology.CAND, 256, 256, bits)
+    res = engine.read_cells(arr, 128, range(256), V_READ, V_READ)
+    # accepted by the per-node test, above the floor
+    assert res.iterations == 1 and res.max_residual > engine.RESIDUAL_TOL
+    # the same read to a residual that roundoff still reaches
+    with monkeypatch.context() as tight_tol:
+        tight_tol.setattr(engine, "RESIDUAL_TOL", 1e-15)
+        tight_tol.setattr(engine, "RESIDUAL_RELTOL", 0.0)
+        tight = engine.read_cells(arr, 128, range(256), V_READ, V_READ)
+    assert tight.iterations > 1
+    for c in range(256):
+        i, j = res.current(c), tight.current(c)
+        assert abs(i - j) <= 1e-6 * abs(j) + 1e-13
+        if bits[128, c] == 0:
+            assert abs(i - j) <= 2e-3 * abs(j)
+    # without the relative part one iteration leaves the read unsolved
+    monkeypatch.setattr(engine, "RESIDUAL_RELTOL", 0.0)
+    monkeypatch.setattr(engine, "MAX_NEWTON_ITER", 1)
+    with pytest.raises(engine.ConvergenceError, match="after 1 iterations"):
+        engine.read_cells(arr, 128, range(256), V_READ, V_READ)
+
+
+# --------------------------------------------------------------------------
 # Line-potential predictor
 
 
@@ -1034,6 +1141,7 @@ def test_predicted_disturb_reads_take_one_iteration_to_the_tight_solve(
     monkeypatch.setattr(engine, "_line_potentials",
                         lambda lay, drive, *args: drive)
     monkeypatch.setattr(engine, "RESIDUAL_TOL", 1e-15)
+    monkeypatch.setattr(engine, "RESIDUAL_RELTOL", 0.0)
     for array, plan, res in reads:
         tight = engine.solve_read(array, plan)
         assert tight.iterations > 1

@@ -23,7 +23,7 @@ def test_manifest_digests_artifacts(tmp_path):
     assert m["seed"] == 7
     assert m["artifacts"][0]["sha256"] == output.sha256_of(csv)
     assert len(m["config_digest"]) == 64
-    assert set(m["versions"]) == {"fefetsim", "numpy", "scipy", "python"}
+    assert set(m["versions"]) == {"fefetsim", "numpy", "python"}
 
 
 def test_svg_plot_is_wellformed(tmp_path):
