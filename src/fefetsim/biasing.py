@@ -183,13 +183,6 @@ def write_bodies(plan: BiasPlan) -> list[float]:
     return [_write_body(plan, c) for c in range(plan.cols)]
 
 
-def write_voltages(plan: BiasPlan) -> list[list[float]]:
-    """`cell_write_voltage` of every cell as a rows x cols matrix, built
-    from each line once with the same float operations."""
-    body = write_bodies(plan)
-    return [[w - b for b in body] for w in plan.wl]
-
-
 def classify_cell(plan: BiasPlan, row: int, col: int) -> CellGroup:
     row_sel = row == plan.sel_row
     col_sel = col in plan.sel_cols

@@ -94,13 +94,15 @@ class ArrayState:
 
     `states` is a table of distinct `BranchState` values, each an immutable
     value held once, and `index` a read-only rows x cols integer grid of
-    each cell's entry in it, so cells with equal state share one entry.  By
-    return-point memory and wipe-out, two cells with equal state evolve
-    identically under the same pulse, which lets `apply_write` pulse each
-    distinct (state, gate voltage) pair once, and two rows with equal
-    entries under one word-line voltage evolve identically, which lets it
-    resolve each distinct row once.  A write swaps in a new table and index
-    rather than changing either, so a copy shares both.
+    each cell's entry in it, so cells with equal state share one entry and
+    cell (r, c)'s state is ``states[index[r, c]]``.  `vts`, each cell's
+    threshold voltage, is the one grid derived from them.  By return-point
+    memory and wipe-out, two cells with equal state evolve identically
+    under the same pulse, which lets `apply_write` pulse each distinct
+    (state, gate voltage) pair once, and two rows with equal entries under
+    one word-line voltage evolve identically, which lets it resolve each
+    distinct row once.  A write swaps in a new table and index rather than
+    changing either, so a copy shares both.
 
     `transitions` maps each (state, gate voltage, duration) an array has
     pulsed to the state `device.write_cell` gave, so that an array and its
@@ -125,14 +127,10 @@ class ArrayState:
                    np.zeros((self.rows, self.cols), dtype=np.intp))
 
     @functools.cached_property
-    def cells(self) -> list[list[BranchState]]:
-        """``cells[r][c]`` is cell (r, c)'s state: a view built once per
-        table or index, not to be changed."""
-        table = np.fromiter(self.states, object, len(self.states))
-        return table[self.index].tolist()
-
-    @functools.cached_property
-    def _vts(self) -> np.ndarray:
+    def vts(self) -> np.ndarray:
+        """Each cell's threshold voltage: a read-only rows x cols grid, built
+        once per table and index (a Monte Carlo trial reads each array
+        twice), and the only view derived from them."""
         p = np.array([st.p for st in self.states])
         vts = device.vt_of_polarization(self.dev, self.fe, p)[self.index]
         vts.flags.writeable = False
@@ -140,11 +138,10 @@ class ArrayState:
 
     def _swap(self, states: tuple[BranchState, ...], index: np.ndarray) -> None:
         """Replace the table and the index, which only this does, and drop
-        the `cells` and `vts` views they outdate."""
+        the `vts` they outdate."""
         index.flags.writeable = False
         self.states, self.index = states, index
-        self.__dict__.pop("cells", None)
-        self.__dict__.pop("_vts", None)
+        self.__dict__.pop("vts", None)
 
     def copy(self) -> "ArrayState":
         """An independent array in the same state; it shares the table and
@@ -164,15 +161,6 @@ class ArrayState:
         self._swap((ferro.make_state(self.fe, False),
                     ferro.make_state(self.fe, True)),
                    (bits != 0).astype(np.intp))
-
-    def vt(self, r: int, c: int) -> float:
-        return device.cell_vt(self.dev, self.fe, self.states[self.index[r, c]])
-
-    def vts(self) -> np.ndarray:
-        """Each cell's threshold voltage: a read-only rows x cols grid, built
-        once per table and index (a Monte Carlo trial reads each array
-        twice)."""
-        return self._vts
 
 
 def _check_plan(array: ArrayState, plan: BiasPlan) -> None:
@@ -727,12 +715,13 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     """Damped-Newton DC solve of the read network.
 
     On `_layout`'s network only the drives (`plan.sl + plan.bl`), the ties
-    (G_FLOAT at a floating line's head) and the start come from the plan.
-    Each assembly evaluates every cell's device terms on the rows x cols
-    grid of its terminals (`_terminals`), from VECTOR_CELLS cells on in one
-    `device.drain_current_and_derivs_array` call, else by one scalar
-    `device.drain_current_and_derivs` call per cell, which keeps small
-    reads' bytes and is cheaper there.  `_damped_newton` steps by
+    (G_FLOAT at a floating line's head) and the start come from the plan; a
+    cell's gate is its row's `plan.wl` and its threshold its entry of
+    `array.vts`.  Each assembly evaluates every cell's device terms on the
+    rows x cols grid of its terminals (`_terminals`), from VECTOR_CELLS
+    cells on in one `device.drain_current_and_derivs_array` call, else by
+    one scalar `device.drain_current_and_derivs` call per cell, which keeps
+    small reads' bytes and is cheaper there.  `_damped_newton` steps by
     `_newton_step` and raises ConvergenceError as it says; so does a read
     whose fine solve stalls or ends unsolved.  A read is solved at its start
     once its max node residual is at most RESIDUAL_TOL, and after a step also
@@ -759,7 +748,7 @@ def solve_read(array: ArrayState, plan: BiasPlan) -> ReadResult:
     _check_plan(array, plan)
     lay = _layout(array.topology, array.rows, array.cols, array.parasitics)
     return _sensed(lay, plan, *_solve(lay, array.dev, *_inputs(plan),
-                                      array.vts()))
+                                      array.vts))
 
 
 def _read_network(array: ArrayState, sel_row: int, sel_cols, v_wl: float,
@@ -811,10 +800,10 @@ def read_batch(reads, v_wl: float, v_sl: float) -> list[ReadResult]:
 
     A network is solved once however many reads solve it: two reads solve
     the same network when they have the same layout and device, their plans
-    the same drives and gates to the bit, and their arrays equal vts grids
-    (keyed by a hash of the grid's bytes, confirmed by `np.array_equal`), as
-    when a write leaves every vt as it was.  Each read still senses its own
-    plan's columns into a `ReadResult` of its own.  The distinct networks
+    the same lines' `repr` (drives and gates to the bit, a zero's sign
+    included) and their arrays `vts` of the same bytes, as when a write
+    leaves every vt as it was.  Each read still senses its own plan's
+    columns into a `ReadResult` of its own.  The distinct networks
     are grouped by layout and device, and each group is solved in batches of
     at most BATCH_CELLS cells (at least one network) on a leading batch
     axis.  Each network keeps its own drives, ties, gates, vts, predictor,
@@ -825,23 +814,14 @@ def read_batch(reads, v_wl: float, v_sl: float) -> list[ReadResult]:
     ConvergenceError.  Reads change no array."""
     nets = [_read_network(array, row, cols, v_wl, v_sl)
             for array, row, cols in reads]
-    # each distinct network as [plan, vts, the reads that solve it]
-    groups: dict[tuple, list[list]] = {}
-    distinct: dict[tuple, list[list]] = {}
+    # per layout and device, each distinct network: [plan, vts, its reads]
+    groups: dict[tuple, dict[tuple, list]] = {}
     for k, (array, plan, _) in enumerate(nets):
         kind = (array.topology, array.rows, array.cols, array.parasitics,
                 array.dev)
-        lines, vts = (plan.wl, plan.sl, plan.bl), array.vts()
-        same = distinct.setdefault((*kind, *lines, hash(vts.tobytes())), [])
-        # equal tuples may still differ in the sign of a zero, which repr shows
-        net = next((net for net in same if np.array_equal(net[1], vts) and
-                    repr(lines) == repr((net[0].wl, net[0].sl, net[0].bl))),
-                   None)
-        if net is None:
-            net = [plan, vts, []]
-            same.append(net)
-            groups.setdefault(kind, []).append(net)
-        net[2].append(k)
+        key = (repr((plan.wl, plan.sl, plan.bl)), array.vts.tobytes())
+        groups.setdefault(kind, {}).setdefault(
+            key, [plan, array.vts, []])[2].append(k)
     out = [None] * len(nets)
 
     def solve_batch(lay: _Layout, dev: FeFetParams, batch: list) -> None:
@@ -855,8 +835,9 @@ def read_batch(reads, v_wl: float, v_sl: float) -> list[ReadResult]:
                 out[k] = _sensed(lay, nets[k][1], v[b], it[b], res[b])
 
     try:
-        for (topology, rows, cols, par, dev), group in groups.items():
+        for (topology, rows, cols, par, dev), distinct in groups.items():
             lay = _layout(topology, rows, cols, par)
+            group = list(distinct.values())
             # the fewest batches within BATCH_CELLS, as even as they go
             n = -(-len(group) // max(1, BATCH_CELLS // (rows * cols)))
             for j in range(n):

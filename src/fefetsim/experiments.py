@@ -337,7 +337,7 @@ def monte_carlo(cfg: RunConfig) -> Table:
             logic = 1 if (r, c) == (0, 0) else 0
             (ones if logic else zeros).append(i)
             misreads += int(i > cfg.i_ref) != logic
-            rows_out.append((t, r, c, logic, array.vt(r, c), i))
+            rows_out.append((t, r, c, logic, float(array.vts[r, c]), i))
         trial_ratios.append(min(ones) / max(zeros))
         ones_all += ones
         zeros_all += zeros
@@ -409,9 +409,9 @@ def accumulative_disturb_sweep(cfg: RunConfig) -> Table:
     """
     fe = config.make_ferro(cfg)
     dev = config.make_device(cfg)
-    volts = biasing.write_voltages(biasing.write_bias(
-        config.topology_of(cfg), 2, 2, 0, [0], cfg.v_w1))
-    v_stress = max(volts[0][1], volts[1][0], volts[1][1])
+    plan = biasing.write_bias(config.topology_of(cfg), 2, 2, 0, [0], cfg.v_w1)
+    v_stress = max(biasing.cell_write_voltage(plan, r, c)
+                   for r, c in ((0, 1), (1, 0), (1, 1)))
     st = device.write_cell(dev, fe, ferro.negative_saturation(fe),
                            cfg.v_w1, cfg.t_pulse)
     st = device.write_cell(dev, fe, st, cfg.v_w0, cfg.t_pulse)

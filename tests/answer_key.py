@@ -6,12 +6,14 @@ CHANGES.md every value the new key moves:
 
     PYTHONPATH=src python tests/answer_key.py
 
-A rerun must match the key exactly in exit status, stdout lines and every
-CSV cell or summary field that is not a current; a current (a CSV column
-named ``*_amps``, or a float summary field) may move by REL_TOL relative,
-so that the key holds across Python and numpy builds whose exp and log1p
-differ by an ulp.  Manifests are not compared: they name versions and
-paths, not answers.
+A rerun must match the key exactly in exit status, stdout lines, and
+every CSV cell or summary field that is not a float: logic values, counts
+and labels.  A float (a CSV column COLUMN_TOL gives REL_TOL, or a float
+summary field) may move by REL_TOL relative, so that the key holds across
+Python and numpy builds whose exp and log1p differ by an ulp.  Manifests
+are not compared: they name versions and paths, not answers.  Each
+command runs in this file's folder, so a config beside it is named in
+argv by its file name alone, whatever the checkout's location.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -29,7 +32,8 @@ from fefetsim import cli
 
 KEY = Path(__file__).resolve().with_suffix(".json")
 
-#: name -> command line, each run with the default config and seed
+#: name -> command line, each run with the default config and seed unless
+#: it names its own
 COMMANDS = {
     "disturb_24": ["run", "disturb", "--rows", "24", "--cols", "24"],
     "disturb_24_and": ["run", "disturb", "--rows", "24", "--cols", "24",
@@ -53,19 +57,46 @@ COMMANDS = {
     "mc_20_and": ["mc", "--samples", "20", "--topology", "and"],
     "power": ["power"],
     "area": ["area"],
+    # the capacitive gate divider closes the read window: both exit 1
+    "disturb_8_divider": ["run", "disturb", "--rows", "8", "--cols", "8",
+                          "--config", "gate_divider.json"],
+    "mc_20_divider": ["mc", "--samples", "20", "--config",
+                      "gate_divider.json"],
 }
 
-#: relative tolerance of a current against the key
+#: relative tolerance of a float against the key
 REL_TOL = 1e-12
+
+#: each keyed CSV column's tolerance: None compares its text exactly
+#: (logic values, counts and labels), REL_TOL its value relative to the key
+COLUMN_TOL = {
+    **dict.fromkeys(("group", "op", "flag", "spacing", "topology",
+                     "initial_state", "expected_logic", "read_logic",
+                     "logic", "match", "readback", "crossed_half_window",
+                     "word", "row", "col", "trial", "rows", "size",
+                     "pulses"), None),
+    **dict.fromkeys(("i_before_amps", "i_after_amps", "i_amps",
+                     "i_read0_amps", "i_read1_amps", "ids_amps_state0",
+                     "ids_amps_state1", "min_one_amps", "max_zero_amps",
+                     "v_volts", "vgs_volts", "vt_volts", "delta_vt_volts",
+                     "exposure_volts", "margin_volts", "p_c_per_m2",
+                     "p_select_watts", "p_wordline_watts", "p_leak_watts",
+                     "p_total_watts", "window_ratio", "and_lambda2",
+                     "cand_lambda2", "improvement"), REL_TOL),
+}
 
 
 def run(argv: list[str], out: Path) -> dict:
     """One command's exit status, stdout lines, CSV rows (as text) and
     summary, run in-process with `out` as its output root: the tables and
     summary are read from the one folder the command wrote there."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        status = cli.main([*argv, "--out", str(out)])
+    buf, cwd = io.StringIO(), os.getcwd()
+    os.chdir(KEY.parent)
+    try:
+        with contextlib.redirect_stdout(buf):
+            status = cli.main([*argv, "--out", str(out)])
+    finally:
+        os.chdir(cwd)
     (folder,) = [p for p in out.iterdir() if p.is_dir()]
     tables = {}
     for path in sorted(folder.glob("*.csv")):
@@ -78,9 +109,9 @@ def run(argv: list[str], out: Path) -> dict:
             if summary.is_file() else None}
 
 
-def _close(got: float, want: float) -> bool:
+def _close(got: float, want: float, rel_tol: float = REL_TOL) -> bool:
     return (math.isnan(got) and math.isnan(want)) or \
-        abs(got - want) <= REL_TOL * abs(want)
+        abs(got - want) <= rel_tol * abs(want)
 
 
 def differences(got: dict, want: dict) -> list[str]:
@@ -95,12 +126,12 @@ def differences(got: dict, want: dict) -> list[str]:
         if len(rows) != len(key) or rows[:1] != key[:1]:
             out.append(f"{name}: header or row count differs")
             continue
-        amps = [h.endswith("_amps") for h in key[0]]
         for k, (row, ref) in enumerate(zip(rows[1:], key[1:]), 1):
             if len(row) != len(ref):
                 out.append(f"{name} row {k}: {len(row)} cells != {len(ref)}")
-            for col, a, b, is_amps in zip(key[0], row, ref, amps):
-                if not (_close(float(a), float(b)) if is_amps else a == b):
+            for col, a, b in zip(key[0], row, ref):
+                if not (a == b if COLUMN_TOL[col] is None else
+                        _close(float(a), float(b), COLUMN_TOL[col])):
                     out.append(f"{name} row {k} {col}: {a} != {b}")
     summary, ref = got["summary"], want["summary"]
     if (summary is None) != (ref is None) or (

@@ -1,16 +1,16 @@
 """Test oracles with no caller in the program: an exact network solve of
 the sneak-path graph with its return-leg bound, against which the closed
 form in `fefetsim.analytics` is checked, the hysteresis helpers the
-ferro tests drive the branch model with, a write phase grouped cell by cell,
-against which `engine.apply_write`'s grouping by row is checked, and, from
-a description of the read network that does not depend on how the solver
+ferro tests drive the branch model with, an array's cells as a grid of
+states, a write phase grouped cell by cell, against which
+`engine.apply_write`'s grouping by row is checked, and, from a
+description of the read network that does not depend on how the solver
 numbers its nodes, the sparse read Jacobian and the dense line matrix
 against which the read solve's Newton step and its elimination of the
 source lines are checked, and the numpy device kernel as it allocated one
 array per step, whose bits the in-place kernel must keep.
 """
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -62,13 +62,20 @@ def sneak_resistance_network(r_on: float, r_off: float, rows: int, cols: int) ->
     return 1.0 / i_total
 
 
+def cells_of(array: ArrayState) -> list[list[BranchState]]:
+    """Each cell's state as a rows x cols list of lists, from the table and
+    the index."""
+    return [[array.states[i] for i in row] for row in array.index.tolist()]
+
+
 def cell_grouped_write(array: ArrayState, plan: BiasPlan, duration: float
                        ) -> tuple[tuple[BranchState, ...], np.ndarray]:
     """The table and index a write phase leaves, without changing `array`:
     cells with equal table entry and gate voltage form one group, the
     scalar write runs once per group in row-major order of first
     appearance, and equal results share one entry of the new table."""
-    voltages = itertools.chain.from_iterable(biasing.write_voltages(plan))
+    voltages = [biasing.cell_write_voltage(plan, r, c)
+                for r in range(array.rows) for c in range(array.cols)]
     keys = list(zip(array.index.ravel().tolist(), voltages))
     table: dict[BranchState, int] = {}
     entry: dict[tuple[int, float], int] = {}

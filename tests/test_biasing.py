@@ -109,7 +109,7 @@ def test_write_voltages_of_a_plan_with_floating_lines_raise():
     # the AND read plan floats its unselected bit lines
     plan = and_read_bias(4, 4, 1, (2,), 1.0, 1.0)
     with pytest.raises(ValueError):
-        biasing.write_voltages(plan)
+        biasing.write_bodies(plan)
     with pytest.raises(ValueError):
         cell_write_voltage(plan, 0, 0)
 
@@ -131,12 +131,14 @@ def test_every_cell_classified_and_exposed(rows, cols, v_w):
 @given(rows=st.integers(1, 6), cols=st.integers(1, 6),
        v_w=st.floats(0.2, 5.0))
 def test_write_voltage_matrix_equals_per_cell_voltages(rows, cols, v_w):
+    # `engine.apply_write` forms each cell's gate voltage as wl - body
     sel = range(0, cols, 2)
     for plan in (cand_write1_bias(rows, cols, rows - 1, sel, v_w),
                  cand_write0_bias(rows, cols, 0, sel, -v_w),
                  and_write_bias(rows, cols, 0, sel, v_w),
                  and_write_bias(rows, cols, rows - 1, sel, -v_w)):
-        assert biasing.write_voltages(plan) == [
+        body = biasing.write_bodies(plan)
+        assert [[w - b for b in body] for w in plan.wl] == [
             [cell_write_voltage(plan, r, c) for c in range(cols)]
             for r in range(rows)]
 

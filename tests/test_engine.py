@@ -12,8 +12,8 @@ from fefetsim.config import (RunConfig, make_device, make_ferro,
                              make_parasitics)
 from fefetsim.device import GATE_DIRECT, GATE_DIVIDER
 from fefetsim.engine import ArrayState
-from oracles import (ReadNetwork, cell_grouped_write, line_matrix, line_stamps,
-                     read_jacobian)
+from oracles import (ReadNetwork, cell_grouped_write, cells_of, line_matrix,
+                     line_stamps, read_jacobian)
 
 FE = make_ferro(RunConfig())
 DEV = make_device(RunConfig())
@@ -49,7 +49,8 @@ def test_single_cell_read_matches_device_current():
     for topology in Topology:
         arr = _array(topology, 1, 1, [[1]])
         res = engine.read_cells(arr, 0, (0,), V_READ, V_READ)
-        i_dev = device.drain_current(DEV, V_READ, V_READ, arr.vt(0, 0))
+        i_dev = device.drain_current(DEV, V_READ, V_READ,
+                                     float(arr.vts[0, 0]))
         assert res.current(0) == pytest.approx(i_dev, rel=1e-4)
 
 
@@ -70,10 +71,10 @@ def test_read_window_ordering_small_arrays():
 def test_read_does_not_flip_stored_pattern():
     bits = (np.arange(16).reshape(4, 4) % 2).tolist()
     arr = _array(Topology.CAND, 4, 4, bits)
-    vts_before = arr.vts()
+    vts_before = arr.vts
     engine.read_cells(arr, 1, (0, 1, 2, 3), V_READ, V_READ)
     # the DC read solve itself never touches the hysteresis state
-    assert np.array_equal(arr.vts(), vts_before)
+    assert np.array_equal(arr.vts, vts_before)
 
 
 def test_read_determinism():
@@ -165,12 +166,12 @@ def test_write_then_read_round_trip():
 
 def test_halves_write_leaves_diagonal_cells_untouched():
     arr = _array(Topology.CAND, 4, 4)
-    vt_before = arr.vt(3, 3)
+    vt_before = float(arr.vts[3, 3])
     engine.apply_write(arr, biasing.cand_write1_bias(4, 4, 0, (0,), 3.2),
                        T_PULSE)
     # cell (3,3) is in the diagonal group of a halves-scheme program and
     # sees exactly 0 V, so its state cannot move at all
-    assert arr.vt(3, 3) == vt_before
+    assert float(arr.vts[3, 3]) == vt_before
 
 
 @pytest.mark.parametrize("topology", Topology)
@@ -185,9 +186,9 @@ def test_vts_has_the_bytes_of_per_cell_vt_after_real_writes(topology):
         engine.apply_write(arr, biasing.write_bias(topology, rows, cols, r,
                                                    sel, v), T_PULSE)
     ref = np.array([[device.cell_vt(DEV, FE, st) for st in row]
-                    for row in arr.cells])
+                    for row in cells_of(arr)])
     assert len(set(ref.ravel())) > 3
-    vts = arr.vts()
+    vts = arr.vts
     assert vts.shape == (rows, cols)
     assert vts.tobytes() == ref.tobytes()
 
@@ -200,8 +201,8 @@ def test_column_model_cross_checks_full_solver_and():
     arr = _array(Topology.AND, rows, 2, bits)
     i_solver = engine.read_cells(arr, 0, (0,), V_READ, V_READ).current(0)
     i_cell, i_leak = engine.column_readout_with_leak(
-        DEV, Topology.AND, rows, 2, arr.vt(0, 0), arr.vt(1, 0),
-        V_READ, V_READ)
+        DEV, Topology.AND, rows, 2, float(arr.vts[0, 0]),
+        float(arr.vts[1, 0]), V_READ, V_READ)
     assert i_solver == pytest.approx(i_cell + i_leak, rel=0.05)
     # square worst cases, every cell '1' but the read (0, 0): network / model
     # is 1.000000 at 16 and 256 rows, 0.999896 at 1024 and 0.999585 at 2048
@@ -211,8 +212,8 @@ def test_column_model_cross_checks_full_solver_and():
         arr = _array(Topology.AND, rows, rows, bits)
         i_solver = engine.read_cells(arr, 0, (0,), V_READ, V_READ).current(0)
         i_cell, i_leak = engine.column_readout_with_leak(
-            DEV, Topology.AND, rows, rows, arr.vt(0, 0), arr.vt(1, 0),
-            V_READ, V_READ)
+            DEV, Topology.AND, rows, rows, float(arr.vts[0, 0]),
+            float(arr.vts[1, 0]), V_READ, V_READ)
         assert i_solver == pytest.approx(i_cell + i_leak, rel=1e-3)
         # AND's long-bitline read error: from 1024 rows on the leak lifts the
         # stored '0' above i_ref (4.54e-9 A at 1024 rows, 9.08e-9 A at 2048)
@@ -260,8 +261,8 @@ def test_set_pattern_hits_saturated_rest_states():
     arr = _array(Topology.AND, 2, 2, [[0, 1], [1, 0]])
     vt1 = device.vt_of_polarization(DEV, FE, FE.pr)
     vt0 = device.vt_of_polarization(DEV, FE, -FE.pr)
-    assert arr.vt(0, 1) == pytest.approx(vt1)
-    assert arr.vt(0, 0) == pytest.approx(vt0)
+    assert float(arr.vts[0, 1]) == pytest.approx(vt1)
+    assert float(arr.vts[0, 0]) == pytest.approx(vt0)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (5, 4), (4, 3), (4, 5), (16,)])
@@ -271,7 +272,7 @@ def test_set_pattern_of_another_shape_is_rejected(shape, as_array):
     # taken, and one of any other shape leaves the array as it was
     bits = np.random.default_rng(5).integers(0, 2, size=(4, 4))
     arr = _array(Topology.CAND, 4, 4, bits if as_array else bits.tolist())
-    assert arr.cells == [[ferro.make_state(FE, bool(b)) for b in row]
+    assert cells_of(arr) == [[ferro.make_state(FE, bool(b)) for b in row]
                          for row in bits]
     states, index = arr.states, arr.index
     wrong = np.ones(shape, dtype=int)
@@ -324,8 +325,9 @@ def test_each_distinct_state_and_gate_voltage_is_written_once(monkeypatch,
         # each phase writes a copy of the last written array, which shares
         # its transitions: only the pairs no earlier phase pulsed are written
         arr = arr.copy()
-        groups = {(arr.cells[r][c], biasing.cell_write_voltage(plan, r, c))
-                  for r in range(n) for c in range(n)}
+        groups = {(st, biasing.cell_write_voltage(plan, r, c))
+                  for r, row in enumerate(cells_of(arr))
+                  for c, st in enumerate(row)}
         before = len(calls)
         engine.apply_write(arr, plan, T_PULSE)
         assert len(calls) - before == len(groups - pulsed)
@@ -390,8 +392,9 @@ def test_write_cell_runs_once_per_pair_across_an_array_family(monkeypatch):
     plan = biasing.cand_write1_bias(4, 4, 1, (0, 2), 3.2)
     arr = _array(Topology.CAND, 4, 4, np.eye(4))
     twin = arr.copy()
-    groups = {(arr.cells[r][c], biasing.cell_write_voltage(plan, r, c))
-              for r in range(4) for c in range(4)}
+    groups = {(st, biasing.cell_write_voltage(plan, r, c))
+              for r, row in enumerate(cells_of(arr))
+              for c, st in enumerate(row)}
     calls = _count_writes(monkeypatch)
     engine.apply_write(arr, plan, T_PULSE)
     assert {(st, v) for _, _, st, v, _ in calls} == groups
@@ -421,8 +424,8 @@ def test_random_pattern_vts_has_the_bytes_of_per_cell_vt():
                  np.random.default_rng(11).integers(0, 2, size=(n, n)))
     _assert_table_invariants(arr)
     ref = np.array([[device.cell_vt(DEV, FE, st) for st in row]
-                    for row in arr.cells])
-    assert arr.vts().tobytes() == ref.tobytes()
+                    for row in cells_of(arr)])
+    assert arr.vts.tobytes() == ref.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -468,11 +471,11 @@ def test_interned_writes_match_per_cell_oracle(run, gate_mode):
     for plan, duration in plans:
         engine.apply_write(arr, plan, duration)
         _oracle_write(dev, ref, plan, duration)
-        assert arr.cells == ref
+        assert cells_of(arr) == ref
         _assert_table_invariants(arr)
         ref_vts = np.array([[device.cell_vt(dev, FE, s) for s in row]
                             for row in ref])
-        assert np.array_equal(arr.vts(), ref_vts)
+        assert np.array_equal(arr.vts, ref_vts)
 
 
 @st.composite
@@ -540,20 +543,20 @@ def test_writes_never_reach_a_copy_or_another_array():
     arr = _array(Topology.CAND, 4, 4, np.eye(4))
     twin = arr.copy()
     other = _array(Topology.CAND, 4, 4, np.eye(4))
-    seen = [row[:] for a in (arr, twin, other) for row in a.cells]
+    seen = [row for a in (arr, twin, other) for row in cells_of(a)]
     before = [row[:] for row in seen]
     for plan in (biasing.cand_write1_bias(4, 4, 1, (0, 2), 3.2),
                  biasing.cand_write0_bias(4, 4, 0, range(4), -1.5)):
         engine.apply_write(arr, plan, T_PULSE)
     assert seen == before
-    assert twin.cells == before[4:8]
-    assert other.cells == before[8:]
-    assert not np.array_equal(arr.vts(), twin.vts())
+    assert cells_of(twin) == before[4:8]
+    assert cells_of(other) == before[8:]
+    assert not np.array_equal(arr.vts, twin.vts)
 
 
 def test_write_that_raises_leaves_the_array_unchanged(monkeypatch):
     arr = _array(Topology.CAND, 3, 3, np.eye(3))
-    cells, vts = [row[:] for row in arr.cells], arr.vts()
+    cells, vts = cells_of(arr), arr.vts
     real, calls = device.write_cell, []
 
     def fail_on_second_group(*args):
@@ -566,9 +569,9 @@ def test_write_that_raises_leaves_the_array_unchanged(monkeypatch):
     with pytest.raises(RuntimeError):
         engine.apply_write(arr, biasing.cand_write1_bias(3, 3, 0, (0,), 3.2),
                            T_PULSE)
-    assert all(a is b for ra, rb in zip(arr.cells, cells)
+    assert all(a is b for ra, rb in zip(cells_of(arr), cells)
                for a, b in zip(ra, rb))
-    assert np.array_equal(arr.vts(), vts)
+    assert np.array_equal(arr.vts, vts)
 
 
 # --------------------------------------------------------------------------
@@ -605,7 +608,7 @@ def _oracle_read(arr, plan):
             g_lin[nodes[0], nodes[0]] += 1 / r_seg
             inj[nodes[0]] += drive / r_seg
             v[nodes] = drive
-    vts = arr.vts()
+    vts = arr.vts
     res = np.inf
     for _ in range(50):
         f, jac = g_lin @ v - inj, g_lin.copy()
@@ -1275,7 +1278,7 @@ def test_predictor_starts_floating_lines_at_their_strongest_tie():
     # '1' cells have vt 0.58 V and '0' cells 1.72 V
     arr = _array(Topology.CAND, 3, 4, [[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 0]])
     lay = engine._layout(Topology.CAND, 3, 4, PAR)
-    strength = np.array([[0.0], [0.3], [0.6]]) - arr.vts()
+    strength = np.array([[0.0], [0.3], [0.6]]) - arr.vts
 
     def start(drive):
         drive = np.array(drive)
@@ -1419,7 +1422,7 @@ def test_reads_below_the_crossover_call_the_scalar_device_per_cell(
     # order; an AND read solves its read columns alone
     plan = biasing.read_bias(topology, rows, cols, 1, sel, V_READ, V_READ)
     solved = list(sel if topology is Topology.AND else range(cols))
-    cells = [(vg, vt) for vg, row in zip(plan.wl, arr.vts())
+    cells = [(vg, vt) for vg, row in zip(plan.wl, arr.vts)
              for vt in row[solved]]
     assemblies = len(calls) // len(cells)
     assert assemblies >= 1 + res.iterations
@@ -1624,7 +1627,7 @@ def _marked_device(monkeypatch, mark):
     of every cell whose vt is not a saturated state's: only arrays written
     to an intermediate state carry such cells."""
     scalar, saturated = device.drain_current_and_derivs, set(
-        _array(Topology.CAND, 1, 2, [[0, 1]]).vts().ravel().tolist())
+        _array(Topology.CAND, 1, 2, [[0, 1]]).vts.ravel().tolist())
 
     def marked(dev, vg, vd, vs, vt):
         terms = scalar(dev, vg, vd, vs, vt)

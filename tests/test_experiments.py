@@ -8,6 +8,7 @@ from fefetsim.biasing import Topology
 from fefetsim.config import load_config
 from fefetsim.engine import ArrayState
 from fefetsim import config as cfgmod
+from oracles import cells_of
 
 CFG, _ = load_config()
 
@@ -81,8 +82,8 @@ def test_state_one_array_copied_from_state_zero_matches_a_fresh_one(topology):
                         dev, fe, ref[rr][c],
                         biasing.cell_write_voltage(plan, rr, c), cfg.t_pulse)
         swept.append([row[:] for row in ref])
-    assert zero.cells == swept[1]
-    assert one.cells == swept[2]
+    assert cells_of(zero) == swept[1]
+    assert cells_of(one) == swept[2]
 
 
 def test_write_word_always_two_cycles():
