@@ -1,8 +1,9 @@
 """Audit the mixed write scheme, then watch it hold up in a real array.
 
-First the closed-form exposure audit (what every unselected cell group
-sees during a write), then the full disturb matrix simulated on a 16x16
-array of each topology, then a word write with readback.
+First the exposure audit (what every unselected cell group sees under
+the C-AND write plans, read off the plans themselves), then the full
+disturb matrix simulated on a 16x16 array of each topology, then a word
+write with readback.
 
 Run:  python3 demos/demo_write_disturb.py
 """

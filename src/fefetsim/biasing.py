@@ -195,6 +195,14 @@ def classify_cell(plan: BiasPlan, row: int, col: int) -> CellGroup:
     return CellGroup.DIAG
 
 
+def exposures(plan: BiasPlan) -> list[tuple[CellGroup, float]]:
+    """Each unselected cell's group and gate-to-body voltage under a write
+    plan, in row-major order."""
+    return [(group, cell_write_voltage(plan, r, c))
+            for r in range(plan.rows) for c in range(plan.cols)
+            if (group := classify_cell(plan, r, c)) is not CellGroup.SEL]
+
+
 # --------------------------------------------------------------------------
 # Write-scheme audit
 
@@ -208,8 +216,8 @@ FLAG_PASS = "pass"
 FLAG_PARTIAL = "partial-risk"
 FLAG_DISTURB = "disturb"
 
-#: default fraction of the switching threshold above which an exposure is
-#: flagged as partial-risk
+#: fraction of the switching threshold from which an exposure is flagged
+#: as partial-risk
 PARTIAL_MARGIN = 2.0 / 3.0
 
 
@@ -224,9 +232,6 @@ class SchemeFinding:
 
 @dataclass
 class SchemeReport:
-    scheme: SchemeKind
-    v_w0: float
-    v_w1: float
     findings: list[SchemeFinding]
 
     @property
@@ -237,30 +242,18 @@ class SchemeReport:
     def any_partial(self) -> bool:
         return any(f.flag != FLAG_PASS for f in self.findings)
 
-    def worst(self) -> SchemeFinding:
-        order = {FLAG_PASS: 0, FLAG_PARTIAL: 1, FLAG_DISTURB: 2}
-        return max(self.findings, key=lambda f: (order[f.flag], abs(f.v_gb)))
-
-
-def _group_exposures(style: str, v_w: float) -> dict[CellGroup, float]:
-    wl_s, wl_u, col_s, col_u = _inhibit_levels(style, v_w)
-    return {
-        CellGroup.SEL: wl_s - col_s,
-        CellGroup.SAME_ROW: wl_s - col_u,
-        CellGroup.SAME_COL: wl_u - col_s,
-        CellGroup.DIAG: wl_u - col_u,
-    }
-
 
 def verify_scheme(v_w0: float, v_w1: float,
                   scheme: SchemeKind = SchemeKind.MIXED) -> SchemeReport:
     """Audit unselected-cell exposures of a write scheme.
 
-    The write voltages are taken to be chosen at the switching minimum, so
-    |v_w0| and v_w1 are the smallest gate voltages that flip a cell to '0'
-    and to '1'.  An exposure whose magnitude reaches the threshold for its
-    polarity is a `disturb`; reaching `PARTIAL_MARGIN` of it is a
-    `partial-risk`.
+    Each op's exposures are those of its 2x2 C-AND write plan in the
+    scheme's inhibit style: MIXED's are the C-AND plans', and VDD3_ONLY's
+    equal the AND plans'.  The write voltages are taken to be chosen at the
+    switching minimum, so |v_w0| and v_w1 are the smallest gate voltages
+    that flip a cell to '0' and to '1'.  An exposure whose magnitude reaches
+    the threshold for its polarity is a `disturb`; reaching `PARTIAL_MARGIN`
+    of it is a `partial-risk`.
     """
     if v_w0 >= 0.0 or v_w1 <= 0.0:
         raise ValueError("expected v_w0 < 0 < v_w1")
@@ -271,9 +264,8 @@ def verify_scheme(v_w0: float, v_w1: float,
 
     findings = []
     for op, style, v_w in (("write0", style0, v_w0), ("write1", style1, v_w1)):
-        for group, v_gb in _group_exposures(style, v_w).items():
-            if group is CellGroup.SEL:
-                continue
+        plan = _cand_write(2, 2, 0, (0,), op, style, v_w)
+        for group, v_gb in exposures(plan):
             thr = thr1 if v_gb > 0.0 else thr0
             mag = abs(v_gb)
             if mag >= thr:
@@ -283,4 +275,4 @@ def verify_scheme(v_w0: float, v_w1: float,
             else:
                 flag = FLAG_PASS
             findings.append(SchemeFinding(op, group, v_gb, thr - mag, flag))
-    return SchemeReport(scheme, v_w0, v_w1, findings)
+    return SchemeReport(findings)

@@ -887,7 +887,13 @@ def column_readout_with_leak(dev: FeFetParams, topology: Topology,
 def accumulate_disturb(dev: FeFetParams, fe: FerroParams, state: BranchState,
                        v_gb: float, n_pulses: int,
                        duration: float) -> BranchState:
-    """Repeatedly apply a half-select pulse; return the final state."""
+    """Repeatedly apply a half-select pulse; return the final state.  The
+    model has no cumulative switching: with rate independence and
+    return-point memory the state is fixed after the first stress pulse,
+    so the loop stops at a pulse that leaves the state as it was."""
     for _ in range(n_pulses):
-        state = device.write_cell(dev, fe, state, v_gb, duration)
+        after = device.write_cell(dev, fe, state, v_gb, duration)
+        if after == state:
+            break
+        state = after
     return state

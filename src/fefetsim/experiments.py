@@ -410,8 +410,7 @@ def accumulative_disturb_sweep(cfg: RunConfig) -> Table:
     fe = config.make_ferro(cfg)
     dev = config.make_device(cfg)
     plan = biasing.write_bias(config.topology_of(cfg), 2, 2, 0, [0], cfg.v_w1)
-    v_stress = max(biasing.cell_write_voltage(plan, r, c)
-                   for r, c in ((0, 1), (1, 0), (1, 1)))
+    v_stress = max(v for _, v in biasing.exposures(plan))
     st = device.write_cell(dev, fe, ferro.negative_saturation(fe),
                            cfg.v_w1, cfg.t_pulse)
     st = device.write_cell(dev, fe, st, cfg.v_w0, cfg.t_pulse)

@@ -50,6 +50,8 @@ COMMANDS = {
     # a scheme that over-stresses unselected cells: exits 1
     "verify_scheme_vdd3": ["verify-scheme", "--vw0", "-1.0", "--vw1", "4.5",
                            "--scheme", "vdd3"],
+    # halves for both polarities: the erase plan only this scheme builds
+    "verify_scheme_vdd2": ["verify-scheme", "--scheme", "vdd2"],
     "bitline": ["run", "bitline"],
     "disturb_accumulate": ["run", "disturb-accumulate"],
     "mc_200": ["mc", "--samples", "200", "--seed", "914003"],

@@ -16,7 +16,9 @@ from fefetsim.biasing import (
     cand_write1_bias,
     cell_write_voltage,
     classify_cell,
+    exposures,
     verify_scheme,
+    write_bias,
 )
 
 
@@ -180,7 +182,7 @@ def test_thirds_program_disturbs_opposite_polarity_diagonal():
     # group sits at -1.5 V of the wrong polarity and must be flagged
     report = verify_scheme(-1.0, 4.5, SchemeKind.VDD3_ONLY)
     assert report.any_disturb
-    worst = report.worst()
+    (worst,) = [f for f in report.findings if f.flag == FLAG_DISTURB]
     assert worst.group is CellGroup.DIAG
     assert worst.op == "write1"
     assert worst.v_gb == pytest.approx(-1.5)
@@ -243,3 +245,30 @@ def test_vdd2_program_never_disturbs_at_matched_threshold(v_w0, v_w1):
         if f.op == "write1":
             assert f.flag != FLAG_DISTURB
             assert abs(f.v_gb) <= v_w1 / 2.0 + 1e-12
+
+
+@given(v_w0=st.floats(-5.0, -0.1), v_w1=st.floats(0.1, 5.0),
+       rows=st.integers(2, 6), cols=st.integers(2, 6), data=st.data())
+def test_the_audit_is_the_arrays_own_write_plans(v_w0, v_w1, rows, cols,
+                                                  data):
+    # every exposure of a C-AND write plan is the MIXED audit's finding for
+    # its op and group, bit for bit, and every exposure of an AND write plan
+    # the VDD3_ONLY audit's: an AND body is the mean of two equal column
+    # voltages, which is exact
+    sel_row = data.draw(st.integers(0, rows - 1))
+    sel_cols = data.draw(st.sets(st.integers(0, cols - 1), min_size=1))
+    for topology, scheme in ((Topology.CAND, SchemeKind.MIXED),
+                             (Topology.AND, SchemeKind.VDD3_ONLY)):
+        audit = {(f.op, f.group): f.v_gb
+                 for f in verify_scheme(v_w0, v_w1, scheme).findings}
+        for v_w in (v_w0, v_w1):
+            plan = write_bias(topology, rows, cols, sel_row, sel_cols, v_w)
+            for group, v_gb in exposures(plan):
+                assert repr(v_gb) == repr(audit[plan.op, group])
+
+
+def test_exposures_skip_the_selected_cells_in_row_major_order():
+    plan = cand_write1_bias(2, 3, 1, (0, 2), 3.2)
+    assert exposures(plan) == [
+        (CellGroup.SAME_COL, 1.6), (CellGroup.DIAG, 0.0),
+        (CellGroup.SAME_COL, 1.6), (CellGroup.SAME_ROW, 1.6)]

@@ -257,6 +257,23 @@ def test_accumulate_disturb_reports_every_pulse():
     assert all(b <= a + 1e-12 for a, b in zip(vts, vts[1:]))
 
 
+def test_accumulate_disturb_stops_at_the_first_pulse_that_changes_nothing(
+        monkeypatch):
+    # with return-point memory the first half-select pulse fixes the state,
+    # so the second returns it unchanged and no further pulse is applied
+    state = device.write_cell(DEV, FE, ferro.negative_saturation(FE), -1.5,
+                              T_PULSE)
+    pulsed = state
+    for _ in range(50):
+        pulsed = device.write_cell(DEV, FE, pulsed, 1.6, T_PULSE)
+    calls, write = [], device.write_cell
+    monkeypatch.setattr(device, "write_cell",
+                        lambda *a: calls.append(a) or write(*a))
+    assert engine.accumulate_disturb(DEV, FE, state, 1.6, 10000,
+                                     T_PULSE) == pulsed != state
+    assert len(calls) == 2
+
+
 def test_set_pattern_hits_saturated_rest_states():
     arr = _array(Topology.AND, 2, 2, [[0, 1], [1, 0]])
     vt1 = device.vt_of_polarization(DEV, FE, FE.pr)
