@@ -14,7 +14,7 @@ def main():
     dev = make_device(cfg)
 
     print("== polarization loop ==")
-    pts = ferro.trace_loop(fe, max(cfg.v_w1, 2.0 * cfg.vc_program), 200)
+    pts = ferro.trace_loop(fe, max(cfg.v_w1, 2.0 * cfg.vc_program))
     p_max = max(p for _, p in pts)
     p_min = min(p for _, p in pts)
     print(f"sweep amplitude {max(cfg.v_w1, 2 * cfg.vc_program):.1f} V -> "

@@ -31,47 +31,18 @@ def sneak_resistance_formula(r_on: float, r_off: float, rows: int, cols: int) ->
 # Read power
 
 
-def select_line_current(n_zeros: int, n_ones: int, i_low: float, i_high: float) -> float:
-    """Aggregate current drawn from the select line during a word read, A."""
-    if n_zeros < 0 or n_ones < 0:
-        raise ValueError("cell counts must be nonnegative")
-    return n_zeros * i_low + n_ones * i_high
-
-
-def select_line_power(n_zeros: int, n_ones: int, i_low: float, i_high: float,
-                      v_read: float) -> float:
-    return select_line_current(n_zeros, n_ones, i_low, i_high) * v_read
-
-
 def select_line_power_max(word_width: int, i_high: float, v_read: float) -> float:
     """Worst case: every cell of the word conducts."""
     return word_width * i_high * v_read
 
 
-@dataclass(frozen=True)
-class ReadPowerBreakdown:
-    p_select: float   # cell read currents through the select line, W
-    p_wordline: float # switching the word line each read cycle, W
-    p_leak: float     # sneak/off leakage at read bias, W
-
-    @property
-    def total(self) -> float:
-        return self.p_select + self.p_wordline + self.p_leak
-
-
-def wordline_switch_power(c_line: float, v_wl: float, f_read: float) -> float:
-    """CV^2 f power of charging the word line once per read cycle."""
-    return c_line * v_wl * v_wl * f_read
-
-
-def read_power(n_zeros: int, n_ones: int, i_low: float, i_high: float,
-               v_read: float, c_wordline: float, v_wl: float, f_read: float,
-               i_leak: float) -> ReadPowerBreakdown:
-    return ReadPowerBreakdown(
-        p_select=select_line_power(n_zeros, n_ones, i_low, i_high, v_read),
-        p_wordline=wordline_switch_power(c_wordline, v_wl, f_read),
-        p_leak=i_leak * v_read,
-    )
+def read_power(i_high: float, v_read: float, c_wordline: float, v_wl: float,
+               f_read: float, i_leak: float) -> tuple[float, float, float]:
+    """Read power of one conducting cell, W: its current through the select
+    line, the CV^2 f of charging the word line once per read cycle, and the
+    sneak/off leakage at read bias."""
+    return (i_high * v_read, c_wordline * v_wl * v_wl * f_read,
+            i_leak * v_read)
 
 
 # --------------------------------------------------------------------------

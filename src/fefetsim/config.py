@@ -59,7 +59,6 @@ class RunConfig:
     # interconnect
     r_metal: float = 9.45           # Ohm/um
     c_metal: float = 0.22e-15       # F/um
-    r_poly: float = 2000.0          # Ohm/um
     c_poly: float = 0.15e-15        # F/um
     lam: float = 50e-9              # layout feature size, m
 
@@ -93,7 +92,7 @@ class ValueRangeError(ConfigError):
 
 def _coerce(name: str, value):
     f = _FIELDS[name]
-    if f.type in ("float", float):
+    if f.type == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueRangeError(f"field {name!r} must be a number, got {value!r}")
         try:
@@ -104,11 +103,11 @@ def _coerce(name: str, value):
         if not math.isfinite(number):
             raise ValueRangeError(f"field {name!r} must be finite, got {value!r}")
         return number
-    if f.type in ("int", int):
+    if f.type == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueRangeError(f"field {name!r} must be an integer, got {value!r}")
         return value
-    if f.type in ("str", str):
+    if f.type == "str":
         if not isinstance(value, str):
             raise ValueRangeError(f"field {name!r} must be a string, got {value!r}")
         return value
@@ -210,7 +209,7 @@ def make_device(cfg: RunConfig) -> FeFetParams:
 
 def make_parasitics(cfg: RunConfig) -> Parasitics:
     return Parasitics(r_metal=cfg.r_metal, c_metal=cfg.c_metal,
-                      r_poly=cfg.r_poly, c_poly=cfg.c_poly, lam=cfg.lam)
+                      c_poly=cfg.c_poly, lam=cfg.lam)
 
 
 _BUILDERS = (("ferroelectric parameters", make_ferro),

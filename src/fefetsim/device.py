@@ -21,6 +21,11 @@ EPS0 = 8.8541878128e-12  # vacuum permittivity, F/m
 GATE_DIRECT = "direct"
 GATE_DIVIDER = "divider"
 
+#: the divider's charge balance: absolute residual charge it must reach, C,
+#: and the most damped Newton steps it takes
+DIVIDER_TOL = 1e-15
+DIVIDER_MAX_ITER = 200
+
 _LN10 = math.log(10.0)
 
 #: largest argument for which math.expm1 stays finite
@@ -212,13 +217,14 @@ def _softplus_sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def gate_drive(dev: FeFetParams, fe: FerroParams, state: BranchState,
-               v_gb: float, tol: float = 1e-15, max_iter: int = 200) -> float:
+               v_gb: float) -> float:
     """Voltage across the ferroelectric layer for a gate-to-body bias.
 
     Direct mode passes v_gb through.  Divider mode solves the charge
     balance  area * (P(E) + eps_fe*eps0*E) = c_il * area * (v_gb - v_fe)
-    with a damped Newton iteration on v_fe; `tol` is the absolute residual
-    charge in Coulombs.  A balance it cannot meet raises ConvergenceError.
+    with at most DIVIDER_MAX_ITER damped Newton steps on v_fe, down to an
+    absolute residual charge of DIVIDER_TOL.  A balance it cannot meet
+    raises ConvergenceError.
     """
     if dev.gate_mode == GATE_DIRECT:
         return v_gb
@@ -233,8 +239,8 @@ def gate_drive(dev: FeFetParams, fe: FerroParams, state: BranchState,
     v_fe = v_gb * dev.c_il / (dev.c_il + dev.eps_fe * EPS0 / fe.t_fe)
     r = residual(v_fe)
     h = 1e-6 * max(1.0, abs(v_gb))
-    for _ in range(max_iter):
-        if abs(r) < tol:
+    for _ in range(DIVIDER_MAX_ITER):
+        if abs(r) < DIVIDER_TOL:
             return v_fe
         dr = (residual(v_fe + h) - residual(v_fe - h)) / (2.0 * h)
         if dr == 0.0:
@@ -250,7 +256,7 @@ def gate_drive(dev: FeFetParams, fe: FerroParams, state: BranchState,
             damp *= 0.5
         else:
             break
-    if abs(r) >= tol:
+    if abs(r) >= DIVIDER_TOL:
         raise ConvergenceError(
             f"gate divider did not converge: residual {r:.3e} C at v_gb={v_gb}")
     return v_fe

@@ -69,19 +69,18 @@ class Parasitics:
 
     r_metal: float
     c_metal: float
-    r_poly: float
     c_poly: float
     lam: float
 
     def __post_init__(self):
-        if min(self.r_metal, self.r_poly, self.lam) <= 0.0:
-            raise ValueError("r_metal, r_poly and lam must be positive")
+        if min(self.r_metal, self.lam) <= 0.0:
+            raise ValueError("r_metal and lam must be positive")
         if min(self.c_metal, self.c_poly) < 0.0:
             raise ValueError("c_metal and c_poly must be nonnegative")
 
-    def seg_resistance(self, pitch_lam: float, poly: bool = False) -> float:
+    def seg_resistance(self, pitch_lam: float) -> float:
         length_um = pitch_lam * self.lam * 1e6
-        return length_um * (self.r_poly if poly else self.r_metal)
+        return length_um * self.r_metal
 
     def seg_capacitance(self, pitch_lam: float, poly: bool = False) -> float:
         length_um = pitch_lam * self.lam * 1e6

@@ -307,6 +307,15 @@ def monte_carlo(cfg: RunConfig) -> Table:
     dv0 = rng.normal(0.0, cfg.sigma_v_w0, n)
     dv1 = rng.normal(0.0, cfg.sigma_v_w1, n)
     dwl = rng.normal(0.0, cfg.sigma_wl, n)
+    # a sigma_wl so wide that a trial draws no channel is rejected like any
+    # other model value out of range
+    short = np.flatnonzero(min(cfg.width, cfg.length) + dwl <= 0.0)
+    if short.size:
+        t = int(short[0])
+        raise config.ValueRangeError(
+            f"Monte Carlo trial {t} draws width {cfg.width + dwl[t]:.3e} m "
+            f"and length {cfg.length + dwl[t]:.3e} m; both must be positive "
+            f"(sigma_wl={cfg.sigma_wl})")
 
     topology, dev_nom = config.topology_of(cfg), config.make_device(cfg)
     _, i_leak_large = engine.column_readout_with_leak(
@@ -381,11 +390,10 @@ def power_sweep(cfg: RunConfig) -> Table:
         _, i_leak = engine.column_readout_with_leak(
             dev, config.topology_of(cfg), n, n, dev.vt_high, dev.vt_low,
             cfg.v_wl, cfg.v_sl)
-        bd = analytics.read_power(
-            n_zeros=0, n_ones=1, i_low=0.0, i_high=i_high,
-            v_read=cfg.v_sl, c_wordline=c_wl, v_wl=cfg.v_wl, f_read=f_read,
-            i_leak=i_leak)
-        rows.append((n, bd.p_select, bd.p_wordline, bd.p_leak, bd.total))
+        p_select, p_wordline, p_leak = analytics.read_power(
+            i_high, cfg.v_sl, c_wl, cfg.v_wl, f_read, i_leak)
+        rows.append((n, p_select, p_wordline, p_leak,
+                     p_select + p_wordline + p_leak))
     totals = [r[4] for r in rows]
     summary = {
         "flatness": max(totals) / min(totals),

@@ -27,6 +27,9 @@ _DENOM_EPS = 1e-30
 #: relaxation times `settle` waits: E_eff reaches zero within float precision
 SETTLE_TAUS = 50.0
 
+#: field steps of `trace_loop`'s full loop, half of them each way
+LOOP_STEPS = 400
+
 
 @dataclass(frozen=True)
 class FerroParams:
@@ -219,18 +222,18 @@ def settle(params: FerroParams, state: BranchState) -> BranchState:
     return apply_pulse(params, state, 0.0, SETTLE_TAUS * params.tau_eff)
 
 
-def trace_loop(params: FerroParams, v_amplitude: float, nsteps: int = 400):
+def trace_loop(params: FerroParams, v_amplitude: float):
     """Quasi-static bipolar triangular sweep -V_A -> +V_A -> -V_A.
 
     Starts from negative saturation preconditioned at -V_A.  Returns a list
-    of (v_fe, p) pairs tracing the full loop.
+    of (v_fe, p) pairs tracing the full loop in LOOP_STEPS field steps.
     """
     if v_amplitude <= 0.0:
         raise ValueError("v_amplitude must be positive")
     e_amp = v_amplitude / params.t_fe
     state = _move_to(params, negative_saturation(params), -e_amp)
     points = [(-v_amplitude, state.p)]
-    half = max(2, nsteps // 2)
+    half = LOOP_STEPS // 2
     steps = range(1, half + 1)
     fields = ([-e_amp + 2.0 * e_amp * i / half for i in steps]     # -A -> +A
               + [e_amp - 2.0 * e_amp * i / half for i in steps])   # +A -> -A

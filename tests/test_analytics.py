@@ -66,28 +66,20 @@ def test_sneak_validation():
 # read power
 
 
-def test_select_line_current_is_affine_in_counts():
-    i = analytics.select_line_current(3, 5, 1e-12, 4e-7)
-    assert i == pytest.approx(3e-12 + 5 * 4e-7)
-    assert analytics.select_line_current(0, 0, 1e-12, 4e-7) == 0.0
-    with pytest.raises(ValueError):
-        analytics.select_line_current(-1, 0, 1e-12, 4e-7)
-
-
 def test_worst_case_byte_read_power():
     # eight conducting cells at 400 nA and 1 V read bias draw 3.2 uW
     p = analytics.select_line_power_max(8, 400e-9, 1.0)
     assert p == 3.2e-6
 
 
-def test_read_power_breakdown_totals():
-    bd = analytics.read_power(n_zeros=4, n_ones=4, i_low=1e-12, i_high=4e-7,
-                              v_read=1.0, c_wordline=2e-15, v_wl=1.0,
-                              f_read=1e5, i_leak=1e-11)
-    assert bd.total == pytest.approx(bd.p_select + bd.p_wordline + bd.p_leak)
-    assert bd.p_wordline == pytest.approx(2e-15 * 1.0 * 1e5)
-    assert bd.p_select == pytest.approx((4e-12 + 1.6e-6))
-    assert bd.p_leak == pytest.approx(1e-11)
+def test_read_power_terms():
+    # 400 nA at 0.5 V read; 2 fF charged to 1.5 V at 100 kHz; 10 pA of leak
+    p_select, p_wordline, p_leak = analytics.read_power(
+        i_high=4e-7, v_read=0.5, c_wordline=2e-15, v_wl=1.5, f_read=1e5,
+        i_leak=1e-11)
+    assert p_select == pytest.approx(2e-7)
+    assert p_wordline == pytest.approx(4.5e-10)
+    assert p_leak == pytest.approx(5e-12)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import functools
 import json
 import math
 import os
@@ -315,6 +314,18 @@ def test_rejected_model_value_exits_five(tmp_path, capsys, field, value):
     assert not (tmp_path / "mc").exists()
 
 
+def test_mc_geometry_draw_without_a_channel_exits_five(tmp_path, capsys):
+    # a 1 um sigma_wl draws a negative width and length in some trial
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"schema_version": 1, "sigma_wl": 1e-6}')
+    status = _run(tmp_path, "mc", "--samples", "20", "--config", str(cfgfile))
+    assert status == cli.EXIT_BAD_VALUE
+    out, err = capsys.readouterr()
+    assert err.count("\n") == 1 and err.startswith("error: Monte Carlo trial ")
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "mc").exists()
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("FEFETSIM_OUT", str(tmp_path / "envout"))
     assert cli.main(["area"]) == cli.EXIT_OK
@@ -367,8 +378,7 @@ def test_read_that_does_not_converge_exits_one(tmp_path, capsys, monkeypatch):
 def test_gate_divider_that_does_not_converge_exits_one(tmp_path, capsys,
                                                         monkeypatch):
     # a divider held to a zero residual charge, which it cannot meet
-    monkeypatch.setattr(device, "gate_drive",
-                        functools.partial(device.gate_drive, tol=0.0))
+    monkeypatch.setattr(device, "DIVIDER_TOL", 0.0)
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text('{"schema_version": 1, "gate_mode": "divider"}')
     status = _run(tmp_path, "run", "disturb", "--rows", "2", "--cols", "2",

@@ -55,11 +55,14 @@ def test_flag_overrides_beat_file(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    path = _write(tmp_path, {"schema_version": SCHEMA_VERSION, "rowz": 64})
-    with pytest.raises(UnknownKeyError):
-        load_config(path)
-    with pytest.raises(UnknownKeyError):
-        load_config(overrides={"rowz": 64})
+    # a typo, and r_poly: no read, write or power figure reads a poly wire
+    # resistance, so it is not a field
+    for key, value in (("rowz", 64), ("r_poly", 0.0)):
+        path = _write(tmp_path, {"schema_version": SCHEMA_VERSION, key: value})
+        with pytest.raises(UnknownKeyError):
+            load_config(path)
+        with pytest.raises(UnknownKeyError):
+            load_config(overrides={key: value})
 
 
 def test_schema_version_required(tmp_path):
@@ -100,8 +103,7 @@ def test_missing_file_raises_file_not_found(tmp_path):
     {"r_metal": -math.inf},
     {"i_ref": 10 ** 400},  # too large for a float
     {"t_fe": 0.0},        # the coercive fields divide by it
-    {"r_metal": 0.0},     # segment conductances divide by the resistances
-    {"r_poly": 0.0},
+    {"r_metal": 0.0},     # segment conductances divide by the resistance
     {"lam": -1e-9},
     {"c_metal": -1e-15},
     {"c_poly": -1e-15},

@@ -307,10 +307,11 @@ def test_divider_passes_less_than_direct():
     assert 0.0 < v_fe < 2.0
 
 
-def test_divider_that_does_not_converge_raises():
+def test_divider_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(device, "DIVIDER_MAX_ITER", 0)
     state = ferro.negative_saturation(FE)
     with pytest.raises(RuntimeError):
-        device.gate_drive(DIVIDER, FE, state, 2.0, max_iter=0)
+        device.gate_drive(DIVIDER, FE, state, 2.0)
 
 
 def test_gate_mode_validation():

@@ -33,7 +33,6 @@ def test_parasitic_segment_values():
     # a 9-lambda metal segment at lambda = 50 nm is 0.45 um of wire
     assert PAR.seg_resistance(9.0) == pytest.approx(0.45 * 9.45)
     assert PAR.seg_capacitance(9.0) == pytest.approx(0.45 * 0.22e-15)
-    assert PAR.seg_resistance(9.0, poly=True) == pytest.approx(0.45 * 2000.0)
 
 
 def test_solve_read_meets_residual_everywhere():

@@ -73,7 +73,7 @@ def test_repeated_identical_pulses_do_not_ratchet():
 
 
 def test_full_bipolar_sweep_closes():
-    pts = ferro.trace_loop(PARAMS, 8.0, nsteps=600)
+    pts = ferro.trace_loop(PARAMS, 8.0)
     assert pts[0][1] == pytest.approx(pts[-1][1], abs=1e-6 * PARAMS.ps)
 
 
