@@ -90,6 +90,7 @@ def test_missing_file_raises_file_not_found(tmp_path):
 @pytest.mark.parametrize("overrides", [
     {"topology": "nor"},
     {"rows": 0},
+    {"cols": 0},
     {"samples": 0},
     {"pr": 0.3},          # pr must stay below ps
     {"pr": -0.1},
